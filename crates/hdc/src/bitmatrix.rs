@@ -17,6 +17,7 @@
 use crate::binary::{debug_assert_tail_invariant, BinaryHypervector, Dim, WORD_BITS};
 use crate::error::HdcError;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// A dense binary matrix of `n_rows × dim` bits, each row bit-packed into
@@ -26,11 +27,16 @@ use std::fmt;
 /// `c % 64`. Bits at or above `dim` in each row's final word are always
 /// zero (the same tail invariant as [`BinaryHypervector`]), so word-level
 /// popcounts over rows are exact.
+///
+/// Rows can be appended with [`BitMatrix::push_rows`]; the buffer grows
+/// geometrically, so a matrix built by many small appends copies each row
+/// O(1) times on average.
 #[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BitMatrix {
     n_rows: usize,
     dim: Dim,
-    words: Box<[u64]>,
+    /// `n_rows * dim.words()` words; spare capacity beyond them is unused.
+    words: Vec<u64>,
 }
 
 impl BitMatrix {
@@ -40,7 +46,7 @@ impl BitMatrix {
         Self {
             n_rows,
             dim,
-            words: vec![0u64; n_rows * dim.words()].into_boxed_slice(),
+            words: vec![0u64; n_rows * dim.words()],
         }
     }
 
@@ -64,7 +70,7 @@ impl BitMatrix {
             }
         }
         let wpr = dim.words();
-        let mut words = vec![0u64; hypervectors.len() * wpr].into_boxed_slice();
+        let mut words = vec![0u64; hypervectors.len() * wpr];
         for (dst, hv) in words.chunks_mut(wpr).zip(hypervectors) {
             dst.copy_from_slice(hv.words());
         }
@@ -101,11 +107,44 @@ impl BitMatrix {
                 )));
             }
         }
-        Ok(Self {
-            n_rows,
-            dim,
-            words: words.into_boxed_slice(),
-        })
+        Ok(Self { n_rows, dim, words })
+    }
+
+    /// Reserves storage for `additional` more rows exactly, without the
+    /// geometric slack of [`BitMatrix::push_rows`] — for callers that know
+    /// the size a matrix will fill to. Best effort: if the reservation
+    /// cannot be made, nothing is reserved and appends grow as usual.
+    pub fn reserve_rows(&mut self, additional: usize) {
+        if let Some(words) = additional.checked_mul(self.dim.words()) {
+            // lint: discard-ok (a failed reservation only forfeits the hint; push_rows still grows the buffer)
+            let _ = self.words.try_reserve_exact(words);
+        }
+    }
+
+    /// Appends `rows` after the existing rows, copying whole storage words.
+    /// The buffer grows geometrically (as a `Vec` does), so repeated small
+    /// appends cost amortized O(appended words) each rather than a rebuild
+    /// of the whole matrix.
+    ///
+    /// All-or-nothing: returns an error, leaving the matrix unchanged, if
+    /// any row's dimensionality differs from the matrix's.
+    pub fn push_rows<R: Borrow<BinaryHypervector>>(&mut self, rows: &[R]) -> Result<(), HdcError> {
+        for row in rows {
+            let row: &BinaryHypervector = row.borrow();
+            if row.dim() != self.dim {
+                return Err(HdcError::DimensionMismatch {
+                    left: self.dim.get(),
+                    right: row.dim().get(),
+                });
+            }
+        }
+        self.words.reserve(rows.len() * self.dim.words());
+        for row in rows {
+            let row: &BinaryHypervector = row.borrow();
+            self.words.extend_from_slice(row.words());
+        }
+        self.n_rows += rows.len();
+        Ok(())
     }
 
     /// The full packed storage buffer, row-major (`n_rows * dim.words()`
@@ -205,7 +244,7 @@ impl BitMatrix {
     #[must_use]
     pub fn select_rows(&self, indices: &[usize]) -> Self {
         let wpr = self.dim.words();
-        let mut words = vec![0u64; indices.len() * wpr].into_boxed_slice();
+        let mut words = vec![0u64; indices.len() * wpr];
         for (dst, &i) in words.chunks_mut(wpr).zip(indices) {
             dst.copy_from_slice(self.row_words(i));
         }

@@ -2,6 +2,7 @@
 //! perceptron-style retraining.
 
 use crate::binary::{BinaryHypervector, Dim};
+use crate::classify::trainer::accumulator::quantize_into;
 use crate::error::HdcError;
 use rayon::prelude::*;
 
@@ -252,7 +253,8 @@ impl CentroidClassifier {
             .collect()
     }
 
-    /// Predicts a batch in parallel.
+    /// Predicts a batch, one query after another: the vendored rayon's
+    /// `par_iter` is a sequential iterator, so this runs serially.
     pub fn predict_batch(&self, queries: &[BinaryHypervector]) -> Result<Vec<usize>, HdcError> {
         queries.par_iter().map(|q| self.predict(q)).collect()
     }
@@ -271,9 +273,12 @@ impl CentroidClassifier {
             .sums
             .iter()
             .map(|sums| {
-                // Ties (sum == 0) quantise to 1, mirroring the majority
-                // bundler's tie rule.
-                BinaryHypervector::collect_bits(dim, sums.iter().map(|&s| s >= 0))
+                let mut proto = BinaryHypervector::zeros(dim);
+                // `s ≥ 0` is the accumulator rule `2·s ≥ total` with a
+                // total of 0; ties (sum == 0) quantise to 1, mirroring the
+                // majority bundler's tie rule.
+                quantize_into(sums, 0, &mut proto);
+                proto
             })
             .collect();
     }
@@ -281,9 +286,8 @@ impl CentroidClassifier {
     /// Rebuilds the quantised prototype of a single class in place, leaving
     /// every other prototype untouched (classes quantise independently).
     fn requantize_class(&mut self, class: usize) {
-        let Some(dim) = self.dim else { return };
         if let (Some(sums), Some(proto)) = (self.sums.get(class), self.prototypes.get_mut(class)) {
-            *proto = BinaryHypervector::collect_bits(dim, sums.iter().map(|&s| s >= 0));
+            quantize_into(sums, 0, proto);
         }
     }
 }

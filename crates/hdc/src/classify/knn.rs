@@ -131,7 +131,8 @@ impl HammingKnnClassifier {
             .ok_or(HdcError::NotFitted)
     }
 
-    /// Predicts a batch in parallel.
+    /// Predicts a batch, one query after another: the vendored rayon's
+    /// `par_iter` is a sequential iterator, so this runs serially.
     pub fn predict_batch(&self, queries: &[BinaryHypervector]) -> Result<Vec<usize>, HdcError> {
         let _span = crate::obs::span("hdc/knn_predict_batch");
         queries.par_iter().map(|q| self.predict(q)).collect()

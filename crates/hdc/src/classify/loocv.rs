@@ -5,9 +5,10 @@
 //! hypervector, and the confusion counts are accumulated over all patients.
 //! "Once the hypervectors are constructed there's no model that needs to be
 //! built, we only need to measure distances" — so the whole validation is
-//! one O(n²·d/64) distance sweep, which we parallelise over held-out rows
-//! with rayon (embarrassingly parallel, deterministic regardless of thread
-//! count).
+//! one O(n²·d/64) distance sweep over held-out rows. The sweep is written
+//! as a rayon `into_par_iter`, but the vendored rayon's parallel iterators
+//! are sequential, so it runs serially; every held-out row is independent,
+//! so the result does not depend on the order the rows run in.
 
 use crate::binary::BinaryHypervector;
 use crate::error::HdcError;

@@ -6,8 +6,9 @@
 //! * [`CentroidClassifier`] — bundled class prototypes ("associative
 //!   memory") with optional perceptron-style retraining, the standard HDC
 //!   baseline from Kleyko et al. that the paper cites as \[39\].
-//! * [`LeaveOneOut`] — the paper's leave-one-out validation harness,
-//!   parallelised over held-out rows with rayon.
+//! * [`LeaveOneOut`] — the paper's leave-one-out validation harness, one
+//!   independent nearest-neighbour search per held-out row (serial: the
+//!   vendored rayon's parallel iterators are sequential).
 //! * [`trainer`] — online mistake-driven trainers (perceptron,
 //!   passive-aggressive, LVQ) sharing the [`OnlineTrainer`] streaming
 //!   `partial_fit`/`update` API over integer class accumulators.

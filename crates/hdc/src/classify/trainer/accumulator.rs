@@ -8,14 +8,86 @@
 //! still quantise to 1, bit-identical to [`CentroidClassifier`]'s rule.
 //!
 //! Storing set-counts instead of full ±1 superpositions is what makes the
-//! online path fast: an update touches only the *set* bits of the incoming
-//! hypervector (word-level `trailing_zeros` scatter over ~d/2 bits) plus a
-//! single scalar, instead of all `d` counters.
+//! online path cheap: an update adds the weight to the counts of the
+//! incoming hypervector's *set* bits — a branch-free masked add, eight
+//! counters per byte of packed words — plus a single scalar total.
+//!
+//! Requantising a class is the other cost: `quantize_into` packs 64
+//! threshold compares into each prototype word, and
+//! [`ClassAccumulators::add_batch`] requantises each touched class once
+//! per batch instead of once per record. [`CentroidClassifier`] quantises
+//! through the same kernel, so the rule has one implementation.
 //!
 //! [`CentroidClassifier`]: crate::classify::CentroidClassifier
 
-use crate::binary::{BinaryHypervector, Dim};
+use std::borrow::Borrow;
+
+use crate::binary::{debug_assert_tail_invariant, BinaryHypervector, Dim, WORD_BITS};
 use crate::error::HdcError;
+
+/// Quantises per-bit counts against a class total into `proto`, in place:
+/// bit `i` is set iff `2·counts[i] ≥ total`, so ties quantise to 1. A ±1
+/// superposition `s` quantises with `total = 0` (the `s ≥ 0` rule).
+///
+/// The compare runs in `i64`, so it is exact for every `i32` count and
+/// total (in `i32`, `2·count` overflows once a count passes 2^30). Each
+/// output word packs the compares of 64 consecutive counts, and with one
+/// count per bit the final word's bits at or above `dim` stay zero.
+pub(crate) fn quantize_into(counts: &[i32], total: i32, proto: &mut BinaryHypervector) {
+    let dim = proto.dim();
+    debug_assert_eq!(counts.len(), dim.get(), "one count per bit");
+    let total = i64::from(total);
+    for (word, chunk) in proto.words_mut().iter_mut().zip(counts.chunks(WORD_BITS)) {
+        *word = chunk.iter().enumerate().fold(0u64, |packed, (j, &count)| {
+            packed | (u64::from(2 * i64::from(count) >= total) << j)
+        });
+    }
+    debug_assert_tail_invariant(dim, proto.words());
+}
+
+/// `BIT_MASKS[b][j]` is `-1` (all ones) when bit `j` of byte `b` is set
+/// and `0` otherwise; ANDed with a weight it yields the weight or zero.
+static BIT_MASKS: [[i32; 8]; 256] = build_bit_masks();
+
+const fn build_bit_masks() -> [[i32; 8]; 256] {
+    let mut table = [[0i32; 8]; 256];
+    let mut byte = 0usize;
+    while byte < 256 {
+        let mut j = 0usize;
+        while j < 8 {
+            // lint: index-ok (byte < 256 and j < 8 by the loop bounds)
+            table[byte][j] = if (byte >> j) & 1 == 1 { -1 } else { 0 };
+            j += 1;
+        }
+        byte += 1;
+    }
+    table
+}
+
+/// Adds `weight` to `ones[i]` for every set bit `i` of `hv`. Each byte of
+/// the packed words selects a row of eight lane masks, so the update is a
+/// branch-free masked add over the counters, eight at a time, whatever the
+/// hypervector's density.
+fn scatter(ones: &mut [i32], hv: &BinaryHypervector, weight: i32) {
+    let mut lanes = ones.chunks_exact_mut(8);
+    let mut bytes = hv.words().iter().flat_map(|w| w.to_le_bytes());
+    for (lane, byte) in (&mut lanes).zip(&mut bytes) {
+        add_masked(lane, byte, weight);
+    }
+    // A dim that is not a multiple of 8 leaves a short final group of
+    // counters, covered by the next byte.
+    if let Some(byte) = bytes.next() {
+        add_masked(lanes.into_remainder(), byte, weight);
+    }
+}
+
+/// Adds `weight` to each of up to eight `counts` whose bit in `byte` is set.
+// lint: index-ok (a u8 widened to usize is < 256, the table length)
+fn add_masked(counts: &mut [i32], byte: u8, weight: i32) {
+    for (count, &mask) in counts.iter_mut().zip(&BIT_MASKS[usize::from(byte)]) {
+        *count += mask & weight;
+    }
+}
 
 /// Integer class superpositions with per-class quantised prototypes.
 ///
@@ -96,39 +168,71 @@ impl ClassAccumulators {
 
     /// Adds `hv` to class `class` with signed `weight` and requantises that
     /// class's prototype (only that one — classes quantise independently).
-    ///
-    /// The scatter loop walks set bits word-by-word with `trailing_zeros`,
-    /// so an update costs O(popcount + words) rather than O(d).
     pub fn add(&mut self, class: usize, hv: &BinaryHypervector, weight: i32) {
         debug_assert!(class < self.ones.len(), "grow() must precede add()");
         let Some(ones) = self.ones.get_mut(class) else {
             return;
         };
-        for (word_idx, &word) in hv.words().iter().enumerate() {
-            let base = word_idx * 64;
-            let mut mask = word;
-            while mask != 0 {
-                let bit = mask.trailing_zeros() as usize;
-                // lint: index-ok (set-bit positions are < dim by the
-                // tail-word invariant, and ones has exactly dim entries)
-                ones[base + bit] += weight;
-                mask &= mask - 1;
-            }
-        }
+        scatter(ones, hv, weight);
         if let Some(total) = self.totals.get_mut(class) {
             *total += weight;
         }
         self.requantize_class(class);
     }
 
-    /// Rebuilds the quantised prototype of one class from its accumulators.
-    fn requantize_class(&mut self, class: usize) {
-        let (Some(ones), Some(&total)) = (self.ones.get(class), self.totals.get(class)) else {
-            return;
+    /// Adds every record to the class its label names, with weight +1,
+    /// then requantises each touched class once. The result equals one
+    /// [`ClassAccumulators::grow`] + [`ClassAccumulators::add`] per
+    /// record, without a whole-prototype requantise per record.
+    ///
+    /// All-or-nothing: the label count and every record's dimensionality
+    /// are checked before the first count changes, so an error leaves the
+    /// accumulators untouched. Classes grow to cover the largest label.
+    pub fn add_batch<R: Borrow<BinaryHypervector>>(
+        &mut self,
+        records: &[R],
+        labels: &[usize],
+    ) -> Result<(), HdcError> {
+        if records.len() != labels.len() {
+            return Err(HdcError::LabelLengthMismatch {
+                samples: records.len(),
+                labels: labels.len(),
+            });
+        }
+        for hv in records {
+            self.check_dim(hv.borrow())?;
+        }
+        let Some(&max_label) = labels.iter().max() else {
+            return Ok(());
         };
-        let proto = BinaryHypervector::collect_bits(self.dim, ones.iter().map(|&o| 2 * o >= total));
-        if let Some(slot) = self.prototypes.get_mut(class) {
-            *slot = proto;
+        self.grow(max_label);
+        let mut touched = vec![false; self.ones.len()];
+        for (hv, &label) in records.iter().zip(labels) {
+            if let (Some(ones), Some(total), Some(flag)) = (
+                self.ones.get_mut(label),
+                self.totals.get_mut(label),
+                touched.get_mut(label),
+            ) {
+                scatter(ones, hv.borrow(), 1);
+                *total += 1;
+                *flag = true;
+            }
+        }
+        for (class, _) in touched.iter().enumerate().filter(|(_, &hit)| hit) {
+            self.requantize_class(class);
+        }
+        Ok(())
+    }
+
+    /// Rebuilds the quantised prototype of one class from its accumulators,
+    /// in place.
+    fn requantize_class(&mut self, class: usize) {
+        if let (Some(ones), Some(&total), Some(proto)) = (
+            self.ones.get(class),
+            self.totals.get(class),
+            self.prototypes.get_mut(class),
+        ) {
+            quantize_into(ones, total, proto);
         }
     }
 
@@ -189,33 +293,35 @@ impl ClassAccumulators {
                 totals.len()
             )));
         }
-        if let Some(bad) = ones.iter().position(|o| o.len() != dim.get()) {
+        if let Some((bad, class_ones)) = ones.iter().enumerate().find(|(_, o)| o.len() != dim.get())
+        {
             return Err(HdcError::InvalidConfig(format!(
                 "accumulator class {bad} has {} per-bit counts, expected dim {dim}",
-                ones[bad].len()
+                class_ones.len()
             )));
         }
-        let mut acc = Self {
+        let prototypes = ones
+            .iter()
+            .zip(&totals)
+            .map(|(class_ones, &total)| {
+                let mut proto = BinaryHypervector::zeros(dim);
+                quantize_into(class_ones, total, &mut proto);
+                proto
+            })
+            .collect();
+        Ok(Self {
             dim,
             ones,
             totals,
-            prototypes: Vec::new(),
-        };
-        acc.prototypes = (0..acc.ones.len())
-            .map(|c| {
-                // lint: index-ok (c < ones.len() by the range above, and
-                // every ones[c] has dim entries by the validation above)
-                let (ones, total) = (&acc.ones[c], acc.totals[c]);
-                BinaryHypervector::collect_bits(dim, ones.iter().map(|&o| 2 * o >= total))
-            })
-            .collect();
-        Ok(acc)
+            prototypes,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
 
     fn hv(dim: Dim, bits: &[usize]) -> BinaryHypervector {
         let mut v = BinaryHypervector::zeros(dim);
@@ -275,5 +381,102 @@ mod tests {
         let q = BinaryHypervector::zeros(Dim::new(64));
         assert_eq!(acc.predict(&q), Err(HdcError::NotFitted));
         assert_eq!(acc.hammings(&q), Err(HdcError::NotFitted));
+    }
+
+    #[test]
+    fn scatter_adds_the_weight_at_exactly_the_set_bits() {
+        let mut rng = SplitMix64::new(17);
+        for dim in [1usize, 7, 8, 9, 63, 64, 65, 130, 10_050] {
+            let d = Dim::new(dim);
+            let start: Vec<i32> = (0..dim).map(|i| i as i32 - 5).collect();
+            for weight in [1, -3, 1 << 20] {
+                let hv = BinaryHypervector::random(d, &mut rng);
+                let mut ones = start.clone();
+                scatter(&mut ones, &hv, weight);
+                let expected: Vec<i32> = start
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &o)| if hv.get(i) { o + weight } else { o })
+                    .collect();
+                assert_eq!(ones, expected, "dim {dim}, weight {weight}");
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_kernel_matches_the_i64_rule_at_the_extremes() {
+        let extremes = [
+            i32::MIN,
+            i32::MIN + 1,
+            -(1 << 30) - 1,
+            -(1 << 30),
+            -1,
+            0,
+            1,
+            1 << 30,
+            (1 << 30) + 1,
+            i32::MAX - 1,
+            i32::MAX,
+        ];
+        let mut rng = SplitMix64::new(3);
+        for dim in [1usize, 63, 64, 65, 130, 10_050] {
+            let counts: Vec<i32> = (0..dim)
+                .map(|_| {
+                    let pick = rng.next_u64();
+                    if pick % 2 == 0 {
+                        extremes[(pick / 2 % extremes.len() as u64) as usize]
+                    } else {
+                        (pick >> 32) as u32 as i32
+                    }
+                })
+                .collect();
+            for total in extremes {
+                // Start from all ones: every bit must be written.
+                let mut proto = BinaryHypervector::ones(Dim::new(dim));
+                quantize_into(&counts, total, &mut proto);
+                let oracle = BinaryHypervector::from_bits(
+                    Dim::new(dim),
+                    counts.iter().map(|&c| 2 * i64::from(c) >= i64::from(total)),
+                )
+                .unwrap();
+                assert_eq!(proto, oracle, "dim {dim}, total {total}");
+            }
+        }
+    }
+
+    #[test]
+    fn from_parts_quantises_counts_past_2_pow_30_exactly() {
+        // Every member of class 0 set every bit, so its counts equal its
+        // total, 2^30 + 1. The i32 rule `2 * count >= total` overflowed
+        // here: a panic in debug builds and an all-zeros prototype in
+        // release. No member of class 1 set any bit.
+        let dim = Dim::new(70);
+        let big = (1 << 30) + 1;
+        let acc =
+            ClassAccumulators::from_parts(dim, vec![vec![big; 70], vec![0; 70]], vec![big, big])
+                .unwrap();
+        assert_eq!(acc.prototype(0).unwrap(), &BinaryHypervector::ones(dim));
+        assert_eq!(acc.prototype(1).unwrap(), &BinaryHypervector::zeros(dim));
+    }
+
+    #[test]
+    fn add_batch_validates_everything_before_mutating() {
+        let dim = Dim::new(64);
+        let mut acc = ClassAccumulators::new(dim);
+        acc.add_batch(&[hv(dim, &[1, 2])], &[0]).unwrap();
+        let before = acc.clone();
+        // A bad record anywhere in the batch rejects the whole batch, even
+        // one whose label would have grown the class set.
+        let batch = [hv(dim, &[3]), BinaryHypervector::zeros(Dim::new(65))];
+        assert!(matches!(
+            acc.add_batch(&batch, &[5, 0]),
+            Err(HdcError::DimensionMismatch { .. })
+        ));
+        assert!(matches!(
+            acc.add_batch(&batch[..1], &[0, 1]),
+            Err(HdcError::LabelLengthMismatch { .. })
+        ));
+        assert_eq!(acc, before);
+        assert_eq!(acc.n_classes(), 1);
     }
 }

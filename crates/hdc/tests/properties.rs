@@ -1,11 +1,16 @@
 //! Property-based tests for hypervector invariants.
 
 use hyperfex_hdc::binary::{BinaryHypervector, Dim};
+use hyperfex_hdc::bitmatrix::BitMatrix;
 use hyperfex_hdc::bundle;
 use hyperfex_hdc::encoding::{CategoricalEncoder, LinearEncoder};
 use hyperfex_hdc::rng::SplitMix64;
 use hyperfex_hdc::similarity::normalized_hamming;
 use proptest::prelude::*;
+
+/// Dimensionalities across the tail-word classes, up to the paper's
+/// 10,000 bits plus a partial word.
+const TAIL_DIMS: [usize; 6] = [1, 63, 64, 65, 130, 10_050];
 
 fn hv_strategy(dim: usize) -> impl Strategy<Value = BinaryHypervector> {
     any::<u64>().prop_map(move |seed| {
@@ -148,6 +153,37 @@ proptest! {
                 prop_assert!(d > 0.35, "categories {} and {} at distance {}", a, b, d);
             }
         }
+    }
+
+    /// Appending rows to a `BitMatrix` in any split equals packing the
+    /// concatenated rows at once; a row of another width is rejected and
+    /// leaves the matrix unchanged.
+    #[test]
+    fn push_rows_over_any_split_equals_from_hypervectors(
+        seed in any::<u64>(),
+        dim_index in 0usize..TAIL_DIMS.len(),
+        n in 1usize..30,
+        cuts in prop::collection::vec(0usize..30, 0..5),
+    ) {
+        let dim = TAIL_DIMS[dim_index];
+        let d = Dim::new(dim);
+        let mut rng = SplitMix64::new(seed);
+        let hvs: Vec<_> = (0..n).map(|_| BinaryHypervector::random(d, &mut rng)).collect();
+        let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c.min(n)).collect();
+        bounds.extend([0, n]);
+        bounds.sort_unstable();
+
+        let mut grown = BitMatrix::zeros(0, d);
+        for w in bounds.windows(2) {
+            grown.push_rows(&hvs[w[0]..w[1]]).unwrap();
+        }
+        let packed = BitMatrix::from_hypervectors(&hvs).unwrap();
+        prop_assert_eq!(&grown, &packed);
+        prop_assert_eq!(grown.raw_words(), packed.raw_words());
+
+        let wider = BinaryHypervector::zeros(Dim::new(dim + 1));
+        prop_assert!(grown.push_rows(&[hvs[0].clone(), wider]).is_err());
+        prop_assert_eq!(&grown, &packed);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! every subsequent prediction, must agree exactly.
 
 use hyperfex_hdc::binary::{BinaryHypervector, Dim};
-use hyperfex_hdc::classify::{fit_pocketed, CentroidClassifier, OnlineTrainer, PerceptronTrainer};
+use hyperfex_hdc::classify::{
+    fit_pocketed, CentroidClassifier, ClassAccumulators, OnlineTrainer, PerceptronTrainer,
+};
 use hyperfex_hdc::rng::SplitMix64;
 use hyperfex_hdc::HdcError;
 use proptest::prelude::*;
@@ -154,4 +156,57 @@ fn retrain_epoch_rejects_unseen_labels_like_retrain() {
             classes: 2
         }
     );
+}
+
+/// Dimensionalities across the tail-word classes: one bit, one under, at
+/// and one over a word boundary, two words plus two bits, and the paper's
+/// 10,000 bits plus a partial word.
+const TAIL_DIMS: [usize; 6] = [1, 63, 64, 65, 130, 10_050];
+
+/// Sorted split points `0 = b₀ ≤ b₁ ≤ … ≤ bₖ = n` from arbitrary cuts.
+fn split_bounds(cuts: Vec<usize>, n: usize) -> Vec<usize> {
+    let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c.min(n)).collect();
+    bounds.extend([0, n]);
+    bounds.sort_unstable();
+    bounds
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `add_batch` over any split of a labelled stream leaves the raw
+    /// accumulators and every prototype equal to one `grow` + `add` per
+    /// record, across the tail-word dimensionalities of `TAIL_DIMS`.
+    #[test]
+    fn add_batch_over_any_split_equals_per_record_add(
+        seed in any::<u64>(),
+        dim_index in 0usize..TAIL_DIMS.len(),
+        n in 0usize..40,
+        classes in 1u64..5,
+        cuts in prop::collection::vec(0usize..40, 0..5),
+    ) {
+        let dim = TAIL_DIMS[dim_index];
+        let d = Dim::new(dim);
+        let mut rng = SplitMix64::new(seed);
+        let hvs: Vec<_> = (0..n).map(|_| BinaryHypervector::random(d, &mut rng)).collect();
+        let labels: Vec<usize> = (0..n)
+            .map(|_| usize::try_from(rng.next_bounded(classes)).unwrap())
+            .collect();
+
+        let mut per_record = ClassAccumulators::new(d);
+        for (hv, &label) in hvs.iter().zip(&labels) {
+            per_record.grow(label);
+            per_record.add(label, hv, 1);
+        }
+        let mut batched = ClassAccumulators::new(d);
+        for w in split_bounds(cuts, n).windows(2) {
+            batched.add_batch(&hvs[w[0]..w[1]], &labels[w[0]..w[1]]).unwrap();
+        }
+
+        prop_assert_eq!(batched.parts(), per_record.parts());
+        prop_assert_eq!(batched.n_classes(), per_record.n_classes());
+        for c in 0..per_record.n_classes() {
+            prop_assert_eq!(batched.prototype(c), per_record.prototype(c), "class {}", c);
+        }
+    }
 }

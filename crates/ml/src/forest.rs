@@ -111,7 +111,9 @@ impl Estimator for RandomForestClassifier {
         let n = x.n_rows();
         let params = &self.params;
         // Each tree draws an independent bootstrap and feature-stream from
-        // a per-tree seed, so the parallel build is deterministic.
+        // a per-tree seed, so the build is deterministic in any tree order.
+        // The vendored rayon's `into_par_iter` is sequential: trees are
+        // built one after another.
         self.trees = (0..params.n_estimators)
             .into_par_iter()
             .map(|t| {

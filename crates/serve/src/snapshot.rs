@@ -17,15 +17,20 @@
 //! and version checks, and trailing garbage by requiring the final section
 //! to end exactly at end-of-file.
 //!
-//! Writers never touch the destination path directly: the encoded bytes go
-//! to a `.tmp` sibling which is atomically renamed over the target, so a
-//! crash mid-save leaves the previous good file intact. The
-//! `serve/snapshot_write` failpoint sits between the temp write and the
-//! rename — exactly the window a crash-safety test needs to prove
-//! atomicity — and `serve/snapshot_load` arms the read path.
+//! Writers never touch the destination path directly: each section's
+//! payload and CRC stream into a `.tmp` sibling (no whole-file buffer is
+//! built) which is then renamed over the target, so a process crash
+//! mid-save leaves the previous good file intact. That is atomicity
+//! against a process crash, not durability across power loss: nothing is
+//! fsynced, so after a machine crash the rename (or the data behind it)
+//! may not have reached the disk. The `serve/snapshot_write` failpoint
+//! sits between the temp write and the rename — exactly the window a
+//! crash-safety test needs to prove atomicity — and
+//! `serve/snapshot_load` arms the read path.
 
-use std::fs;
-use std::path::Path;
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Write};
+use std::path::{Path, PathBuf};
 
 use hyperfex_hdc::binary::Dim;
 use hyperfex_hdc::classify::ClassAccumulators;
@@ -71,11 +76,16 @@ pub const ACCUMS_FILE_NAME: &str = "accums.hfex";
 pub const SELECTION_FILE_NAME: &str = "selection.hfex";
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3 polynomial, reflected), table built at compile time.
+// CRC32 (IEEE 802.3 polynomial, reflected), slicing-by-8, tables built at
+// compile time.
 // ---------------------------------------------------------------------------
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][i]` is
+/// the CRC state after feeding byte `i` followed by `k` zero bytes, which
+/// lets [`Crc32::update`] fold eight input bytes with eight independent
+/// lookups instead of eight dependent bytewise steps.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         // lint: cast-ok (i < 256 fits u32)
@@ -90,37 +100,150 @@ const fn build_crc_table() -> [u32; 256] {
             j += 1;
         }
         // lint: index-ok (i < 256, the table length, by the loop bound)
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1usize;
+    while k < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            // lint: index-ok (k < 8 tables and i < 256 entries by the loop bounds)
+            let prev = tables[k - 1][i];
+            // lint: cast-ok (masked to 8 bits, fits usize)
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = build_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
+
+/// A running CRC32 (IEEE), so a section can be checksummed while its
+/// payload streams to disk. Feeding bytes in any split gives the same
+/// checksum as one [`crc32`] call over their concatenation.
+#[derive(Debug, Clone, Copy)]
+struct Crc32(u32);
+
+impl Crc32 {
+    const fn new() -> Self {
+        Self(u32::MAX)
+    }
+
+    /// Folds `bytes` into the state: slicing-by-8 over whole 8-byte
+    /// blocks, then bytewise over the remainder.
+    // lint: index-ok (blocks have exactly 8 bytes; every table index is a u8 widened to usize, < 256; table numbers are < 8)
+    fn update(&mut self, bytes: &[u8]) {
+        let mut crc = self.0;
+        let mut blocks = bytes.chunks_exact(8);
+        for block in &mut blocks {
+            let c = crc.to_le_bytes();
+            crc = CRC_TABLES[7][usize::from(block[0] ^ c[0])]
+                ^ CRC_TABLES[6][usize::from(block[1] ^ c[1])]
+                ^ CRC_TABLES[5][usize::from(block[2] ^ c[2])]
+                ^ CRC_TABLES[4][usize::from(block[3] ^ c[3])]
+                ^ CRC_TABLES[3][usize::from(block[4])]
+                ^ CRC_TABLES[2][usize::from(block[5])]
+                ^ CRC_TABLES[1][usize::from(block[6])]
+                ^ CRC_TABLES[0][usize::from(block[7])];
+        }
+        for &b in blocks.remainder() {
+            crc = CRC_TABLES[0][usize::from(b ^ crc.to_le_bytes()[0])] ^ (crc >> 8);
+        }
+        self.0 = crc;
+    }
+
+    const fn finish(self) -> u32 {
+        !self.0
+    }
+}
 
 /// CRC32 (IEEE) of `bytes` — the per-section checksum of the format.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        // lint: cast-ok (masked to 8 bits, fits usize)
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        // lint: index-ok (idx < 256 by the & 0xFF mask)
-        crc = CRC_TABLE[idx] ^ (crc >> 8);
-    }
-    !crc
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 // ---------------------------------------------------------------------------
 // Encoding.
 // ---------------------------------------------------------------------------
 
-fn put_section(out: &mut Vec<u8>, tag: [u8; 4], payload: &[u8]) {
-    out.extend_from_slice(&tag);
-    // lint: cast-ok (usize -> u64 widening on 64-bit targets)
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+/// Bytes of little-endian payload encoded per write: large enough that
+/// each chunk bypasses the `BufWriter` buffer, small enough to stay in
+/// cache while it is checksummed and written.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// Streams one snapshot file: header, then sections whose payload is
+/// checksummed as it is written, so no whole-file buffer is built.
+struct FileWriter {
+    out: BufWriter<File>,
+    /// Encoding buffer for little-endian integer payloads.
+    chunk: Vec<u8>,
+    crc: Crc32,
+    /// Payload bytes the open section still expects.
+    remaining: usize,
+}
+
+impl FileWriter {
+    fn new(mut out: BufWriter<File>, version: u32) -> io::Result<Self> {
+        out.write_all(&MAGIC)?;
+        out.write_all(&version.to_le_bytes())?;
+        Ok(Self {
+            out,
+            chunk: vec![0u8; CHUNK_BYTES],
+            crc: Crc32::new(),
+            remaining: 0,
+        })
+    }
+
+    /// Writes a section's tag and payload length; the payload follows via
+    /// [`FileWriter::put_le`], then [`FileWriter::end_section`].
+    fn begin_section(&mut self, tag: [u8; 4], payload_len: usize) -> io::Result<()> {
+        self.out.write_all(&tag)?;
+        // lint: cast-ok (usize -> u64 widening on 64-bit targets)
+        self.out.write_all(&(payload_len as u64).to_le_bytes())?;
+        self.crc = Crc32::new();
+        self.remaining = payload_len;
+        Ok(())
+    }
+
+    /// Appends `values` to the open section's payload as `N`-byte
+    /// little-endian integers, encoded a chunk at a time.
+    // lint: index-ok (a group holds at most CHUNK_BYTES / N values, so its bytes fit the CHUNK_BYTES buffer)
+    fn put_le<T: Copy, const N: usize>(
+        &mut self,
+        values: &[T],
+        to_le: fn(T) -> [u8; N],
+    ) -> io::Result<()> {
+        for group in values.chunks(CHUNK_BYTES / N) {
+            for (dst, &value) in self.chunk.chunks_exact_mut(N).zip(group) {
+                dst.copy_from_slice(&to_le(value));
+            }
+            let bytes = &self.chunk[..group.len() * N];
+            self.remaining = self
+                .remaining
+                .checked_sub(bytes.len())
+                .ok_or_else(|| io::Error::other("section payload overruns its length"))?;
+            self.crc.update(bytes);
+            self.out.write_all(bytes)?;
+        }
+        Ok(())
+    }
+
+    /// Closes the open section with the CRC32 of its payload. Fails if the
+    /// payload fell short of the length written by `begin_section`.
+    fn end_section(&mut self) -> io::Result<()> {
+        if self.remaining != 0 {
+            return Err(io::Error::other(format!(
+                "section payload is {} bytes short of its length",
+                self.remaining
+            )));
+        }
+        self.out.write_all(&self.crc.finish().to_le_bytes())
+    }
 }
 
 /// The single arm site of the `serve/snapshot_load` seam; both readers
@@ -130,16 +253,42 @@ fn check_load_seam() -> Result<(), ServeError> {
     Ok(())
 }
 
-/// Writes `bytes` to `path` via a `.tmp` sibling and an atomic rename.
+/// Writes a snapshot file to `path` via a `.tmp` sibling and a rename:
+/// `encode` streams the file into the buffered temp file, which is then
+/// flushed, closed and renamed over `path`.
 ///
 /// The `serve/snapshot_write` failpoint fires after the temp file is fully
 /// written but before the rename: an injected crash there must leave any
 /// previous file at `path` untouched.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), ServeError> {
+///
+/// The guarantee is atomicity against a process crash: `path` holds
+/// either the old file or the complete new one. It is not durability
+/// across power loss — neither the temp file nor the directory is
+/// fsynced, so a machine crash can lose a rename the OS had not yet
+/// written back.
+fn write_atomic(
+    path: &Path,
+    version: u32,
+    encode: impl FnOnce(&mut FileWriter) -> io::Result<()>,
+) -> Result<(), ServeError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    fs::write(&tmp, bytes).map_err(|e| ServeError::io(&tmp, &e))?;
+    let tmp = PathBuf::from(tmp);
+    let written = File::create(&tmp).and_then(|file| {
+        let mut writer = FileWriter::new(BufWriter::new(file), version)?;
+        encode(&mut writer)?;
+        // Flushes the buffer; dropping the file then closes it.
+        writer
+            .out
+            .into_inner()
+            .map_err(io::IntoInnerError::into_error)?;
+        Ok(())
+    });
+    if let Err(e) = written {
+        // Best-effort cleanup; a leftover temp file is inert.
+        drop(fs::remove_file(&tmp));
+        return Err(ServeError::io(&tmp, &e));
+    }
     if let Err(injected) = failpoint::check("serve/snapshot_write") {
         // Best-effort cleanup; a leftover temp file is inert.
         drop(fs::remove_file(&tmp));
@@ -184,57 +333,40 @@ pub fn write_shard(path: &Path, shard: &ShardRecord) -> Result<(), ServeError> {
             ),
         });
     }
-
-    let mut meta = Vec::with_capacity(24);
     // lint: cast-ok (usize -> u64 widening on 64-bit targets)
-    meta.extend_from_slice(&(shard.bank.dim().get() as u64).to_le_bytes());
-    // lint: cast-ok (usize -> u64 widening on 64-bit targets)
-    meta.extend_from_slice(&(shard.bank.n_rows() as u64).to_le_bytes());
-    meta.extend_from_slice(&shard.shard_index.to_le_bytes());
-    meta.extend_from_slice(&shard.n_shards.to_le_bytes());
-
-    let mut labels = Vec::with_capacity(shard.labels.len() * 4);
-    for &label in &shard.labels {
-        labels.extend_from_slice(&label.to_le_bytes());
-    }
-
-    let mut bank = Vec::with_capacity(shard.bank.raw_words().len() * 8);
-    for &word in shard.bank.raw_words() {
-        bank.extend_from_slice(&word.to_le_bytes());
-    }
-
-    let mut out = Vec::with_capacity(16 + meta.len() + labels.len() + bank.len() + 48);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&UNCHANGED_LAYOUT_VERSION.to_le_bytes());
-    put_section(&mut out, TAG_META, &meta);
-    put_section(&mut out, TAG_LABELS, &labels);
-    put_section(&mut out, TAG_BANK, &bank);
-    write_atomic(path, &out)
+    let meta_sizes = [shard.bank.dim().get() as u64, shard.bank.n_rows() as u64];
+    let words = shard.bank.raw_words();
+    write_atomic(path, UNCHANGED_LAYOUT_VERSION, |file| {
+        file.begin_section(TAG_META, 24)?;
+        file.put_le(&meta_sizes, u64::to_le_bytes)?;
+        file.put_le(&[shard.shard_index, shard.n_shards], u32::to_le_bytes)?;
+        file.end_section()?;
+        file.begin_section(TAG_LABELS, shard.labels.len() * 4)?;
+        file.put_le(&shard.labels, u32::to_le_bytes)?;
+        file.end_section()?;
+        file.begin_section(TAG_BANK, words.len() * 8)?;
+        file.put_le(words, u64::to_le_bytes)?;
+        file.end_section()
+    })
 }
 
 /// Serializes and atomically writes the class-accumulator file.
 pub fn write_accums(path: &Path, accums: &ClassAccumulators) -> Result<(), ServeError> {
     let _span = crate::obs::span("serve/snapshot_write");
     let (ones, totals) = accums.parts();
-    let dim = accums.dim();
-    let mut payload = Vec::with_capacity(16 + totals.len() * 4 + ones.len() * dim.get() * 4);
+    let dim = accums.dim().get();
     // lint: cast-ok (usize -> u64 widening on 64-bit targets)
-    payload.extend_from_slice(&(dim.get() as u64).to_le_bytes());
-    // lint: cast-ok (usize -> u64 widening on 64-bit targets)
-    payload.extend_from_slice(&(totals.len() as u64).to_le_bytes());
-    for &total in totals {
-        payload.extend_from_slice(&total.to_le_bytes());
-    }
-    for class_ones in ones {
-        for &count in class_ones {
-            payload.extend_from_slice(&count.to_le_bytes());
+    let sizes = [dim as u64, totals.len() as u64];
+    let payload_len = 16 + totals.len() * 4 + ones.len() * dim * 4;
+    write_atomic(path, UNCHANGED_LAYOUT_VERSION, |file| {
+        file.begin_section(TAG_ACCUMS, payload_len)?;
+        file.put_le(&sizes, u64::to_le_bytes)?;
+        file.put_le(totals, i32::to_le_bytes)?;
+        for class_ones in ones {
+            file.put_le(class_ones, i32::to_le_bytes)?;
         }
-    }
-    let mut out = Vec::with_capacity(16 + payload.len() + 16);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&UNCHANGED_LAYOUT_VERSION.to_le_bytes());
-    put_section(&mut out, TAG_ACCUMS, &payload);
-    write_atomic(path, &out)
+        file.end_section()
+    })
 }
 
 /// Serializes and atomically writes the distillation-selection file, so a
@@ -244,19 +376,14 @@ pub fn write_accums(path: &Path, accums: &ClassAccumulators) -> Result<(), Serve
 pub fn write_selection(path: &Path, selection: &BitSelection) -> Result<(), ServeError> {
     let _span = crate::obs::span("serve/snapshot_write");
     let indices = selection.indices();
-    let mut payload = Vec::with_capacity(16 + indices.len() * 4);
     // lint: cast-ok (usize -> u64 widening on 64-bit targets)
-    payload.extend_from_slice(&(selection.source_dim().get() as u64).to_le_bytes());
-    // lint: cast-ok (usize -> u64 widening on 64-bit targets)
-    payload.extend_from_slice(&(indices.len() as u64).to_le_bytes());
-    for &index in indices {
-        payload.extend_from_slice(&index.to_le_bytes());
-    }
-    let mut out = Vec::with_capacity(16 + payload.len() + 16);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    put_section(&mut out, TAG_SELECTION, &payload);
-    write_atomic(path, &out)
+    let sizes = [selection.source_dim().get() as u64, indices.len() as u64];
+    write_atomic(path, VERSION, |file| {
+        file.begin_section(TAG_SELECTION, 16 + indices.len() * 4)?;
+        file.put_le(&sizes, u64::to_le_bytes)?;
+        file.put_le(indices, u32::to_le_bytes)?;
+        file.end_section()
+    })
 }
 
 /// Reads and fully validates the distillation-selection file.
@@ -631,11 +758,155 @@ mod tests {
         }
     }
 
+    /// The bytewise CRC32 loop that slicing-by-8 replaced, kept as the
+    /// oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &b in bytes {
+            let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
+            crc = CRC_TABLES[0][idx] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    fn random_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut rng = SplitMix64::new(seed);
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The canonical IEEE CRC32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_bytewise_oracle_at_every_length_mod_8() {
+        for len in 0..=72 {
+            let bytes = random_bytes(len, len as u64);
+            assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "length {len}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Slicing-by-8 equals the bytewise oracle on random byte strings,
+        /// and a running checksum fed in two pieces split anywhere equals
+        /// the one-shot checksum.
+        #[test]
+        fn crc32_equals_the_bytewise_oracle_over_any_split(
+            seed in proptest::any::<u64>(),
+            len in 0usize..600,
+            split in 0usize..600,
+        ) {
+            let bytes = random_bytes(len, seed);
+            let expected = crc32_bytewise(&bytes);
+            proptest::prop_assert_eq!(crc32(&bytes), expected);
+            let (head, tail) = bytes.split_at(split.min(len));
+            let mut running = Crc32::new();
+            running.update(head);
+            running.update(tail);
+            proptest::prop_assert_eq!(running.finish(), expected);
+        }
+    }
+
+    /// The whole-file encoding the streamed writers replaced, kept as the
+    /// byte-level oracle: each section assembled in memory, then
+    /// concatenated behind the header.
+    fn whole_file_encoding(version: u32, sections: &[([u8; 4], Vec<u8>)]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&version.to_le_bytes());
+        for (tag, payload) in sections {
+            out.extend_from_slice(tag);
+            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            out.extend_from_slice(payload);
+            out.extend_from_slice(&crc32_bytewise(payload).to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn streamed_writers_match_the_whole_file_encoding_across_chunks() {
+        let dir = scratch_dir("streamed");
+        // 60 rows at 10,050 bits: the 75,840-byte bank spans two encode
+        // chunks, the second one partial.
+        let shard = sample_shard(10_050, 60, 41);
+        let path = dir.join("big.hfex");
+        write_shard(&path, &shard).unwrap();
+        let mut meta = Vec::new();
+        meta.extend_from_slice(&10_050u64.to_le_bytes());
+        meta.extend_from_slice(&60u64.to_le_bytes());
+        meta.extend_from_slice(&shard.shard_index.to_le_bytes());
+        meta.extend_from_slice(&shard.n_shards.to_le_bytes());
+        let labels: Vec<u8> = shard.labels.iter().flat_map(|l| l.to_le_bytes()).collect();
+        let bank: Vec<u8> = shard
+            .bank
+            .raw_words()
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        assert!(bank.len() > CHUNK_BYTES);
+        let expected = whole_file_encoding(
+            1,
+            &[(TAG_META, meta), (TAG_LABELS, labels), (TAG_BANK, bank)],
+        );
+        assert!(fs::read(&path).unwrap() == expected);
+
+        // Three classes at 10,050 bits: a 120,616-byte accumulator payload.
+        let dim = Dim::new(10_050);
+        let mut acc = ClassAccumulators::new(dim);
+        let records: Vec<_> = (0..3).map(|r| shard.bank.row_hypervector(r)).collect();
+        acc.add_batch(&records, &[0, 2, 2]).unwrap();
+        let acc_path = dir.join(ACCUMS_FILE_NAME);
+        write_accums(&acc_path, &acc).unwrap();
+        let (ones, totals) = acc.parts();
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&10_050u64.to_le_bytes());
+        payload.extend_from_slice(&3u64.to_le_bytes());
+        payload.extend(totals.iter().flat_map(|t| t.to_le_bytes()));
+        payload.extend(ones.iter().flatten().flat_map(|c| c.to_le_bytes()));
+        let expected = whole_file_encoding(1, &[(TAG_ACCUMS, payload)]);
+        assert!(fs::read(&acc_path).unwrap() == expected);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn accums_with_counts_past_2_pow_30_round_trip_and_reopen() {
+        // Every member of class 0 set every bit, so its counts equal its
+        // total, 2^30 + 1: the i32 quantise rule overflowed on exactly this
+        // CRC-valid file (a panic inside `HvStore::open` in debug builds,
+        // an all-zeros prototype in release).
+        let dir = scratch_dir("bigcounts");
+        let cohort = crate::cohort::SyntheticCohort::generate(Dim::new(70), 2, 8, 5, 3).unwrap();
+        let mut store = crate::store::HvStore::build(&cohort.records, &cohort.labels, 2).unwrap();
+        store.save(&dir).unwrap();
+        let big = (1 << 30) + 1;
+        let acc = ClassAccumulators::from_parts(
+            Dim::new(70),
+            vec![vec![big; 70], vec![-big; 70]],
+            vec![big, big],
+        )
+        .unwrap();
+        let path = dir.join(ACCUMS_FILE_NAME);
+        write_accums(&path, &acc).unwrap();
+        assert_eq!(read_accums(&path).unwrap(), acc);
+
+        let (reopened, report) = crate::store::HvStore::open(&dir).unwrap();
+        assert!(report.accumulators_recovered);
+        let recovered = reopened.accumulators().unwrap();
+        assert_eq!(recovered, &acc);
+        assert_eq!(
+            recovered.prototype(0).unwrap(),
+            &BinaryHypervector::ones(Dim::new(70))
+        );
+        assert_eq!(
+            recovered.prototype(1).unwrap(),
+            &BinaryHypervector::zeros(Dim::new(70))
+        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! nothing else; the holographic representation keeps nearest-neighbour
 //! predictions usable as long as any shard survives.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -116,6 +117,19 @@ impl PartialEq for HvStore {
     }
 }
 
+/// Converts labels to the u32 on-disk label width, or fails on the first
+/// label that does not fit.
+fn on_disk_labels(labels: &[usize]) -> Result<Vec<u32>, ServeError> {
+    labels
+        .iter()
+        .map(|&l| {
+            u32::try_from(l).map_err(|_| ServeError::ShardConflict {
+                detail: format!("label {l} does not fit the u32 on-disk label width"),
+            })
+        })
+        .collect()
+}
+
 impl HvStore {
     /// Builds a store from encoded records, splitting the rows into
     /// `n_shards` contiguous shards and accumulating class centroids.
@@ -151,33 +165,24 @@ impl HvStore {
             detail: format!("{n_shards} shards do not fit the u32 shard index"),
         })?;
         let dim = first.dim();
+        // Labels are checked before accumulating, so an out-of-range label
+        // is a typed error rather than a class set grown to match it.
+        let label_u32 = on_disk_labels(labels)?;
 
         let mut accums = ClassAccumulators::new(dim);
-        for (hv, &label) in records.iter().zip(labels) {
-            accums.check_dim(hv)?;
-            accums.grow(label);
-            accums.add(label, hv, 1);
-        }
+        accums.add_batch(records, labels)?;
 
         let rows_per_shard = records.len().div_ceil(n_shards);
         let mut shards = Vec::with_capacity(n_shards);
         for (s, (rows, row_labels)) in records
             .chunks(rows_per_shard)
-            .zip(labels.chunks(rows_per_shard))
+            .zip(label_u32.chunks(rows_per_shard))
             .enumerate()
         {
-            let shard_labels = row_labels
-                .iter()
-                .map(|&l| {
-                    u32::try_from(l).map_err(|_| ServeError::ShardConflict {
-                        detail: format!("label {l} does not fit the u32 on-disk label width"),
-                    })
-                })
-                .collect::<Result<Vec<u32>, ServeError>>()?;
             shards.push(ShardRecord {
                 shard_index: u32::try_from(s).unwrap_or(u32::MAX),
                 n_shards: n_shards_u32,
-                labels: shard_labels,
+                labels: row_labels.to_vec(),
                 bank: BitMatrix::from_hypervectors(rows)?,
             });
         }
@@ -306,9 +311,14 @@ impl HvStore {
     /// records and gathers them through the selection, so a streaming
     /// encode pipeline can feed a pruned store directly.
     ///
-    /// Validation is all-or-nothing: every record and label is checked
-    /// before the first row lands, so a failed append leaves the store
-    /// untouched.
+    /// Validation is all-or-nothing: every record and label, and the
+    /// accumulators' dimensionality, are checked before the first row
+    /// lands, so a failed append leaves the store untouched.
+    ///
+    /// Cost: each row is copied once into the open shard's bank, which is
+    /// reserved at the shard's capacity when it first takes rows, and each
+    /// record is scattered into its class counts; each touched class
+    /// prototype is requantised once per call, not once per record.
     ///
     /// Rolling a shard rewrites the `n_shards` header of *every* shard, so
     /// a roll marks the whole store dirty; with capacity-sized batches
@@ -328,17 +338,19 @@ impl HvStore {
             ));
         }
         // Validate everything up front: dimensionalities (gathering
-        // full-width records when a selection allows it) and label width.
-        let mut rows: Vec<BinaryHypervector> = Vec::with_capacity(records.len());
+        // full-width records when a selection allows it), label width and
+        // the accumulators' dimensionality. Rows at the store's width are
+        // borrowed, not cloned.
+        let mut rows: Vec<Cow<'_, BinaryHypervector>> = Vec::with_capacity(records.len());
         for hv in records {
             if hv.dim() == self.dim {
-                rows.push(hv.clone());
+                rows.push(Cow::Borrowed(hv));
             } else if let Some(selection) = self
                 .selection
                 .as_ref()
                 .filter(|s| s.source_dim() == hv.dim())
             {
-                rows.push(selection.gather_hypervector(hv)?);
+                rows.push(Cow::Owned(selection.gather_hypervector(hv)?));
             } else {
                 return Err(ServeError::Hdc(hyperfex_hdc::HdcError::DimensionMismatch {
                     left: hv.dim().get(),
@@ -346,14 +358,16 @@ impl HvStore {
                 }));
             }
         }
-        let label_u32 = labels
-            .iter()
-            .map(|&l| {
-                u32::try_from(l).map_err(|_| ServeError::ShardConflict {
-                    detail: format!("label {l} does not fit the u32 on-disk label width"),
-                })
-            })
-            .collect::<Result<Vec<u32>, ServeError>>()?;
+        let label_u32 = on_disk_labels(labels)?;
+        if let Some(accums) = &self.accums {
+            if accums.dim() != self.dim {
+                return Err(ServeError::Hdc(hyperfex_hdc::HdcError::DimensionMismatch {
+                    left: accums.dim().get(),
+                    right: self.dim.get(),
+                }));
+            }
+        }
+        self.check_roll_room(rows.len())?;
 
         let mut shards_rolled = 0usize;
         let mut cursor = 0usize;
@@ -373,24 +387,17 @@ impl HvStore {
             };
             let room = self.shard_capacity - open.bank.n_rows();
             let take = room.min(rows.len() - cursor);
-            let mut words =
-                Vec::with_capacity((open.bank.n_rows() + take) * self.dim.words());
-            words.extend_from_slice(open.bank.raw_words());
-            for hv in &rows[cursor..cursor + take] {
-                words.extend_from_slice(hv.words());
-            }
-            open.bank = BitMatrix::from_words(open.bank.n_rows() + take, self.dim, words)?;
+            // Size the open shard's bank for its full capacity once, so
+            // it fills without reallocating.
+            open.bank.reserve_rows(room);
+            open.bank.push_rows(&rows[cursor..cursor + take])?;
             open.labels
                 .extend_from_slice(&label_u32[cursor..cursor + take]);
             self.dirty.insert(open.shard_index);
             cursor += take;
         }
         if let Some(accums) = &mut self.accums {
-            for (hv, &label) in rows.iter().zip(labels) {
-                accums.check_dim(hv)?;
-                accums.grow(label);
-                accums.add(label, hv, 1);
-            }
+            accums.add_batch(&rows, labels)?;
         }
         obs::counter_add("serve/rows_appended", rows.len() as u64);
         let report = AppendReport {
@@ -400,6 +407,37 @@ impl HvStore {
             total_rows: self.n_rows(),
         };
         Ok(report)
+    }
+
+    /// Fails, before anything is mutated, when appending `n_rows` rows
+    /// would roll a shard whose index or shard count does not fit the u32
+    /// header — the one way [`HvStore::roll_shard`] can fail — so an
+    /// append never stops half-way through its rows.
+    fn check_roll_room(&self, n_rows: usize) -> Result<(), ServeError> {
+        let room = self.shards.last().map_or(0, |open| {
+            self.shard_capacity.saturating_sub(open.bank.n_rows())
+        });
+        let rolls = n_rows.saturating_sub(room).div_ceil(self.shard_capacity);
+        let next = self
+            .shards
+            .iter()
+            .map(|s| u64::from(s.shard_index) + 1)
+            .max()
+            .unwrap_or(0);
+        // The last roll opens index `next + rolls - 1`, so the shard count
+        // it stamps is `next + rolls`.
+        let fits = u64::try_from(rolls)
+            .ok()
+            .and_then(|r| next.checked_add(r))
+            .is_some_and(|count| count <= u64::from(u32::MAX));
+        if rolls > 0 && !fits {
+            return Err(ServeError::ShardConflict {
+                detail: format!(
+                    "appending {n_rows} rows would roll {rolls} shards past the u32 shard index"
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// Opens a fresh empty shard at the next index, updating every shard's
@@ -1067,6 +1105,61 @@ mod tests {
         assert_eq!(store.dirty_shards(), vec![0, 1, 2]);
 
         assert!(HvStore::new_empty(Dim::new(256), 0).is_err());
+    }
+
+    #[test]
+    fn append_checks_the_accumulator_width_before_any_row_lands() {
+        // Every shard lost but the accumulator file survived: the store
+        // reopens empty at width 1 with 64-bit accumulators. A width-1
+        // record passes the store's own check; the accumulator check must
+        // reject it before a shard is rolled or a row lands.
+        let dir = scratch_dir("accum-width");
+        let mut accums = ClassAccumulators::new(Dim::new(64));
+        accums.grow(1);
+        snapshot::write_accums(&dir.join(snapshot::ACCUMS_FILE_NAME), &accums).unwrap();
+        let (mut store, report) = HvStore::open(&dir).unwrap();
+        assert!(report.accumulators_recovered);
+        assert_eq!(store.dim(), Dim::new(1));
+
+        let record = BinaryHypervector::ones(Dim::new(1));
+        let err = store.append_batch(&[record], &[0]).unwrap_err();
+        assert!(matches!(
+            err,
+            ServeError::Hdc(hyperfex_hdc::HdcError::DimensionMismatch { .. })
+        ));
+        assert_eq!(store.n_shards(), 0);
+        assert_eq!(store.n_rows(), 0);
+        assert!(store.dirty_shards().is_empty());
+        assert_eq!(store.accumulators(), Some(&accums));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn append_that_would_exhaust_the_shard_index_changes_nothing() {
+        // The open shard sits one below the u32 shard-index limit with one
+        // row of room: two rows would fill it and then need a roll past
+        // the limit. The append must fail before the first row lands.
+        let cohort = small_cohort(14);
+        let mut store = HvStore::build(&cohort.records[..3], &cohort.labels[..3], 1).unwrap();
+        store.shards[0].shard_index = u32::MAX - 1;
+        store.shards[0].n_shards = u32::MAX;
+        store.set_shard_capacity(4);
+        store.dirty.clear();
+        let before = store.clone();
+
+        let err = store
+            .append_batch(&cohort.records[3..5], &cohort.labels[3..5])
+            .unwrap_err();
+        assert!(matches!(err, ServeError::ShardConflict { .. }), "{err}");
+        assert_eq!(store, before);
+        assert_eq!(store.n_rows(), 3);
+        assert!(store.dirty_shards().is_empty());
+
+        // One row still fits the open shard without a roll.
+        store
+            .append_batch(&cohort.records[3..4], &cohort.labels[3..4])
+            .unwrap();
+        assert_eq!(store.n_rows(), 4);
     }
 
     #[test]
