@@ -10,6 +10,11 @@ use hyperfex_hdc::encoding::{FeatureSpec, QuarantineReport, RecordEncoder, Recor
 use hyperfex_hdc::stream::{RecordStream, StreamEncoder, StreamOutcome, StreamSink};
 use hyperfex_ml::Matrix;
 
+/// Fewest rows a parallel chunk of [`HdcFeatureExtractor::to_matrix`]
+/// takes: unpacking a 10,000-bit row is a few microseconds, so a chunk
+/// needs dozens of rows to outweigh its thread.
+const MIN_CHUNK_ROWS: usize = 32;
+
 /// Encodes patient records into binary hypervectors and exposes them in
 /// both hypervector form (for Hamming classification) and 0/1 matrix form
 /// (for use as ML input features — the paper's "extraction" step).
@@ -393,8 +398,8 @@ impl HdcFeatureExtractor {
     /// Every input must share one dimensionality; a mixed-dimension slice
     /// is reported as an error up front rather than panicking mid-copy.
     /// Rows are unpacked straight from the packed words (one 64-bit load
-    /// per 64 matrix cells) and split across rayon workers in contiguous
-    /// row blocks.
+    /// per 64 matrix cells), split across `rayon::map_chunks_mut` workers
+    /// in contiguous row blocks.
     pub fn to_matrix(hypervectors: &[BinaryHypervector]) -> Result<Matrix, HyperfexError> {
         let _span = crate::obs::span("core/to_matrix");
         let Some(first) = hypervectors.first() else {
@@ -409,20 +414,11 @@ impl HdcFeatureExtractor {
                 )));
             }
         }
-        let n = hypervectors.len();
-        let mut m = Matrix::zeros(n, d);
-        let block = n.div_ceil(rayon::current_num_threads().max(1));
-        rayon::scope(|s| {
-            for (cells, hvs) in m
-                .as_mut_slice()
-                .chunks_mut(block * d)
-                .zip(hypervectors.chunks(block))
-            {
-                s.spawn(move |_| {
-                    for (row, hv) in cells.chunks_mut(d).zip(hvs) {
-                        unpack_bits_into(hv, row);
-                    }
-                });
+        let mut m = Matrix::zeros(hypervectors.len(), d);
+        let mut rows: Vec<&mut [f32]> = m.as_mut_slice().chunks_mut(d.max(1)).collect();
+        rayon::map_chunks_mut(&mut rows, MIN_CHUNK_ROWS, |offset, block| {
+            for (row, hv) in block.iter_mut().zip(&hypervectors[offset..]) {
+                unpack_bits_into(hv, row);
             }
         });
         Ok(m)

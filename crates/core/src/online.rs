@@ -12,7 +12,6 @@ use hyperfex_eval::metrics::{BinaryMetrics, ConfusionMatrix};
 use hyperfex_hdc::binary::Dim;
 use hyperfex_hdc::classify::LoocvOutcome;
 use hyperfex_ml::online::{OnlineHdcClassifier, OnlineTrainerKind, DEFAULT_EPOCHS};
-use rayon::prelude::*;
 
 /// End-to-end pure-HDC online model: encode, then LOOCV with a prototype
 /// trainer refitted per held-out fold.
@@ -66,28 +65,35 @@ impl OnlineHdcModel {
                 "LOOCV needs at least two rows".into(),
             ));
         }
-        let predictions = (0..hvs.len())
-            .into_par_iter()
-            .map(|held_out| -> Result<usize, HyperfexError> {
-                let train_hvs: Vec<_> = hvs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != held_out)
-                    .map(|(_, hv)| hv.clone())
-                    .collect();
-                let train_labels: Vec<usize> = labels
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != held_out)
-                    .map(|(_, &l)| l)
-                    .collect();
-                let mut clf = OnlineHdcClassifier::with_epochs(self.kind, self.epochs)?;
-                clf.fit_hypervectors(&train_hvs, &train_labels)?;
-                let mut p = clf.predict_hypervectors(std::slice::from_ref(&hvs[held_out]))?;
-                p.pop()
-                    .ok_or_else(|| HyperfexError::Pipeline("predict returned no prediction".into()))
-            })
-            .collect::<Result<Vec<usize>, _>>()?;
+        let fold = |held_out: usize| -> Result<usize, HyperfexError> {
+            let train_hvs: Vec<_> = hvs
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != held_out)
+                .map(|(_, hv)| hv.clone())
+                .collect();
+            let train_labels: Vec<usize> = labels
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != held_out)
+                .map(|(_, &l)| l)
+                .collect();
+            let mut clf = OnlineHdcClassifier::with_epochs(self.kind, self.epochs)?;
+            clf.fit_hypervectors(&train_hvs, &train_labels)?;
+            let mut p = clf.predict_hypervectors(std::slice::from_ref(&hvs[held_out]))?;
+            p.pop()
+                .ok_or_else(|| HyperfexError::Pipeline("predict returned no prediction".into()))
+        };
+        // Each fold is a full pocketed refit, independent of every other
+        // fold: folds run in parallel chunks and stay in row order.
+        let predictions: Vec<usize> = rayon::map_ranges(hvs.len(), 1, |folds| {
+            folds.map(fold).collect::<Result<Vec<_>, _>>()
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .flatten()
+        .collect();
         let n_classes = labels.iter().copied().max().unwrap_or(0) + 1;
         Ok(LoocvOutcome::from_predictions(
             labels,

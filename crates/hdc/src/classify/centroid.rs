@@ -4,7 +4,11 @@
 use crate::binary::{BinaryHypervector, Dim};
 use crate::classify::trainer::accumulator::quantize_into;
 use crate::error::HdcError;
-use rayon::prelude::*;
+
+/// Fewest queries a parallel chunk of [`CentroidClassifier::predict_batch`]
+/// takes: a query costs one distance per class, well under a microsecond,
+/// so a chunk needs hundreds of them to outweigh its thread.
+const MIN_CHUNK_QUERIES: usize = 256;
 
 /// A bundled-prototype classifier.
 ///
@@ -253,10 +257,19 @@ impl CentroidClassifier {
             .collect()
     }
 
-    /// Predicts a batch, one query after another: the vendored rayon's
-    /// `par_iter` is a sequential iterator, so this runs serially.
+    /// Predicts a batch, the queries split across `rayon::map_chunks`
+    /// workers. Predictions stay in query order, and the first error in
+    /// query order is the one returned.
     pub fn predict_batch(&self, queries: &[BinaryHypervector]) -> Result<Vec<usize>, HdcError> {
-        queries.par_iter().map(|q| self.predict(q)).collect()
+        rayon::map_chunks(queries, MIN_CHUNK_QUERIES, |_, chunk| {
+            chunk
+                .iter()
+                .map(|q| self.predict(q))
+                .collect::<Result<Vec<_>, _>>()
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .map(|chunks| chunks.into_iter().flatten().collect())
     }
 
     #[inline]

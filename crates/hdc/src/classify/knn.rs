@@ -2,7 +2,11 @@
 
 use crate::binary::BinaryHypervector;
 use crate::error::HdcError;
-use rayon::prelude::*;
+
+/// Fewest queries a parallel chunk of [`HammingKnnClassifier::predict_batch`]
+/// takes: each query scans every training row, so eight of them outweigh
+/// the thread a chunk costs on any non-trivial training set.
+const MIN_CHUNK_QUERIES: usize = 8;
 
 /// A k-NN classifier over stored hypervectors.
 ///
@@ -131,11 +135,20 @@ impl HammingKnnClassifier {
             .ok_or(HdcError::NotFitted)
     }
 
-    /// Predicts a batch, one query after another: the vendored rayon's
-    /// `par_iter` is a sequential iterator, so this runs serially.
+    /// Predicts a batch, the queries split across `rayon::map_chunks`
+    /// workers. Predictions stay in query order, and the first error in
+    /// query order is the one returned.
     pub fn predict_batch(&self, queries: &[BinaryHypervector]) -> Result<Vec<usize>, HdcError> {
         let _span = crate::obs::span("hdc/knn_predict_batch");
-        queries.par_iter().map(|q| self.predict(q)).collect()
+        rayon::map_chunks(queries, MIN_CHUNK_QUERIES, |_, chunk| {
+            chunk
+                .iter()
+                .map(|q| self.predict(q))
+                .collect::<Result<Vec<_>, _>>()
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .map(|chunks| chunks.into_iter().flatten().collect())
     }
 }
 

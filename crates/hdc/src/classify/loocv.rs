@@ -5,15 +5,19 @@
 //! hypervector, and the confusion counts are accumulated over all patients.
 //! "Once the hypervectors are constructed there's no model that needs to be
 //! built, we only need to measure distances" — so the whole validation is
-//! one O(n²·d/64) distance sweep over held-out rows. The sweep is written
-//! as a rayon `into_par_iter`, but the vendored rayon's parallel iterators
-//! are sequential, so it runs serially; every held-out row is independent,
-//! so the result does not depend on the order the rows run in.
+//! one O(n²·d/64) distance sweep. Distance is symmetric, so the sweep
+//! visits each unordered pair once: the upper triangle is cut into square
+//! tiles of consecutive rows, the tile pairs are split evenly across
+//! `rayon::map_chunks` workers, and each distance is offered to both rows'
+//! bounded top-k lists. The per-worker lists are merged per row under the
+//! same `(distance, index)` order, so the result does not depend on how
+//! the tile pairs were split. [`crate::reference::loocv_sweep`] is the
+//! per-row formulation, kept as the oracle.
 
 use crate::binary::BinaryHypervector;
+use crate::bitmatrix::{hamming_words, tile_pair_rows, tile_pairs, MIN_TILE_PAIRS};
 use crate::error::HdcError;
 use crate::obs;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Buckets for the normalized nearest-neighbour distance distribution.
@@ -73,28 +77,34 @@ impl LeaveOneOut {
             });
         }
         let n_classes = labels.iter().copied().max().unwrap_or(0) + 1;
-        let k = self.k;
+        let n = hypervectors.len();
+        // A row has n − 1 neighbours, so a larger k changes nothing.
+        let k = self.k.min(n - 1);
 
-        let predictions: Vec<usize> = (0..hypervectors.len())
-            .into_par_iter()
-            .map(|held_out| {
-                // Bounded insertion sort of the k best (distance, index)
-                // pairs — k is tiny, so this is cheaper than sorting all n.
-                let query = &hypervectors[held_out];
-                let mut best: Vec<(usize, usize)> = Vec::with_capacity(k + 1);
-                for (j, hv) in hypervectors.iter().enumerate() {
-                    if j == held_out {
-                        continue;
-                    }
-                    // Dims are equal: `run` validated the whole stack
-                    // against `dim` before this loop.
-                    let d = crate::bitmatrix::hamming_words(query.words(), hv.words());
-                    let pos = best.partition_point(|&(bd, bj)| (bd, bj) < (d, j));
-                    if pos < k {
-                        best.insert(pos, (d, j));
-                        best.truncate(k);
-                    }
+        // Dims are equal: `run` validated the whole stack against `dim`
+        // above, so every `hamming_words` call sees equal-length rows.
+        let pairs = tile_pairs(n);
+        let chunk_tops = rayon::map_chunks(&pairs, MIN_TILE_PAIRS, |_, chunk| {
+            let mut tops = RowTops::new(n, k);
+            for (i, j) in chunk.iter().flat_map(|(a, b)| tile_pair_rows(a, b)) {
+                let d = hamming_words(hypervectors[i].words(), hypervectors[j].words());
+                tops.offer(i, (d, j));
+                tops.offer(j, (d, i));
+            }
+            tops
+        });
+
+        // Every unordered pair was offered by exactly one chunk, so a row's
+        // k nearest overall are the k smallest of its per-chunk lists.
+        let mut best: Vec<(usize, usize)> = Vec::with_capacity(k * chunk_tops.len());
+        let predictions: Vec<usize> = (0..n)
+            .map(|row| {
+                best.clear();
+                for tops in &chunk_tops {
+                    best.extend_from_slice(tops.row(row));
                 }
+                best.sort_unstable();
+                best.truncate(k);
                 if let Some(&(d, _)) = best.first() {
                     obs::observe(
                         "hdc/loocv_nn_distance",
@@ -126,6 +136,44 @@ impl LeaveOneOut {
 impl Default for LeaveOneOut {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Bounded per-row lists of the `k` smallest `(distance, index)`
+/// candidates seen so far, each kept sorted ascending, in one flat buffer.
+struct RowTops {
+    k: usize,
+    lens: Vec<usize>,
+    slots: Vec<(usize, usize)>,
+}
+
+impl RowTops {
+    fn new(n: usize, k: usize) -> Self {
+        Self {
+            k,
+            lens: vec![0; n],
+            slots: vec![(0, 0); n * k],
+        }
+    }
+
+    /// Row `row`'s candidates, ascending.
+    fn row(&self, row: usize) -> &[(usize, usize)] {
+        &self.slots[row * self.k..][..self.lens[row]]
+    }
+
+    /// Offers `candidate` to row `row`, keeping the `k` smallest. `k` is
+    /// tiny, so a bounded insertion beats a heap.
+    fn offer(&mut self, row: usize, candidate: (usize, usize)) {
+        let k = self.k;
+        let len = self.lens[row];
+        let list = &mut self.slots[row * k..][..k];
+        if len == k && candidate >= list[k - 1] {
+            return;
+        }
+        let at = list[..len].partition_point(|c| *c < candidate);
+        list.copy_within(at..len.min(k - 1), at + 1);
+        list[at] = candidate;
+        self.lens[row] = (len + 1).min(k);
     }
 }
 

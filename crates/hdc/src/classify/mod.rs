@@ -6,9 +6,9 @@
 //! * [`CentroidClassifier`] — bundled class prototypes ("associative
 //!   memory") with optional perceptron-style retraining, the standard HDC
 //!   baseline from Kleyko et al. that the paper cites as \[39\].
-//! * [`LeaveOneOut`] — the paper's leave-one-out validation harness, one
-//!   independent nearest-neighbour search per held-out row (serial: the
-//!   vendored rayon's parallel iterators are sequential).
+//! * [`LeaveOneOut`] — the paper's leave-one-out validation harness: one
+//!   symmetric distance sweep that computes each unordered pair once, in
+//!   tile pairs split across `rayon::map_chunks` workers.
 //! * [`trainer`] — online mistake-driven trainers (perceptron,
 //!   passive-aggressive, LVQ) sharing the [`OnlineTrainer`] streaming
 //!   `partial_fit`/`update` API over integer class accumulators.

@@ -9,6 +9,11 @@ use crate::obs;
 use crate::rng::SplitMix64;
 use serde::{Deserialize, Serialize};
 
+/// Fewest records a parallel chunk of a batch or stream encode takes: a
+/// 10,000-bit record encodes in a few microseconds, so sixteen of them
+/// outweigh the thread a chunk costs, and a single record never spawns.
+pub(crate) const MIN_CHUNK_RECORDS: usize = 16;
+
 /// The kind and parameters of a single feature.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum FeatureKind {
@@ -243,14 +248,15 @@ impl RecordEncoder {
         scratch.bundler.finish()
     }
 
-    /// Encodes a batch of records in parallel with rayon.
+    /// Encodes a batch of records in parallel.
     ///
-    /// Rows are split into one contiguous chunk per worker and processed
-    /// under `rayon::scope`, each worker reusing its own [`RecordScratch`]
-    /// (encoder scratch vector + bundler), so the hot loop performs no
-    /// per-record allocation beyond the output hypervectors. Results are
-    /// identical to the sequential path regardless of thread count; the
-    /// first error (in row order) is returned.
+    /// Rows are split into contiguous chunks by `rayon::map_chunks` (at
+    /// most one per worker, at least 16 rows each, the last on the calling
+    /// thread), each chunk reusing its own [`RecordScratch`] (encoder
+    /// scratch vector + bundler), so the hot loop performs no per-record
+    /// allocation beyond the output hypervectors. Results are identical to
+    /// the sequential path regardless of thread count; the first error (in
+    /// row order) is returned.
     pub fn encode_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<BinaryHypervector>, HdcError> {
         let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
         self.encode_rows_chunked(&refs)
@@ -303,28 +309,20 @@ impl RecordEncoder {
                 report: QuarantineReport::new(0, Vec::new()),
             };
         }
-        let chunk_len = rows.len().div_ceil(rayon::current_num_threads().max(1));
-        let n_chunks = rows.len().div_ceil(chunk_len);
-        let mut slots: Vec<Vec<Result<BinaryHypervector, HdcError>>> = Vec::new();
-        slots.resize_with(n_chunks, Vec::new);
-        rayon::scope(|s| {
-            for (slot, chunk) in slots.iter_mut().zip(rows.chunks(chunk_len)) {
-                s.spawn(move |_| {
-                    let mut scratch = RecordScratch::new(self.dim);
-                    *slot = chunk
-                        .iter()
-                        .map(|row| {
-                            failpoint::check("hdc/encode_record")?;
-                            self.encode_record_with(row, &mut scratch)
-                        })
-                        .collect();
-                });
-            }
+        let chunks = rayon::map_chunks(rows, MIN_CHUNK_RECORDS, |_, chunk| {
+            let mut scratch = RecordScratch::new(self.dim);
+            chunk
+                .iter()
+                .map(|row| {
+                    failpoint::check("hdc/encode_record")?;
+                    self.encode_record_with(row, &mut scratch)
+                })
+                .collect::<Vec<_>>()
         });
         let mut hypervectors = Vec::with_capacity(total);
         let mut kept = Vec::with_capacity(total);
         let mut entries = Vec::new();
-        for (row, result) in slots.into_iter().flatten().enumerate() {
+        for (row, result) in chunks.into_iter().flatten().enumerate() {
             match result {
                 Ok(hv) => {
                     hypervectors.push(hv);
@@ -349,28 +347,20 @@ impl RecordEncoder {
         if rows.is_empty() {
             return Ok(Vec::new());
         }
-        let chunk_len = rows.len().div_ceil(rayon::current_num_threads().max(1));
-        let n_chunks = rows.len().div_ceil(chunk_len);
-        let mut slots: Vec<Result<Vec<BinaryHypervector>, HdcError>> = Vec::new();
-        slots.resize_with(n_chunks, || Ok(Vec::new()));
-        rayon::scope(|s| {
-            for (slot, chunk) in slots.iter_mut().zip(rows.chunks(chunk_len)) {
-                s.spawn(move |_| {
-                    // Workers run on their own threads, so this span is a
-                    // root on each worker's stack, not a child of the
-                    // batch span above.
-                    let _span = obs::span("hdc/encode_chunk");
-                    let mut scratch = RecordScratch::new(self.dim);
-                    *slot = chunk
-                        .iter()
-                        .map(|row| self.encode_record_with(row, &mut scratch))
-                        .collect();
-                });
-            }
+        let chunks = rayon::map_chunks(rows, MIN_CHUNK_RECORDS, |_, chunk| {
+            // Spawned chunks run on their own threads, so there this span
+            // is a root, not a child of the batch span above; the chunk
+            // on the calling thread nests under it.
+            let _span = obs::span("hdc/encode_chunk");
+            let mut scratch = RecordScratch::new(self.dim);
+            chunk
+                .iter()
+                .map(|row| self.encode_record_with(row, &mut scratch))
+                .collect::<Result<Vec<_>, _>>()
         });
         let mut out = Vec::with_capacity(rows.len());
-        for slot in slots {
-            out.extend(slot?);
+        for chunk in chunks {
+            out.extend(chunk?);
         }
         obs::counter_add("hdc/records_encoded", out.len() as u64);
         // The batch path materializes every input row and output

@@ -20,7 +20,7 @@
 //!   classifiers with optional perceptron-style retraining, online
 //!   mistake-driven trainers (perceptron / passive-aggressive / LVQ) with
 //!   streaming `partial_fit`, and a leave-one-out cross-validation harness
-//!   parallelised with rayon.
+//!   that sweeps each pair of records once, in parallel.
 //! * [`distill`] — dimension distillation: rank bit positions by class
 //!   discrimination and gather the top-k columns into a dense pruned space
 //!   for low-latency serving.

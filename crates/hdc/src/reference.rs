@@ -159,3 +159,48 @@ pub fn pairwise_hamming(m: &BitMatrix) -> Vec<u32> {
     }
     out
 }
+
+/// Leave-one-out k-NN, one held-out row at a time: each row's `k` nearest
+/// *other* rows in `(distance, index)` order, majority-voted by label with
+/// ties toward the lower class. Returns `(prediction, nearest distance)`
+/// per row.
+///
+/// The per-row formulation of [`crate::classify::LeaveOneOut`]'s
+/// symmetric tiled sweep; it pins the neighbour order and vote rule.
+/// Distances use the word kernel [`crate::bitmatrix::hamming_words`],
+/// which is itself checked against the per-bit [`row_hamming`].
+#[must_use]
+pub fn loocv_sweep(
+    hypervectors: &[BinaryHypervector],
+    labels: &[usize],
+    k: usize,
+) -> Vec<(usize, usize)> {
+    let n_classes = labels.iter().copied().max().unwrap_or(0) + 1;
+    (0..hypervectors.len())
+        .map(|held_out| {
+            let query = &hypervectors[held_out];
+            let mut best: Vec<(usize, usize)> = Vec::with_capacity(k + 1);
+            for (j, hv) in hypervectors.iter().enumerate() {
+                if j == held_out {
+                    continue;
+                }
+                let d = crate::bitmatrix::hamming_words(query.words(), hv.words());
+                let pos = best.partition_point(|&(bd, bj)| (bd, bj) < (d, j));
+                if pos < k {
+                    best.insert(pos, (d, j));
+                    best.truncate(k);
+                }
+            }
+            let mut votes = vec![0u32; n_classes];
+            for &(_, j) in &best {
+                votes[labels[j]] += 1;
+            }
+            let prediction = votes
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
+                .map_or(0, |(c, _)| c);
+            (prediction, best.first().map_or(0, |&(d, _)| d))
+        })
+        .collect()
+}

@@ -14,7 +14,6 @@
 use crate::binary::{BinaryHypervector, Dim};
 use crate::error::HdcError;
 use crate::rng::SplitMix64;
-use rayon::prelude::*;
 
 /// A sparse distributed memory.
 #[derive(Debug, Clone)]
@@ -100,7 +99,8 @@ impl SparseDistributedMemory {
         self.writes
     }
 
-    /// Indices of hard locations activated by `address`.
+    /// Indices of hard locations activated by `address`, found by one
+    /// serial scan of the location addresses.
     fn activated(&self, address: &BinaryHypervector) -> Result<Vec<usize>, HdcError> {
         if address.dim() != self.dim {
             return Err(HdcError::DimensionMismatch {
@@ -110,7 +110,7 @@ impl SparseDistributedMemory {
         }
         Ok(self
             .addresses
-            .par_iter()
+            .iter()
             .enumerate()
             .filter(|(_, a)| {
                 // Dims are equal: `address` was checked against `self.dim`

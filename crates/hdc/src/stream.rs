@@ -5,10 +5,10 @@
 //! materializes every hypervector of a cohort before any consumer sees
 //! one, so memory grows O(rows × dim). This module restructures encoding
 //! as a stream: a [`RecordStream`] yields raw feature rows one at a time,
-//! a [`StreamEncoder`] encodes them in rayon-chunked micro-batches
-//! (reusing one [`RecordScratch`] per worker across the whole stream),
-//! and each encoded hypervector is handed to a [`StreamSink`] in stream
-//! order and then dropped. Resident state is one micro-batch of rows and
+//! a [`StreamEncoder`] encodes them in micro-batches split by
+//! `rayon::map_chunks_with` (reusing one [`RecordScratch`] per chunk slot
+//! across the whole stream), and each encoded hypervector is handed to a
+//! [`StreamSink`] in stream order and then dropped. Resident state is one micro-batch of rows and
 //! hypervectors plus the sink's accumulator — O(dim), independent of how
 //! many records flow through.
 //!
@@ -39,12 +39,14 @@
 use crate::binary::{BinaryHypervector, Dim};
 use crate::bundle::Bundler;
 use crate::classify::trainer::{ClassAccumulators, OnlineTrainer};
-use crate::encoding::{QuarantineEntry, QuarantineReport, RecordEncoder, RecordScratch};
+use crate::encoding::{
+    QuarantineEntry, QuarantineReport, RecordEncoder, RecordScratch, MIN_CHUNK_RECORDS,
+};
 use crate::error::HdcError;
 use crate::{failpoint, obs};
 
 /// Default records per encode micro-batch: large enough to amortize the
-/// rayon fan-out, small enough that the resident buffer stays a rounding
+/// parallel fan-out, small enough that the resident buffer stays a rounding
 /// error next to any class accumulator.
 pub const DEFAULT_MICRO_BATCH: usize = 256;
 
@@ -384,10 +386,11 @@ pub struct StreamOutcome {
 /// Encodes a [`RecordStream`] through a [`RecordEncoder`] into a
 /// [`StreamSink`], one micro-batch at a time.
 ///
-/// Each micro-batch is encoded in parallel (one contiguous chunk per
-/// rayon worker, one persistent [`RecordScratch`] per worker slot —
-/// bit-identical to the sequential path regardless of thread count),
-/// then drained into the sink in stream order on the calling thread.
+/// Each micro-batch is encoded in parallel by `rayon::map_chunks_with`
+/// (contiguous chunks, the last on the calling thread, one persistent
+/// [`RecordScratch`] per chunk slot — bit-identical to the sequential
+/// path regardless of thread count), then drained into the sink in
+/// stream order on the calling thread.
 /// The `hdc/stream_encode` failpoint is evaluated once per record during
 /// the sequential drain, so fault windows replay deterministically.
 #[derive(Debug, Clone)]
@@ -505,38 +508,29 @@ impl<'a> StreamEncoder<'a> {
                 break;
             }
 
-            // Encode the micro-batch: one contiguous chunk per worker,
-            // each with a persistent scratch slot. Matches the chunking
-            // of the batch encode paths, so results are thread-count
+            // Encode the micro-batch in contiguous chunks, each with a
+            // scratch slot that persists across micro-batches. Every
+            // record is encoded independently, so results are thread-count
             // independent.
-            let chunk_len = filled.div_ceil(rayon::current_num_threads().max(1));
-            let n_chunks = filled.div_ceil(chunk_len);
-            if scratches.len() < n_chunks {
-                let dim = self.encoder.dim();
-                scratches.resize_with(n_chunks, || RecordScratch::new(dim));
-            }
-            let mut slots: Vec<Vec<Result<BinaryHypervector, HdcError>>> = Vec::new();
-            slots.resize_with(n_chunks, Vec::new);
+            let dim = self.encoder.dim();
             let encoder = self.encoder;
-            rayon::scope(|s| {
-                for ((slot, scratch), chunk) in slots
-                    .iter_mut()
-                    .zip(scratches.iter_mut())
-                    .zip(rows[..filled].chunks(chunk_len))
-                {
-                    s.spawn(move |_| {
-                        *slot = chunk
-                            .iter()
-                            .map(|row| encoder.encode_record_with(row, scratch))
-                            .collect();
-                    });
-                }
-            });
+            let chunks = rayon::map_chunks_with(
+                &rows[..filled],
+                MIN_CHUNK_RECORDS,
+                &mut scratches,
+                || RecordScratch::new(dim),
+                |scratch, _, chunk| {
+                    chunk
+                        .iter()
+                        .map(|row| encoder.encode_record_with(row, scratch))
+                        .collect::<Vec<Result<BinaryHypervector, HdcError>>>()
+                },
+            );
 
             // Drain in stream order on this thread. The failpoint seam is
             // sequential, so windowed fault rules replay byte-identically.
             let mut aborted: Option<HdcError> = None;
-            for (result, &label) in slots.into_iter().flatten().zip(&labels[..filled]) {
+            for (result, &label) in chunks.into_iter().flatten().zip(&labels[..filled]) {
                 let seq = seen;
                 seen += 1;
                 match failpoint::check("hdc/stream_encode").and(result) {

@@ -7,8 +7,12 @@ use crate::traits::{validate_fit_inputs, Estimator, ProbabilisticEstimator};
 use crate::tree::{DecisionTreeClassifier, MaxFeatures, TreeParams};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+
+/// Fewest trees a parallel chunk of [`RandomForestClassifier::predict_proba_full`]
+/// takes: one tree predicts a small batch in microseconds, so a chunk
+/// needs several to outweigh its thread.
+const MIN_CHUNK_TREES: usize = 8;
 
 /// Hyper-parameters for the forest (defaults match scikit-learn 1.x).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -73,11 +77,20 @@ impl RandomForestClassifier {
         if self.trees.is_empty() {
             return Err(MlError::NotFitted);
         }
-        let per_tree: Vec<Vec<Vec<f32>>> = self
-            .trees
-            .par_iter()
-            .map(|t| t.predict_proba_full(x))
-            .collect::<Result<_, _>>()?;
+        // Trees predict in parallel chunks; the sum below stays serial and
+        // in tree order, so the f64 rounding matches a serial loop.
+        let per_tree: Vec<Vec<Vec<f32>>> =
+            rayon::map_chunks(&self.trees, MIN_CHUNK_TREES, |_, trees| {
+                trees
+                    .iter()
+                    .map(|t| t.predict_proba_full(x))
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .flatten()
+            .collect();
         let n = x.n_rows();
         let mut out = vec![vec![0.0f64; self.n_classes]; n];
         for tree_probs in &per_tree {
@@ -110,34 +123,39 @@ impl Estimator for RandomForestClassifier {
         self.n_classes = n_classes;
         let n = x.n_rows();
         let params = &self.params;
+        let build = |t: usize| -> Result<DecisionTreeClassifier, MlError> {
+            let tree_seed = params
+                .seed
+                .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1));
+            let indices: Vec<usize> = if params.bootstrap {
+                let mut rng = StdRng::seed_from_u64(tree_seed);
+                (0..n).map(|_| rng.random_range(0..n)).collect()
+            } else {
+                (0..n).collect()
+            };
+            let mut tree = DecisionTreeClassifier::new(TreeParams {
+                max_depth: params.max_depth,
+                min_samples_split: params.min_samples_split,
+                min_samples_leaf: params.min_samples_leaf,
+                max_features: params.max_features,
+                min_impurity_decrease: 0.0,
+                seed: tree_seed ^ 0xA5A5_A5A5,
+            });
+            tree.fit_indices(x, y, &indices, n_classes)?;
+            Ok(tree)
+        };
         // Each tree draws an independent bootstrap and feature-stream from
-        // a per-tree seed, so the build is deterministic in any tree order.
-        // The vendored rayon's `into_par_iter` is sequential: trees are
-        // built one after another.
-        self.trees = (0..params.n_estimators)
-            .into_par_iter()
-            .map(|t| {
-                let tree_seed = params
-                    .seed
-                    .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1));
-                let indices: Vec<usize> = if params.bootstrap {
-                    let mut rng = StdRng::seed_from_u64(tree_seed);
-                    (0..n).map(|_| rng.random_range(0..n)).collect()
-                } else {
-                    (0..n).collect()
-                };
-                let mut tree = DecisionTreeClassifier::new(TreeParams {
-                    max_depth: params.max_depth,
-                    min_samples_split: params.min_samples_split,
-                    min_samples_leaf: params.min_samples_leaf,
-                    max_features: params.max_features,
-                    min_impurity_decrease: 0.0,
-                    seed: tree_seed ^ 0xA5A5_A5A5,
-                });
-                tree.fit_indices(x, y, &indices, n_classes)?;
-                Ok(tree)
-            })
-            .collect::<Result<_, MlError>>()?;
+        // a per-tree seed, so the build is deterministic in any tree order:
+        // trees are built in parallel chunks of tree indices and kept in
+        // index order.
+        self.trees = rayon::map_ranges(params.n_estimators, 1, |trees| {
+            trees.map(build).collect::<Result<Vec<_>, _>>()
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .flatten()
+        .collect();
         Ok(())
     }
 

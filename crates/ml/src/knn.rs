@@ -6,9 +6,12 @@ use crate::linalg::Matrix;
 use crate::traits::{
     validate_fit_inputs, validate_packed_fit_inputs, Estimator, Features, ProbabilisticEstimator,
 };
-use hyperfex_hdc::bitmatrix::{hamming_between, BitMatrix};
-use rayon::prelude::*;
+use hyperfex_hdc::bitmatrix::{hamming_words, BitMatrix};
 use serde::{Deserialize, Serialize};
+
+/// Fewest query rows a parallel chunk of a prediction takes: each row
+/// scans the whole training set, so eight rows outweigh a thread.
+const MIN_CHUNK_ROWS: usize = 8;
 
 /// Neighbour vote weighting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,7 +45,7 @@ impl Default for KnnParams {
 /// Fitting on [`Features::Packed`] stores the training set in bit-packed
 /// form: on 0/1 features squared Euclidean distance *equals* Hamming
 /// distance, so neighbour search runs on integer popcounts
-/// ([`hamming_between`]) and reproduces the dense predictions bit-exactly
+/// ([`hamming_words`]) and reproduces the dense predictions bit-exactly
 /// (f32 represents every distance ≤ 2²⁴ exactly, and integer ties order
 /// the same way as their f32 images).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -146,6 +149,21 @@ impl KnnClassifier {
         votes
     }
 
+    /// Maps `f` over query rows `0..n`, split across `rayon::map_ranges`
+    /// workers; results stay in row order and the first error in row
+    /// order is the one returned.
+    fn map_rows<T: Send>(
+        n: usize,
+        f: impl Fn(usize) -> Result<T, MlError> + Sync,
+    ) -> Result<Vec<T>, MlError> {
+        rayon::map_ranges(n, MIN_CHUNK_ROWS, |rows| {
+            rows.map(&f).collect::<Result<Vec<_>, _>>()
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .map(|chunks| chunks.into_iter().flatten().collect())
+    }
+
     fn argmax(votes: &[f64]) -> usize {
         votes
             .iter()
@@ -188,10 +206,7 @@ impl Estimator for KnnClassifier {
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<usize>, MlError> {
-        (0..x.n_rows())
-            .into_par_iter()
-            .map(|i| Ok(Self::argmax(&self.vote(x.row(i))?)))
-            .collect()
+        Self::map_rows(x.n_rows(), |i| Ok(Self::argmax(&self.vote(x.row(i))?)))
     }
 
     fn name(&self) -> &'static str {
@@ -220,18 +235,24 @@ impl Estimator for KnnClassifier {
     fn predict_features(&self, x: &Features<'_>) -> Result<Vec<usize>, MlError> {
         match (x, &self.packed) {
             (Features::Packed(q), Some(train)) => {
-                // Fully packed: one rectangular popcount pass gives every
-                // query×train Hamming distance, then the usual vote.
-                let dists = hamming_between(q, train).map_err(|_| MlError::ShapeMismatch {
-                    expected: format!("{} features", train.dim().get()),
-                    got: format!("{} features", q.dim().get()),
-                })?;
+                // Fully packed: popcount distances from each query row to
+                // every training row, then the usual vote.
+                if q.dim() != train.dim() {
+                    return Err(MlError::ShapeMismatch {
+                        expected: format!("{} features", train.dim().get()),
+                        got: format!("{} features", q.dim().get()),
+                    });
+                }
                 let n = train.n_rows();
                 let k = self.params.k.min(n);
-                Ok(dists
-                    .par_chunks(n)
-                    .map(|row| Self::argmax(&self.tally_hamming(row, k)))
-                    .collect())
+                Self::map_rows(q.n_rows(), |qi| {
+                    let query = q.row_words(qi);
+                    let dists: Vec<u32> = (0..n)
+                        // hamming <= dim, which a BitMatrix keeps below 2^32
+                        .map(|j| hamming_words(query, train.row_words(j)) as u32)
+                        .collect();
+                    Ok(Self::argmax(&self.tally_hamming(&dists, k)))
+                })
             }
             (Features::Packed(q), None) => self.predict(&crate::traits::densify(q)),
             (Features::Dense(m), _) => self.predict(m),
@@ -241,14 +262,11 @@ impl Estimator for KnnClassifier {
 
 impl ProbabilisticEstimator for KnnClassifier {
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
-        (0..x.n_rows())
-            .into_par_iter()
-            .map(|i| {
-                let votes = self.vote(x.row(i))?;
-                let total: f64 = votes.iter().sum();
-                Ok(votes.get(1).copied().unwrap_or(0.0) / total.max(1e-12))
-            })
-            .collect()
+        Self::map_rows(x.n_rows(), |i| {
+            let votes = self.vote(x.row(i))?;
+            let total: f64 = votes.iter().sum();
+            Ok(votes.get(1).copied().unwrap_or(0.0) / total.max(1e-12))
+        })
     }
 }
 

@@ -7,7 +7,6 @@
 //! need it (means, losses) accumulate in `f64`.
 
 use crate::error::MlError;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A dense row-major matrix of `f32`.
@@ -181,8 +180,8 @@ impl Matrix {
         Ok(())
     }
 
-    /// `self · other` (shapes `(n,k) · (k,m) → (n,m)`), rows parallelised
-    /// with rayon.
+    /// `self · other` (shapes `(n,k) · (k,m) → (n,m)`), computed serially
+    /// row by row.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix, MlError> {
         if self.cols != other.rows {
             return Err(MlError::ShapeMismatch {
@@ -194,8 +193,8 @@ impl Matrix {
         // ikj loop order: the inner j-loop streams contiguously through
         // `other`'s row and the output row, which auto-vectorises.
         out.data
-            .par_chunks_mut(other.cols.max(1))
-            .zip(self.data.par_chunks_exact(self.cols.max(1)))
+            .chunks_mut(other.cols.max(1))
+            .zip(self.data.chunks_exact(self.cols.max(1)))
             .for_each(|(orow, arow)| {
                 for (k, &a) in arow.iter().enumerate() {
                     if a == 0.0 {

@@ -14,10 +14,11 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use hyperfex_hdc::binary::Dim;
-use hyperfex_hdc::bitmatrix::{hamming_between, BitMatrix};
+use hyperfex_hdc::bitmatrix::{hamming_words, BitMatrix};
 use hyperfex_hdc::classify::ClassAccumulators;
 use hyperfex_hdc::distill::BitSelection;
 use hyperfex_hdc::{failpoint, BinaryHypervector};
@@ -30,6 +31,11 @@ use crate::snapshot::{self, ShardRecord};
 /// doubles as the deterministic tie-break order, so comparing candidates
 /// compares distance first, then shard index, then row.
 type Candidate = (u32, u32, u32, u32);
+
+/// Fewest store rows a parallel chunk of [`HvStore::predict_batch`] scans:
+/// about 50 µs of distances for one 10,000-bit query, enough to outweigh
+/// the thread a chunk costs.
+const MIN_CHUNK_ROWS: usize = 1024;
 
 /// One shard that failed recovery and was quarantined instead of served.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -717,33 +723,28 @@ impl HvStore {
             }));
         }
 
-        // Each shard computes its own per-query top-k independently on a
-        // rayon worker; every spawned task owns exactly one pre-allocated
-        // output slot, so the region shares nothing mutable. The serial
-        // merge below then keeps the k globally smallest candidate tuples
-        // per query — identical to folding shards one by one, because both
-        // are "the k smallest elements" of the same candidate multiset and
-        // the (distance, shard, row, label) tuple order makes every
-        // candidate distinct. Shard scheduling order therefore cannot
-        // change the result.
-        let n_queries = queries.len();
-        let mut shard_tops: Vec<Result<Vec<Vec<Candidate>>, ServeError>> = Vec::new();
-        shard_tops.resize_with(self.shards.len(), || Ok(Vec::new()));
-        let query_matrix = &query_matrix;
-        rayon::scope(|s| {
-            for (slot, shard) in shard_tops.iter_mut().zip(&self.shards) {
-                s.spawn(move |_| {
-                    *slot = Self::shard_candidates(query_matrix, shard, k, n_queries);
-                });
-            }
+        // The store's rows, shard after shard, form one global row range.
+        // `rayon::map_ranges` gives each chunk a contiguous part of it
+        // (which may span shards), and each chunk returns its own sorted
+        // per-query top-k. The serial merge below then keeps the k
+        // globally smallest candidate tuples per query — identical to
+        // folding shards one by one, because both are "the k smallest
+        // elements" of the same candidate multiset and the (distance,
+        // shard, row, label) tuple order makes every candidate distinct.
+        // How the rows are split therefore cannot change the result.
+        // A query has at most `n_rows` candidates, so a larger k is moot.
+        let k = k.min(self.n_rows());
+        let chunk_tops = rayon::map_ranges(self.n_rows(), MIN_CHUNK_ROWS, |rows| {
+            self.range_candidates(&query_matrix, rows, k)
         });
 
         // Per-query top-k candidates as (distance, shard, row, label),
         // kept sorted ascending; the tuple order is the tie-break order.
-        let mut best: Vec<Vec<Candidate>> = vec![Vec::with_capacity(k + 1); n_queries];
-        for tops in shard_tops {
-            for (heap, shard_heap) in best.iter_mut().zip(tops?) {
-                heap.extend(shard_heap);
+        let mut best: Vec<Vec<Candidate>> =
+            vec![Vec::with_capacity(k * chunk_tops.len()); queries.len()];
+        for tops in chunk_tops {
+            for (heap, chunk_heap) in best.iter_mut().zip(tops) {
+                heap.extend(chunk_heap);
             }
         }
         for heap in &mut best {
@@ -754,35 +755,41 @@ impl HvStore {
         Ok(best.iter().map(|heap| Self::vote(heap)).collect())
     }
 
-    /// One shard's sorted per-query top-k candidate lists — the unit of
-    /// work a rayon task computes in [`HvStore::predict_batch`].
-    fn shard_candidates(
-        query_matrix: &BitMatrix,
-        shard: &ShardRecord,
+    /// The sorted per-query top-k candidates among the global rows `rows`
+    /// (rows numbered shard after shard) — the unit of work one chunk of
+    /// [`HvStore::predict_batch`] computes. Each bank row is loaded once
+    /// and compared against every query.
+    fn range_candidates(
+        &self,
+        queries: &BitMatrix,
+        rows: Range<usize>,
         k: usize,
-        n_queries: usize,
-    ) -> Result<Vec<Vec<Candidate>>, ServeError> {
-        let rows = shard.bank.n_rows();
-        let distances = hamming_between(query_matrix, &shard.bank)?;
-        let mut tops: Vec<Vec<Candidate>> = vec![Vec::with_capacity(k + 1); n_queries];
-        for (qi, row_distances) in distances.chunks(rows.max(1)).enumerate() {
-            let Some(heap) = tops.get_mut(qi) else {
-                continue;
-            };
-            for (row, &distance) in row_distances.iter().enumerate() {
-                let worst = heap.last().map_or(u32::MAX, |c| c.0);
-                if heap.len() == k && distance >= worst {
-                    continue;
-                }
+    ) -> Vec<Vec<Candidate>> {
+        let mut tops: Vec<Vec<Candidate>> = vec![Vec::with_capacity(k + 1); queries.n_rows()];
+        let mut shard_start = 0;
+        for shard in &self.shards {
+            let shard_end = shard_start + shard.bank.n_rows();
+            let lo = rows.start.clamp(shard_start, shard_end) - shard_start;
+            let hi = rows.end.clamp(shard_start, shard_end) - shard_start;
+            shard_start = shard_end;
+            for row in lo..hi {
+                let words = shard.bank.row_words(row);
                 let label = shard.labels.get(row).copied().unwrap_or(0);
                 let row_u32 = u32::try_from(row).unwrap_or(u32::MAX);
-                let candidate = (distance, shard.shard_index, row_u32, label);
-                let at = heap.partition_point(|c| *c <= candidate);
-                heap.insert(at, candidate);
-                heap.truncate(k);
+                for (qi, heap) in tops.iter_mut().enumerate() {
+                    let distance = hamming_words(queries.row_words(qi), words);
+                    let distance = u32::try_from(distance).unwrap_or(u32::MAX);
+                    let candidate = (distance, shard.shard_index, row_u32, label);
+                    if heap.len() == k && heap.last().is_some_and(|worst| candidate >= *worst) {
+                        continue;
+                    }
+                    let at = heap.partition_point(|c| *c <= candidate);
+                    heap.insert(at, candidate);
+                    heap.truncate(k);
+                }
             }
         }
-        Ok(tops)
+        tops
     }
 
     /// Majority vote over one query's sorted candidate list; ties go to
@@ -809,6 +816,7 @@ impl HvStore {
 mod tests {
     use super::*;
     use crate::cohort::SyntheticCohort;
+    use hyperfex_hdc::bitmatrix::hamming_between;
     use hyperfex_hdc::rng::SplitMix64;
 
     fn scratch_dir(tag: &str) -> PathBuf {

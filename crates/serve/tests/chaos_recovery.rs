@@ -26,6 +26,13 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Holds the failpoint registry with no rules installed, so a test that
+/// only corrupts files cannot see the faults a concurrently running test
+/// installs (the hooks are process-global).
+fn no_injected_faults() -> registry::FailpointsGuard {
+    registry::install(&[]).unwrap()
+}
+
 fn cohort(seed: u64) -> SyntheticCohort {
     SyntheticCohort::generate(Dim::new(512), 2, 100, 30, seed).unwrap()
 }
@@ -42,6 +49,7 @@ fn snapshot_plan(seed: u64, victims: usize) -> FaultPlan {
 
 #[test]
 fn planned_corruption_quarantines_exactly_the_victims_and_survivors_serve() {
+    let _guard = no_injected_faults();
     let dir = scratch_dir("planned");
     let cohort = cohort(11);
     let n_shards = 5;
@@ -94,6 +102,7 @@ fn planned_corruption_quarantines_exactly_the_victims_and_survivors_serve() {
 
 #[test]
 fn corruption_replays_byte_identically_from_the_plan_seed() {
+    let _guard = no_injected_faults();
     let dir_a = scratch_dir("replay-a");
     let dir_b = scratch_dir("replay-b");
     let cohort = cohort(12);

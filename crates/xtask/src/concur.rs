@@ -1,7 +1,10 @@
-//! Rule family 4: concurrency-capture and relaxed-ordering lints.
+//! Rule family 4: concurrency-capture, relaxed-ordering and parallel-entry
+//! lints.
 //!
 //! **Capture rule.** Inside any closure passed to the vendored rayon's
-//! `scope`/`in_place_scope`/`join`/`spawn` or a `par_*` iterator chain,
+//! fan-out helper (`map_chunks`, `map_chunks_mut`, `map_chunks_with`,
+//! `map_ranges`), to `scope`/`in_place_scope`/`join`/`spawn` or to a
+//! `par_*` iterator chain,
 //! mutating state captured from *outside* the parallel region is a
 //! violation: every worker would race on the same location. Legitimate
 //! mutation goes through per-task scratch (anything bound inside the
@@ -16,6 +19,14 @@
 //! `// lint: relaxed-ok (<reason>)` on the line, the line above, or the
 //! enclosing function's annotation block; everything else is a violation.
 //! The annotation is the allowlist — there is no separate file.
+//!
+//! **Entry rule.** Outside tests, code under `crates/` enters parallelism
+//! only through the fan-out helper. Any raw `scope(…)` or `spawn(…)` call
+//! (`std::thread::scope`, `thread::spawn`, a scope handle's `s.spawn`) is
+//! a violation, with no waiver: the helper caps the
+//! threads at the worker count, runs one chunk on the calling thread and
+//! returns results in order, and a hand-rolled block would have to get
+//! all three right again.
 
 use crate::diag::{Rule, Violation};
 use crate::lex::TokenKind;
@@ -41,8 +52,15 @@ fn check_captures(rel_path: &str, analysis: &Analysis, ctx: &Ctx<'_>) -> Vec<Vio
     for region in structure::parallel_regions(ctx) {
         let bound = structure::bound_names(ctx, region.sig_range);
         let (start, end) = region.sig_range;
+        let lent = direct_arg_starts(ctx, start);
         let mut si = start;
         while si <= end {
+            // `map_chunks_mut(&mut rows, …)`: a borrow handed to the helper
+            // itself, which splits it into disjoint per-task parts.
+            if ctx.is_punct(si, '&') && lent.contains(&si) {
+                si += 1;
+                continue;
+            }
             if let Some(m) = mutation_at(ctx, si, end) {
                 si = m.resume_si;
                 let line = m.line;
@@ -80,6 +98,29 @@ fn check_captures(rel_path: &str, analysis: &Analysis, ctx: &Ctx<'_>) -> Vec<Vio
         }
     }
     out
+}
+
+/// Sig-indices where a direct argument of the call opened at `open` starts
+/// (bracket depth 0 inside its parentheses; a comma inside closure bars
+/// also counts, which only over-approximates).
+fn direct_arg_starts(ctx: &Ctx<'_>, open: usize) -> Vec<usize> {
+    let mut starts = vec![open + 1];
+    let Some(close) = ctx.matching_close(open) else {
+        return starts;
+    };
+    let mut depth = 0i64;
+    for si in open + 1..close {
+        if ctx.kind(si) != TokenKind::Punct {
+            continue;
+        }
+        match ctx.text(si).as_bytes().first() {
+            Some(b'(' | b'[' | b'{') => depth += 1,
+            Some(b')' | b']' | b'}') => depth -= 1,
+            Some(b',') if depth == 0 => starts.push(si + 1),
+            _ => {}
+        }
+    }
+    starts
 }
 
 /// One detected mutation: the head identifier of the assignment target (or
@@ -203,6 +244,41 @@ fn matching_open(ctx: &Ctx<'_>, close_si: usize) -> Option<usize> {
         }
     }
     None
+}
+
+/// The entry rule: every raw `scope(`/`spawn(` call outside test code.
+pub fn check_entry_points(rel_path: &str, analysis: &Analysis) -> Vec<Violation> {
+    let ctx = analysis.ctx();
+    let mut out = Vec::new();
+    for si in 0..ctx.sig.len().saturating_sub(1) {
+        let callee = ctx.text(si);
+        if ctx.kind(si) != TokenKind::Ident
+            || !matches!(callee, "scope" | "spawn")
+            || !ctx.is_punct(si + 1, '(')
+        {
+            continue;
+        }
+        // `fn scope(` declares rather than calls.
+        if si > 0 && ctx.text(si - 1) == "fn" {
+            continue;
+        }
+        let line = ctx.line(si);
+        if analysis.in_test.get(line - 1).copied().unwrap_or(false) {
+            continue;
+        }
+        out.push(Violation {
+            file: rel_path.to_string(),
+            line,
+            rule: Rule::ParallelEntry,
+            message: format!(
+                "raw `{callee}(…)` call — fan work out through `rayon::map_chunks` \
+                 (or `map_chunks_mut`/`map_chunks_with`/`map_ranges`), the one way \
+                 into parallelism"
+            ),
+            line_text: analysis.raw.get(line - 1).cloned().unwrap_or_default(),
+        });
+    }
+    out
 }
 
 fn check_relaxed(rel_path: &str, analysis: &Analysis, ctx: &Ctx<'_>) -> Vec<Violation> {
@@ -340,6 +416,55 @@ mod tests {
                        fn t(c: &AtomicU64) { c.load(Ordering::Relaxed); }\n\
                    }\n";
         assert!(check(src).is_empty());
+    }
+
+    #[test]
+    fn raw_scope_and_spawn_calls_are_flagged_outside_tests() {
+        let src = "fn f(xs: &mut [u64]) {\n\
+                       rayon::scope(|s| {\n\
+                           s.spawn(|_| {});\n\
+                       });\n\
+                       std::thread::spawn(|| {});\n\
+                   }\n\
+                   pub fn scope(x: u32) -> u32 { x }\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                       fn t() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n\
+                   }\n";
+        let v = check_entry_points("crates/hdc/src/lib.rs", &Analysis::new(src));
+        let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+        assert_eq!(lines, vec![2, 3, 5], "{v:?}");
+        assert!(v.iter().all(|v| v.rule == Rule::ParallelEntry));
+        assert!(v[0].message.contains("`scope(…)`"));
+    }
+
+    #[test]
+    fn the_fan_out_helper_is_the_allowed_entry_and_a_capture_region() {
+        let clean = "fn f(xs: &[u64]) -> Vec<u64> {\n\
+                         rayon::map_chunks(xs, 1, |_, c| c.iter().sum())\n\
+                     }\n";
+        assert!(check_entry_points("crates/hdc/src/lib.rs", &Analysis::new(clean)).is_empty());
+        let racy = "fn f(xs: &[u64]) {\n\
+                        let mut total = 0;\n\
+                        rayon::map_ranges(xs.len(), 1, |r| { total += r.len(); });\n\
+                    }\n";
+        let v = check(racy);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, Rule::ConcurrencyCapture);
+        assert!(v[0].message.contains("map_ranges"));
+    }
+
+    #[test]
+    fn a_mutable_slice_lent_to_the_helper_is_not_a_capture() {
+        let src = "fn f(rows: &mut Vec<u64>, scratch: &mut Vec<u64>) {\n\
+                       rayon::map_chunks_mut(&mut rows[..], 1, |_, c| c.fill(0));\n\
+                       rayon::map_chunks_with(&[1u64], 1, &mut scratch, || 0, |s, _, _| *s += 1);\n\
+                       rayon::map_ranges(4, 1, |_| helper(&mut rows));\n\
+                   }\n";
+        let v = check(src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 4);
+        assert!(v[0].message.contains("rows"));
     }
 
     #[test]

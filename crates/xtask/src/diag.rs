@@ -16,11 +16,15 @@ pub enum Rule {
     Vendor,
     /// The allowlist itself is invalid (stale entry, budget exceeded, …).
     Allowlist,
-    /// A closure passed to `scope`/`join`/`spawn`/`par_*` mutates a capture
-    /// from outside the parallel region without a lock or atomic.
+    /// A closure passed to `scope`/`join`/`spawn`/`par_*`/`map_chunks*`/
+    /// `map_ranges` mutates a capture from outside the parallel region
+    /// without a lock or atomic.
     ConcurrencyCapture,
     /// `Ordering::Relaxed` in library code without a `relaxed-ok` reason.
     RelaxedOrdering,
+    /// A raw `scope(…)`/`spawn(…)` call outside tests: parallel work goes
+    /// through the vendored rayon's ordered fan-out helper instead.
+    ParallelEntry,
     /// A numeric `as` cast in a kernel/trainer hot path that is not
     /// provably widening and carries no `cast-ok` reason.
     CastSafety,
@@ -44,6 +48,7 @@ impl Rule {
             Self::Allowlist => "allowlist",
             Self::ConcurrencyCapture => "concurrency-capture",
             Self::RelaxedOrdering => "relaxed-ordering",
+            Self::ParallelEntry => "parallel-entry",
             Self::CastSafety => "cast-safety",
             Self::FeatureGate => "feature-gate",
             Self::Discard => "discard",

@@ -40,6 +40,17 @@ pub fn run_lint(root: &Path) -> Result<Vec<Violation>, String> {
         }
     }
 
+    // Pass 1b: the parallel-entry rule covers every crate's sources under
+    // `crates/`, audited or not.
+    for crate_dir in child_dirs(&root.join("crates")) {
+        for path in rust_files(&crate_dir.join("src")) {
+            let contents = fs::read_to_string(&path)
+                .map_err(|e| format!("reading {}: {e}", path.display()))?;
+            let analysis = Analysis::new(&contents);
+            violations.extend(concur::check_entry_points(&rel(root, &path), &analysis));
+        }
+    }
+
     // Pass 2: workspace-level failpoint arity against the chaos plan
     // registry (skipped when the tree has no faults crate, e.g. selftest
     // scratch workspaces).
@@ -127,16 +138,23 @@ pub fn rust_files(dir: &Path) -> Vec<PathBuf> {
 
 /// `Cargo.toml` files one level below `dir` (e.g. `crates/*/Cargo.toml`).
 pub fn child_manifests(dir: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
+    child_dirs(dir)
+        .into_iter()
+        .map(|d| d.join("Cargo.toml"))
+        .filter(|m| m.is_file())
+        .collect()
+}
+
+/// Directories one level below `dir`, sorted.
+fn child_dirs(dir: &Path) -> Vec<PathBuf> {
     let Ok(entries) = fs::read_dir(dir) else {
-        return out;
+        return Vec::new();
     };
-    for entry in entries.flatten() {
-        let manifest = entry.path().join("Cargo.toml");
-        if manifest.is_file() {
-            out.push(manifest);
-        }
-    }
+    let mut out: Vec<PathBuf> = entries
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.is_dir())
+        .collect();
     out.sort();
     out
 }
@@ -215,16 +233,16 @@ pub fn run_selftest(scratch: &Path) -> Result<String, String> {
         "crates/ml/src/lib.rs",
         "pub fn first(xs: &[u32]) -> u32 {\n    *xs.first().unwrap()\n}\n",
     )?;
-    // Seed 4 (concurrency family): a rayon scope closure mutating a capture
+    // Seed 4 (concurrency family): a fan-out closure mutating a capture
     // from outside the parallel region, and an unjustified Relaxed load.
     write(
         "crates/hdc/src/bitmatrix.rs",
         "pub fn count_all(rows: &[u64]) -> u64 {\n\
              let mut total = 0u64;\n\
-             rayon::scope(|s| {\n\
-                 s.spawn(|_| {\n\
+             rayon::map_ranges(rows.len(), 1, |r| {\n\
+                 if !r.is_empty() {\n\
                      total += 1;\n\
-                 });\n\
+                 }\n\
              });\n\
              let c = std::sync::atomic::AtomicU64::new(total);\n\
              c.load(std::sync::atomic::Ordering::Relaxed)\n\
@@ -251,6 +269,17 @@ pub fn run_selftest(scratch: &Path) -> Result<String, String> {
         "crates/data/src/lib.rs",
         "pub fn cleanup(path: &std::path::Path) {\n\
              let _ = std::fs::remove_file(path);\n\
+         }\n",
+    )?;
+
+    // Seed 8 (parallel-entry rule): a hand-rolled scope/spawn block in a
+    // crate outside the audited set — the rule covers all of `crates/`.
+    write(
+        "crates/experiments/src/lib.rs",
+        "pub fn lengths(xs: &[Vec<u64>]) {\n\
+             std::thread::scope(|s| {\n\
+                 s.spawn(|| xs.len());\n\
+             });\n\
          }\n",
     )?;
 
@@ -308,6 +337,12 @@ pub fn run_selftest(scratch: &Path) -> Result<String, String> {
             file: "crates/data/src/lib.rs",
             line: 2,
             needle: "discard",
+        },
+        Seed {
+            rule: Rule::ParallelEntry,
+            file: "crates/experiments/src/lib.rs",
+            line: 2,
+            needle: "`scope(…)`",
         },
     ];
     for seed in &seeds {
@@ -387,6 +422,7 @@ mod tests {
         assert!(report.contains("crates/hdc/src/bundle.rs:2"));
         assert!(report.contains("crates/hdc/src/obs.rs:2"));
         assert!(report.contains("crates/data/src/lib.rs:2"));
+        assert!(report.contains("crates/experiments/src/lib.rs:2"));
         assert!(report.contains("zero findings"));
     }
 }

@@ -77,8 +77,9 @@ pub struct FnSpan {
     pub end_line: usize,
 }
 
-/// One parallel call site: `scope(…)`, `join(…)`, `spawn(…)` or a `par_*`
-/// iterator chain, with everything the capture rule needs.
+/// One parallel call site: `map_chunks(…)` and its shapes, `scope(…)`,
+/// `join(…)`, `spawn(…)` or a `par_*` iterator chain, with everything the
+/// capture rule needs.
 #[derive(Debug, Clone)]
 pub struct ParRegion {
     /// The callee identifier (`scope`, `spawn`, `par_chunks`, …).
@@ -544,7 +545,15 @@ pub fn test_mask(_ctx: &Ctx<'_>, items: &[Item], n_lines: usize) -> Vec<bool> {
 fn is_parallel_callee(name: &str) -> bool {
     matches!(
         name,
-        "scope" | "join" | "spawn" | "in_place_scope" | "spawn_broadcast"
+        "scope"
+            | "join"
+            | "spawn"
+            | "in_place_scope"
+            | "spawn_broadcast"
+            | "map_chunks"
+            | "map_chunks_mut"
+            | "map_chunks_with"
+            | "map_ranges"
     ) || name.starts_with("par_")
         || name == "into_par_iter"
 }
