@@ -204,6 +204,17 @@ impl BinaryHypervector {
         hv
     }
 
+    /// Copies one packed row of a `BitMatrix`, whose rows have `dim`'s
+    /// word count and clear tail bits by that type's invariant.
+    pub(crate) fn from_packed_row(dim: Dim, words: &[u64]) -> Self {
+        debug_assert_eq!(words.len(), dim.words());
+        debug_assert_tail_invariant(dim, words);
+        Self {
+            dim,
+            words: words.into(),
+        }
+    }
+
     /// The dimensionality.
     #[inline]
     #[must_use]

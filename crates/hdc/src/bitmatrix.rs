@@ -262,7 +262,7 @@ impl BitMatrix {
     /// Panics if `r >= self.n_rows()`.
     #[must_use]
     pub fn row_hypervector(&self, r: usize) -> BinaryHypervector {
-        BinaryHypervector::collect_bits(self.dim, (0..self.dim.get()).map(|c| self.get(r, c)))
+        BinaryHypervector::from_packed_row(self.dim, self.row_words(r))
     }
 
     /// The transposed matrix: `dim` rows of `n_rows` bits, so that each

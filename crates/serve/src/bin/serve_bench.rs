@@ -201,8 +201,8 @@ fn run(profile: &Profile, seed: u64) -> Result<BenchRow, ServeError> {
 
     // Incremental ingest: stream a 10% tail into the recovered store in
     // micro-batch-sized appends, then roll a dirty snapshot. The append
-    // crosses at least one shard boundary, so the dirty save includes the
-    // worst case (stale `n_shards` headers forcing a full rewrite).
+    // rolls at least one new shard, and the shard files junked above are
+    // rewritten whole; every other shard only takes an appended batch.
     let mut reopened = reopened;
     let tail = (profile.records / 10).max(1);
     let t = Instant::now();

@@ -6,9 +6,13 @@
 //! encoded records straight into a serving store as they are produced:
 //! records buffer into micro-batches, every full buffer becomes one
 //! [`HvStore::append_batch`] call, and an optional snapshot directory gets
-//! a [`HvStore::save_dirty`] rolling snapshot after each flush — the
-//! on-disk snapshot trails the stream by at most one buffer, at a write
-//! cost proportional to the appended data rather than the store size.
+//! a [`HvStore::save_dirty`] rolling snapshot after each flush: one
+//! appended batch of the flushed rows, the accumulator file and a new
+//! manifest, fsynced. The durable snapshot trails the stream by at most
+//! one buffer, at a write cost proportional to the appended data rather
+//! than the store size. A stream killed after any flush resumes from the
+//! reopened store (whose manifest restores the shard capacity) to the
+//! same store and the same snapshot files as an uninterrupted run.
 //!
 //! Peak sink state is one buffer of records; the store itself grows with
 //! the cohort, which is the point — it is the *durable* output, not
@@ -58,8 +62,8 @@ impl<'a> StoreAppendSink<'a> {
         }
     }
 
-    /// Enables the rolling snapshot: after every flush the store's dirty
-    /// shards (plus sidecars) are written into `dir`, keeping the on-disk
+    /// Enables the rolling snapshot: after every flush the rows it added
+    /// (plus the sidecars) are committed into `dir`, keeping the durable
     /// snapshot at most one buffer behind the stream.
     pub fn with_snapshot_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.snapshot_dir = Some(dir.into());

@@ -7,16 +7,18 @@
 //! those artifacts *servable* when the disk, the process, or the caller
 //! misbehaves:
 //!
-//! * [`snapshot`] — a versioned, length-prefixed on-disk shard format with
-//!   a CRC32 checksum per section and atomic write-then-rename, so a crash
-//!   mid-save never destroys the previous good snapshot and a flipped bit
-//!   never reaches a popcount kernel.
+//! * [`snapshot`] — a versioned, length-prefixed on-disk format with a
+//!   CRC32 checksum per section: shard files grow by appended row batches
+//!   and one fsynced manifest commits them, so a commit is durable once it
+//!   returns, a crash mid-commit never destroys the previous one, and a
+//!   flipped bit never reaches a popcount kernel.
 //! * [`store`] — the sharded [`store::HvStore`]: build from encoded
 //!   records, save one self-describing file per shard, and reopen with
 //!   per-shard quarantine — corrupted or missing shards land in a
 //!   [`store::RecoveryReport`] (`kept + quarantined == total`, mirroring
-//!   the encoder's `QuarantineReport`) while top-k Hamming retrieval keeps
-//!   answering from the survivors.
+//!   the encoder's `QuarantineReport`), class totals are reconciled with
+//!   the kept rows, and top-k Hamming retrieval keeps answering from the
+//!   survivors.
 //! * [`admission`] — a bounded-queue batch front end with typed overload
 //!   shedding ([`error::ServeError::Overloaded`]) and per-request
 //!   deadlines, including a logical-tick deadline variant so admission
@@ -24,8 +26,8 @@
 //! * [`ingest`] — [`ingest::StoreAppendSink`], the streaming-encode
 //!   endpoint: micro-batched [`store::HvStore::append_batch`] ingestion
 //!   with an optional per-flush [`store::HvStore::save_dirty`] rolling
-//!   snapshot, so an unbounded cohort streams into a servable store with
-//!   O(buffer) transient state.
+//!   snapshot that writes only the rows each flush adds, so an unbounded
+//!   cohort streams into a servable store with O(buffer) transient state.
 //! * [`backoff`] — a seeded exponential-backoff-with-jitter retry policy:
 //!   every delay sequence replays bit-exactly from its seed.
 //! * [`cohort`] — deterministic synthetic cohorts (class prototypes plus

@@ -1,12 +1,13 @@
 //! Golden snapshot files: the writers' byte output is pinned.
 //!
-//! `tests/golden/` holds the snapshot of one fixed store — built through a
-//! distillation selection, then grown by two appends that roll a shard —
-//! as written by the earlier writers, which encoded each file into one
-//! whole-file buffer. The streamed writers must reproduce every file byte
-//! for byte (shards, accumulators and selection), and the pinned files
-//! must reopen as the same store, so neither the format nor the encoded
-//! state has moved.
+//! Both fixtures hold the snapshot of one fixed store — built through a
+//! distillation selection, then grown by two appends that roll a shard.
+//! `tests/golden/` is that snapshot in format v2, as the earlier writers
+//! wrote it (one whole-file buffer per file, no manifest); it must keep
+//! reopening as the same store. `tests/golden_v3/` is the same snapshot in
+//! format v3: the writers must reproduce every file byte for byte (shards,
+//! accumulators, selection and manifest), so neither the format nor the
+//! encoded state moves unnoticed.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -17,6 +18,10 @@ use hyperfex_serve::{HvStore, SyntheticCohort};
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
+fn golden_v3_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden_v3")
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -69,12 +74,13 @@ fn streamed_writers_reproduce_the_golden_files_byte_for_byte() {
     assert_eq!(store.n_shards(), 3);
     store.save(&dir).unwrap();
 
-    let golden = files(&golden_dir());
+    let golden = files(&golden_v3_dir());
     let written = files(&dir);
     assert_eq!(
         written.keys().collect::<Vec<_>>(),
         vec![
             "accums.hfex",
+            "manifest.hfex",
             "selection.hfex",
             "shard-0000.hfex",
             "shard-0001.hfex",
@@ -121,4 +127,15 @@ fn golden_snapshot_reopens_as_the_same_store() {
         reopened.predict_batch(&queries, 3).unwrap(),
         store.predict_batch(&queries, 3).unwrap()
     );
+}
+
+#[test]
+fn v3_golden_snapshot_reopens_as_the_same_store() {
+    let (store, _) = golden_store();
+    let (reopened, report) = HvStore::open(&golden_v3_dir()).unwrap();
+    assert!(report.quarantined.is_empty());
+    assert!(!report.accumulators_rebuilt);
+    assert!(report.selection_recovered);
+    assert_eq!(reopened, store);
+    assert_eq!(reopened.shard_capacity(), store.shard_capacity());
 }
