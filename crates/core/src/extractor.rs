@@ -7,7 +7,8 @@ use hyperfex_hdc::bitmatrix::BitMatrix;
 use hyperfex_hdc::classify::ClassAccumulators;
 use hyperfex_hdc::distill::{discrimination_scores, BitSelection};
 use hyperfex_hdc::encoding::{FeatureSpec, QuarantineReport, RecordEncoder, RecordSchema};
-use hyperfex_hdc::stream::{RecordStream, StreamEncoder, StreamOutcome, StreamSink};
+use hyperfex_hdc::stream::{CollectSink, RecordStream, StreamEncoder, StreamOutcome, StreamSink};
+use hyperfex_hdc::HdcError;
 use hyperfex_ml::Matrix;
 
 /// Fewest rows a parallel chunk of [`HdcFeatureExtractor::to_matrix`]
@@ -61,7 +62,9 @@ impl HdcFeatureExtractor {
 
     /// Builds per-feature encoders from the table's schema and the value
     /// ranges observed in the given rows (pass training-row indices to
-    /// avoid leaking test-set ranges; pass `None` to use every row).
+    /// avoid leaking test-set ranges; pass `None` to use every row). The
+    /// rows stream through [`HdcFeatureExtractor::fit_stream`]'s single
+    /// pass, so missing and non-finite values count toward no range.
     pub fn fit(&mut self, table: &Table, rows: Option<&[usize]>) -> Result<(), HyperfexError> {
         let _span = crate::obs::span("core/extractor_fit");
         if table.is_empty() {
@@ -69,85 +72,32 @@ impl HdcFeatureExtractor {
                 "cannot fit on an empty table".into(),
             ));
         }
-        let all_rows: Vec<usize>;
-        let rows = match rows {
-            Some(r) => r,
-            None => {
-                all_rows = (0..table.n_rows()).collect();
-                &all_rows
-            }
-        };
-        let view = table.select_rows(rows);
-        let mut specs = Vec::with_capacity(table.n_cols());
-        for (col, spec) in table.columns().iter().enumerate() {
-            match spec.kind {
-                ColumnKind::Binary => specs.push(FeatureSpec::binary(spec.name.clone())),
-                ColumnKind::Continuous => {
-                    let (min, max) = view.column_range(col).ok_or_else(|| {
-                        HyperfexError::Pipeline(format!(
-                            "column `{}` has no observed values to fit a range",
-                            spec.name
-                        ))
-                    })?;
-                    // Degenerate (constant) columns get a token range so the
-                    // encoder stays valid; every value maps to the seed code.
-                    let (min, max) = if max > min {
-                        (min, max)
-                    } else {
-                        (min, min + 1.0)
-                    };
-                    specs.push(FeatureSpec::continuous(spec.name.clone(), min, max));
-                }
-            }
-        }
-        self.encoder = Some(RecordEncoder::with_quantization(
-            self.dim,
-            RecordSchema::new(specs),
-            self.seed,
-            self.levels,
-        )?);
-        Ok(())
+        self.fit_columns(table.columns(), &mut TableStream::new(table, rows)?)
     }
 
     /// Encodes the selected rows (or all rows) into patient hypervectors.
+    ///
+    /// A row holding a missing (`NaN`) or otherwise non-finite value fails
+    /// the call with an error naming that table row; impute or drop such
+    /// rows first, or use [`HdcFeatureExtractor::transform_lenient`].
     pub fn transform(
         &self,
         table: &Table,
         rows: Option<&[usize]>,
     ) -> Result<Vec<BinaryHypervector>, HyperfexError> {
         let _span = crate::obs::span("core/transform");
-        let encoder = self
-            .encoder
-            .as_ref()
-            .ok_or_else(|| HyperfexError::Pipeline("transform called before fit".into()))?;
-        let all_rows: Vec<usize>;
-        let rows = match rows {
-            Some(r) => r,
-            None => {
-                all_rows = (0..table.n_rows()).collect();
-                &all_rows
-            }
-        };
-        let mut missing_checked = Vec::with_capacity(rows.len());
-        for &i in rows {
-            if table.row_has_missing(i) {
-                return Err(HyperfexError::Pipeline(format!(
-                    "row {i} contains missing values; impute or drop before encoding"
-                )));
-            }
-            missing_checked.push(table.row(i).to_vec());
-        }
-        Ok(encoder.encode_batch(&missing_checked)?)
+        Ok(encode_table(self.fitted()?, table, rows, true)?.hypervectors)
     }
 
     /// Lenient variant of [`HdcFeatureExtractor::transform`]: rows that
     /// cannot be encoded (missing values, NaN, injected faults) are
     /// quarantined instead of aborting the whole batch.
     ///
-    /// Only structural problems remain fatal (`fit` not called). The
-    /// returned [`LenientTransform`] carries one hypervector per surviving
-    /// row, the *original table indices* of the survivors, and the
-    /// quarantine accounting; `report` entries index into the requested row
+    /// Only structural problems remain fatal (`fit` not called, a row
+    /// selection out of the table's range). The returned
+    /// [`LenientTransform`] carries one hypervector per surviving row, the
+    /// *original table indices* of the survivors, and the quarantine
+    /// accounting; `report` entries index into the requested row
     /// selection, in ascending order.
     pub fn transform_lenient(
         &self,
@@ -155,28 +105,10 @@ impl HdcFeatureExtractor {
         rows: Option<&[usize]>,
     ) -> Result<LenientTransform, HyperfexError> {
         let _span = crate::obs::span("core/transform_lenient");
-        let encoder = self
-            .encoder
-            .as_ref()
-            .ok_or_else(|| HyperfexError::Pipeline("transform called before fit".into()))?;
-        let all_rows: Vec<usize>;
-        let rows = match rows {
-            Some(r) => r,
-            None => {
-                all_rows = (0..table.n_rows()).collect();
-                &all_rows
-            }
-        };
-        let values: Vec<Vec<f64>> = rows.iter().map(|&i| table.row(i).to_vec()).collect();
-        let batch = encoder.encode_batch_lenient(&values);
-        let kept_rows: Vec<usize> = batch.kept.iter().map(|&i| rows[i]).collect();
-        crate::obs::counter_add("core/rows_kept", kept_rows.len() as u64);
-        crate::obs::counter_add("core/rows_quarantined", batch.report.quarantined() as u64);
-        Ok(LenientTransform {
-            hypervectors: batch.hypervectors,
-            kept_rows,
-            report: batch.report,
-        })
+        let lenient = encode_table(self.fitted()?, table, rows, false)?;
+        crate::obs::counter_add("core/rows_kept", lenient.kept_rows.len() as u64);
+        crate::obs::counter_add("core/rows_quarantined", lenient.report.quarantined() as u64);
+        Ok(lenient)
     }
 
     /// Fits the per-feature encoders from a [`RecordStream`] in a single
@@ -196,6 +128,16 @@ impl HdcFeatureExtractor {
         stream: &mut S,
     ) -> Result<(), HyperfexError> {
         let _span = crate::obs::span("core/extractor_fit_stream");
+        self.fit_columns(columns, stream)
+    }
+
+    /// The single range-fitting pass behind [`HdcFeatureExtractor::fit`]
+    /// and [`HdcFeatureExtractor::fit_stream`].
+    fn fit_columns<S: RecordStream + ?Sized>(
+        &mut self,
+        columns: &[ColumnSpec],
+        stream: &mut S,
+    ) -> Result<(), HyperfexError> {
         if columns.is_empty() {
             return Err(HyperfexError::Pipeline(
                 "cannot fit on an empty column schema".into(),
@@ -262,14 +204,11 @@ impl HdcFeatureExtractor {
         Ok(())
     }
 
-    /// A [`StreamEncoder`] borrowing the fitted record encoder, for callers
-    /// that want to configure micro-batching or drive sinks directly.
-    pub fn stream_encoder(&self) -> Result<StreamEncoder<'_>, HyperfexError> {
-        let encoder = self
-            .encoder
+    /// The fitted record encoder.
+    fn fitted(&self) -> Result<&RecordEncoder, HyperfexError> {
+        self.encoder
             .as_ref()
-            .ok_or_else(|| HyperfexError::Pipeline("transform called before fit".into()))?;
-        Ok(StreamEncoder::new(encoder))
+            .ok_or_else(|| HyperfexError::Pipeline("transform called before fit".into()))
     }
 
     /// Encodes a [`RecordStream`] straight into a [`StreamSink`] without
@@ -285,7 +224,7 @@ impl HdcFeatureExtractor {
         K: StreamSink + ?Sized,
     {
         let _span = crate::obs::span("core/transform_stream");
-        Ok(self.stream_encoder()?.encode_stream(stream, sink)?)
+        Ok(StreamEncoder::new(self.fitted()?).encode_stream(stream, sink)?)
     }
 
     /// Lenient variant of [`HdcFeatureExtractor::transform_stream`]:
@@ -303,7 +242,7 @@ impl HdcFeatureExtractor {
         K: StreamSink + ?Sized,
     {
         let _span = crate::obs::span("core/transform_stream_lenient");
-        let outcome = self.stream_encoder()?.encode_stream_lenient(stream, sink)?;
+        let outcome = StreamEncoder::new(self.fitted()?).encode_stream_lenient(stream, sink)?;
         crate::obs::counter_add("core/rows_kept", outcome.report.kept() as u64);
         crate::obs::counter_add("core/rows_quarantined", outcome.report.quarantined() as u64);
         Ok(outcome)
@@ -325,16 +264,14 @@ impl HdcFeatureExtractor {
         table: &Table,
         row: usize,
     ) -> Result<Vec<BinaryHypervector>, HyperfexError> {
-        let encoder = self
-            .encoder
-            .as_ref()
-            .ok_or_else(|| HyperfexError::Pipeline("transform called before fit".into()))?;
-        if table.row_has_missing(row) {
-            return Err(HyperfexError::Pipeline(format!(
-                "row {row} contains missing values; impute or drop before encoding"
-            )));
-        }
-        Ok(encoder.encode_features(table.row(row))?)
+        let encoder = self.fitted()?;
+        let values = table
+            .rows()
+            .get(row)
+            .ok_or_else(|| out_of_bounds(row, table))?;
+        encoder
+            .encode_features(values)
+            .map_err(|error| record_error(row, &error))
     }
 
     /// Distils the fitted encoder down to the `k_bits` most
@@ -354,20 +291,12 @@ impl HdcFeatureExtractor {
     ) -> Result<DistilledExtractor, HyperfexError> {
         let _span = crate::obs::span("core/distill");
         let hvs = self.transform(table, rows)?;
-        let all_rows: Vec<usize>;
-        let rows = match rows {
-            Some(r) => r,
-            None => {
-                all_rows = (0..table.n_rows()).collect();
-                &all_rows
-            }
+        let labels: Vec<usize> = match rows {
+            Some(r) => r.iter().map(|&i| table.labels()[i]).collect(),
+            None => table.labels().to_vec(),
         };
         let mut acc = ClassAccumulators::new(self.dim);
-        for (hv, &row) in hvs.iter().zip(rows) {
-            let label = table.labels()[row];
-            acc.grow(label);
-            acc.add(label, hv, 1);
-        }
+        acc.add_batch(&hvs, &labels)?;
         let scores = discrimination_scores(&acc)
             .map_err(|e| HyperfexError::Pipeline(format!("distillation ranking failed: {e}")))?;
         let selection = BitSelection::top_k(self.dim, &scores, k_bits)
@@ -487,24 +416,7 @@ impl DistilledExtractor {
         rows: Option<&[usize]>,
     ) -> Result<Vec<BinaryHypervector>, HyperfexError> {
         let _span = crate::obs::span("core/distilled_transform");
-        let all_rows: Vec<usize>;
-        let rows = match rows {
-            Some(r) => r,
-            None => {
-                all_rows = (0..table.n_rows()).collect();
-                &all_rows
-            }
-        };
-        let mut values = Vec::with_capacity(rows.len());
-        for &i in rows {
-            if table.row_has_missing(i) {
-                return Err(HyperfexError::Pipeline(format!(
-                    "row {i} contains missing values; impute or drop before encoding"
-                )));
-            }
-            values.push(table.row(i).to_vec());
-        }
-        Ok(self.encoder.encode_batch(&values)?)
+        Ok(encode_table(&self.encoder, table, rows, true)?.hypervectors)
     }
 
     /// Gathers already-encoded full-width hypervectors into the pruned
@@ -553,13 +465,12 @@ impl<'a> TableStream<'a> {
     /// Out-of-bounds indices in the selection are reported up front, so
     /// `next_record` never panics mid-stream.
     pub fn new(table: &'a Table, rows: Option<&'a [usize]>) -> Result<Self, HyperfexError> {
-        if let Some(selection) = rows {
-            if let Some(&bad) = selection.iter().find(|&&i| i >= table.n_rows()) {
-                return Err(HyperfexError::Pipeline(format!(
-                    "row selection index {bad} is out of bounds for a table of {} rows",
-                    table.n_rows()
-                )));
-            }
+        if let Some(&bad) = rows
+            .unwrap_or_default()
+            .iter()
+            .find(|&&i| i >= table.n_rows())
+        {
+            return Err(out_of_bounds(bad, table));
         }
         Ok(Self {
             table,
@@ -602,6 +513,54 @@ impl RecordStream for TableStream<'_> {
         values.extend_from_slice(self.table.row(row));
         Some(self.table.labels()[row])
     }
+}
+
+/// The error for a row selection index past the end of `table`.
+fn out_of_bounds(row: usize, table: &Table) -> HyperfexError {
+    HyperfexError::Pipeline(format!(
+        "row selection index {row} is out of bounds for a table of {} rows",
+        table.n_rows()
+    ))
+}
+
+/// The error for table row `row`, which failed to encode.
+fn record_error(row: usize, error: &HdcError) -> HyperfexError {
+    HyperfexError::Pipeline(format!(
+        "row {row} cannot be encoded ({error}); impute or drop missing values before encoding"
+    ))
+}
+
+/// The one table encode behind [`HdcFeatureExtractor::transform`],
+/// [`HdcFeatureExtractor::transform_lenient`] and
+/// [`DistilledExtractor::transform`]: the selected rows stream through the
+/// encode driver as one micro-batch. A missing (`NaN`) or otherwise
+/// non-finite value fails its record; strict mode then returns an error
+/// naming the table row, lenient mode quarantines the record.
+fn encode_table(
+    encoder: &RecordEncoder,
+    table: &Table,
+    rows: Option<&[usize]>,
+    strict: bool,
+) -> Result<LenientTransform, HyperfexError> {
+    let mut stream = TableStream::new(table, rows)?;
+    let mut sink = CollectSink::new();
+    let outcome = StreamEncoder::new(encoder)
+        .with_micro_batch(stream.len())
+        .encode_batch(&mut stream, &mut sink, strict)?;
+    let table_row = |seq: usize| rows.map_or(seq, |selection| selection[seq]);
+    let failed = outcome.report.entries();
+    if let (true, Some(entry)) = (strict, failed.first()) {
+        return Err(record_error(table_row(entry.row), &entry.error));
+    }
+    let kept_rows = (0..outcome.report.total())
+        .filter(|seq| failed.binary_search_by_key(seq, |entry| entry.row).is_err())
+        .map(table_row)
+        .collect();
+    Ok(LenientTransform {
+        hypervectors: sink.into_parts().0,
+        kept_rows,
+        report: outcome.report,
+    })
 }
 
 /// Writes the bits of `hv` into `row` as 0.0/1.0, reading the packed words
@@ -709,6 +668,26 @@ mod tests {
         let subset = ext.transform_lenient(&table, Some(&[3, 2])).unwrap();
         assert_eq!(subset.kept_rows, vec![2]);
         assert_eq!(subset.report.entries()[0].row, 0);
+    }
+
+    #[test]
+    fn out_of_range_rows_are_typed_errors() {
+        let table = Table::new(
+            vec![ColumnSpec::continuous("a")],
+            vec![vec![1.0], vec![2.0]],
+            vec![0, 1],
+        )
+        .unwrap();
+        let mut ext = HdcFeatureExtractor::new(Dim::new(128), 0);
+        assert!(ext.fit(&table, Some(&[0, 2])).is_err());
+        ext.fit(&table, None).unwrap();
+        let bad: &[usize] = &[1, 2];
+        assert!(ext.transform(&table, Some(bad)).is_err());
+        assert!(ext.transform_lenient(&table, Some(bad)).is_err());
+        assert!(ext.distill(&table, Some(bad), 16).is_err());
+        assert!(ext.feature_hypervectors(&table, 2).is_err());
+        let distilled = ext.distill(&table, None, 16).unwrap();
+        assert!(distilled.transform(&table, Some(bad)).is_err());
     }
 
     #[test]

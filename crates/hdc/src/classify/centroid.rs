@@ -46,6 +46,9 @@ impl CentroidClassifier {
     }
 
     /// Bundles the training set into per-class prototypes.
+    ///
+    /// All-or-nothing: every row is validated before the model changes, so
+    /// a failed (re)fit leaves the previous prototypes in place.
     // lint: index-ok (sums/counts are sized to n_classes = max(labels) + 1
     // above, and hypervectors[0] is guarded by the empty check)
     pub fn fit(
@@ -63,17 +66,17 @@ impl CentroidClassifier {
             });
         }
         let dim = hypervectors[0].dim();
+        if let Some(bad) = hypervectors.iter().find(|hv| hv.dim() != dim) {
+            return Err(HdcError::DimensionMismatch {
+                left: dim.get(),
+                right: bad.dim().get(),
+            });
+        }
         let n_classes = labels.iter().copied().max().unwrap_or(0) + 1;
         self.dim = Some(dim);
         self.sums = vec![vec![0i32; dim.get()]; n_classes];
         self.counts = vec![0u32; n_classes];
         for (hv, &label) in hypervectors.iter().zip(labels) {
-            if hv.dim() != dim {
-                return Err(HdcError::DimensionMismatch {
-                    left: dim.get(),
-                    right: hv.dim().get(),
-                });
-            }
             Self::accumulate(&mut self.sums[label], hv, 1);
             self.counts[label] += 1;
         }
@@ -529,6 +532,36 @@ mod tests {
             clf.fit(&[a, b], &[0, 1]),
             Err(HdcError::DimensionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn failed_refit_leaves_the_model_untouched() {
+        let (hvs, labels, enc) = training_set();
+        let mut clf = CentroidClassifier::new();
+        clf.fit(&hvs, &labels).unwrap();
+        let untouched = clf.clone();
+        // A 4-class set whose last row has the wrong width.
+        let mut bad_hvs = hvs.clone();
+        bad_hvs.push(enc.encode(40.0));
+        bad_hvs.push(BinaryHypervector::zeros(Dim::new(64)));
+        let mut bad_labels = labels.clone();
+        bad_labels.extend([2, 3]);
+        assert!(matches!(
+            clf.fit(&bad_hvs, &bad_labels),
+            Err(HdcError::DimensionMismatch { .. })
+        ));
+        assert_eq!(clf.n_classes(), untouched.n_classes());
+        for class in 0..untouched.n_classes() {
+            assert_eq!(clf.prototype(class), untouched.prototype(class));
+        }
+        let mut reference = untouched;
+        let probe = enc.encode(60.0);
+        clf.update(&probe, 1).unwrap();
+        reference.update(&probe, 1).unwrap();
+        for class in 0..reference.n_classes() {
+            assert_eq!(clf.prototype(class), reference.prototype(class));
+        }
+        assert_eq!(clf.predict(&probe), reference.predict(&probe));
     }
 
     #[test]

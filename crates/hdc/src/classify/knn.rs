@@ -1,7 +1,10 @@
 //! k-nearest-neighbour classification under Hamming distance.
 
-use crate::binary::BinaryHypervector;
+use crate::binary::{BinaryHypervector, Dim};
+use crate::bitmatrix::BitMatrix;
+use crate::classify::majority_vote;
 use crate::error::HdcError;
+use crate::topk::TopK;
 
 /// Fewest queries a parallel chunk of [`HammingKnnClassifier::predict_batch`]
 /// takes: each query scans every training row, so eight of them outweigh
@@ -12,21 +15,19 @@ const MIN_CHUNK_QUERIES: usize = 8;
 ///
 /// The paper's pure-HDC model (§II-C) is `k = 1`: "Record the predicted
 /// class as the known class of the closest hypervector." Larger `k` with
-/// majority or distance-weighted voting is provided as the natural
-/// extension; ties in both distance and vote break toward the lowest class
-/// index for determinism.
+/// majority voting is provided as the natural extension. Distance ties
+/// break toward the lower training index and vote ties toward the lowest
+/// class index, for determinism.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct HammingKnnClassifier {
     k: usize,
-    weighted: bool,
-    train: Vec<BinaryHypervector>,
+    train: BitMatrix,
     labels: Vec<usize>,
     n_classes: usize,
 }
 
 impl HammingKnnClassifier {
-    /// Creates an unfitted classifier with `k` neighbours and unweighted
-    /// majority voting.
+    /// Creates an unfitted classifier with `k` neighbours.
     ///
     /// Returns [`HdcError::InvalidConfig`] if `k == 0` — the same typed
     /// error form as [`crate::classify::LeaveOneOut::with_k`].
@@ -36,18 +37,10 @@ impl HammingKnnClassifier {
         }
         Ok(Self {
             k,
-            weighted: false,
-            train: Vec::new(),
+            train: BitMatrix::zeros(0, Dim::new(1)),
             labels: Vec::new(),
             n_classes: 0,
         })
-    }
-
-    /// Enables inverse-distance weighting of neighbour votes.
-    #[must_use]
-    pub fn with_distance_weighting(mut self) -> Self {
-        self.weighted = true;
-        self
     }
 
     /// Stores the training set.
@@ -65,15 +58,8 @@ impl HammingKnnClassifier {
                 labels: labels.len(),
             });
         }
-        let dim = hypervectors[0].dim();
-        if let Some(bad) = hypervectors.iter().find(|hv| hv.dim() != dim) {
-            return Err(HdcError::DimensionMismatch {
-                left: dim.get(),
-                right: bad.dim().get(),
-            });
-        }
+        self.train = BitMatrix::from_hypervectors(&hypervectors)?;
         self.n_classes = labels.iter().copied().max().unwrap_or(0) + 1;
-        self.train = hypervectors;
         self.labels = labels;
         Ok(())
     }
@@ -81,58 +67,13 @@ impl HammingKnnClassifier {
     /// Number of stored training examples.
     #[must_use]
     pub fn n_train(&self) -> usize {
-        self.train.len()
+        self.train.n_rows()
     }
 
     /// Predicts the class of one query hypervector.
     pub fn predict(&self, query: &BinaryHypervector) -> Result<usize, HdcError> {
-        self.predict_excluding(query, usize::MAX)
-    }
-
-    /// Predicts while ignoring training index `exclude` (used by
-    /// leave-one-out validation; pass `usize::MAX` to exclude nothing).
-    pub fn predict_excluding(
-        &self,
-        query: &BinaryHypervector,
-        exclude: usize,
-    ) -> Result<usize, HdcError> {
-        if self.train.is_empty() {
-            return Err(HdcError::NotFitted);
-        }
-        crate::obs::counter_add("hdc/knn_queries", 1);
-        // Collect (distance, index) of the k best neighbours with a simple
-        // bounded insertion — k is tiny (1..=15) so this beats a heap.
-        let mut best: Vec<(usize, usize)> = Vec::with_capacity(self.k + 1);
-        for (i, hv) in self.train.iter().enumerate() {
-            if i == exclude {
-                continue;
-            }
-            let d = query.try_hamming(hv)?;
-            let pos = best.partition_point(|&(bd, bi)| (bd, bi) < (d, i));
-            if pos < self.k {
-                best.insert(pos, (d, i));
-                best.truncate(self.k);
-            }
-        }
-        if best.is_empty() {
-            return Err(HdcError::NotFitted);
-        }
-        // Vote.
-        let mut votes = vec![0.0f64; self.n_classes];
-        for &(d, i) in &best {
-            let w = if self.weighted {
-                1.0 / (1.0 + d as f64)
-            } else {
-                1.0
-            };
-            votes[self.labels[i]] += w;
-        }
-        votes
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(c, _)| c)
-            .ok_or(HdcError::NotFitted)
+        let predictions = self.predict_chunk(std::slice::from_ref(query))?;
+        predictions.first().copied().ok_or(HdcError::NotFitted)
     }
 
     /// Predicts a batch, the queries split across `rayon::map_chunks`
@@ -141,14 +82,33 @@ impl HammingKnnClassifier {
     pub fn predict_batch(&self, queries: &[BinaryHypervector]) -> Result<Vec<usize>, HdcError> {
         let _span = crate::obs::span("hdc/knn_predict_batch");
         rayon::map_chunks(queries, MIN_CHUNK_QUERIES, |_, chunk| {
-            chunk
-                .iter()
-                .map(|q| self.predict(q))
-                .collect::<Result<Vec<_>, _>>()
+            self.predict_chunk(chunk)
         })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()
         .map(|chunks| chunks.into_iter().flatten().collect())
+    }
+
+    /// Predicts each query of a non-empty chunk: one scan of the training
+    /// rows against the whole chunk, then a majority vote per query.
+    fn predict_chunk(&self, queries: &[BinaryHypervector]) -> Result<Vec<usize>, HdcError> {
+        if self.labels.is_empty() {
+            return Err(HdcError::NotFitted);
+        }
+        crate::obs::counter_add("hdc/knn_queries", queries.len() as u64);
+        let mut tops = TopK::new(queries.len(), self.k.min(self.train.n_rows()));
+        tops.scan(
+            &BitMatrix::from_hypervectors(queries)?,
+            &self.train,
+            0..self.train.n_rows(),
+            |i| i,
+        )?;
+        Ok((0..queries.len())
+            .map(|q| {
+                let labels = tops.list(q).iter().map(|&(_, i)| self.labels[i]);
+                majority_vote(labels, self.n_classes)
+            })
+            .collect())
     }
 }
 
@@ -208,31 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn distance_weighting_prefers_close_neighbours() {
-        let enc = LinearEncoder::new(Dim::new(4_096), 0.0, 100.0, 3).unwrap();
-        // Two far class-0 points, one adjacent class-1 point; k = 3.
-        let hvs = vec![enc.encode(10.0), enc.encode(12.0), enc.encode(49.0)];
-        let labels = vec![0, 0, 1];
-        let mut plain = HammingKnnClassifier::new(3).unwrap();
-        plain.fit(hvs.clone(), labels.clone()).unwrap();
-        let mut weighted = HammingKnnClassifier::new(3)
-            .unwrap()
-            .with_distance_weighting();
-        weighted.fit(hvs, labels).unwrap();
-        let query = enc.encode(50.0);
-        assert_eq!(
-            plain.predict(&query).unwrap(),
-            0,
-            "unweighted majority picks class 0"
-        );
-        assert_eq!(
-            weighted.predict(&query).unwrap(),
-            1,
-            "weighting favours the near neighbour"
-        );
-    }
-
-    #[test]
     fn unfitted_predict_errors() {
         let clf = HammingKnnClassifier::new(1).unwrap();
         let q = BinaryHypervector::zeros(Dim::new(64));
@@ -261,16 +196,6 @@ mod tests {
             HammingKnnClassifier::new(0),
             Err(HdcError::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    fn exclusion_skips_self_match() {
-        let (hvs, labels) = clustered_data();
-        let mut clf = HammingKnnClassifier::new(1).unwrap();
-        clf.fit(hvs.clone(), labels).unwrap();
-        // Excluding index 0, the prediction for hvs[0] must come from a
-        // different (still class-0) neighbour.
-        assert_eq!(clf.predict_excluding(&hvs[0], 0).unwrap(), 0);
     }
 
     #[test]

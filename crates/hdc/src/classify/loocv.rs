@@ -9,15 +9,17 @@
 //! visits each unordered pair once: the upper triangle is cut into square
 //! tiles of consecutive rows, the tile pairs are split evenly across
 //! `rayon::map_chunks` workers, and each distance is offered to both rows'
-//! bounded top-k lists. The per-worker lists are merged per row under the
+//! lists in a per-worker [`TopK`]. The per-worker lists are merged under the
 //! same `(distance, index)` order, so the result does not depend on how
 //! the tile pairs were split. [`crate::reference::loocv_sweep`] is the
 //! per-row formulation, kept as the oracle.
 
 use crate::binary::BinaryHypervector;
 use crate::bitmatrix::{hamming_words, tile_pair_rows, tile_pairs, MIN_TILE_PAIRS};
+use crate::classify::majority_vote;
 use crate::error::HdcError;
 use crate::obs;
+use crate::topk::TopK;
 use serde::{Deserialize, Serialize};
 
 /// Buckets for the normalized nearest-neighbour distance distribution.
@@ -85,42 +87,32 @@ impl LeaveOneOut {
         // above, so every `hamming_words` call sees equal-length rows.
         let pairs = tile_pairs(n);
         let chunk_tops = rayon::map_chunks(&pairs, MIN_TILE_PAIRS, |_, chunk| {
-            let mut tops = RowTops::new(n, k);
+            let mut tops = TopK::new(n, k);
             for (i, j) in chunk.iter().flat_map(|(a, b)| tile_pair_rows(a, b)) {
                 let d = hamming_words(hypervectors[i].words(), hypervectors[j].words());
-                tops.offer(i, (d, j));
-                tops.offer(j, (d, i));
+                tops.offer(i, d, j);
+                tops.offer(j, d, i);
             }
             tops
         });
 
         // Every unordered pair was offered by exactly one chunk, so a row's
         // k nearest overall are the k smallest of its per-chunk lists.
-        let mut best: Vec<(usize, usize)> = Vec::with_capacity(k * chunk_tops.len());
+        let mut best = TopK::new(n, k);
+        for tops in &chunk_tops {
+            best.merge(tops);
+        }
         let predictions: Vec<usize> = (0..n)
             .map(|row| {
-                best.clear();
-                for tops in &chunk_tops {
-                    best.extend_from_slice(tops.row(row));
-                }
-                best.sort_unstable();
-                best.truncate(k);
-                if let Some(&(d, _)) = best.first() {
+                let nearest = best.list(row);
+                if let Some(&(d, _)) = nearest.first() {
                     obs::observe(
                         "hdc/loocv_nn_distance",
                         NN_DISTANCE_BOUNDS,
                         d as f64 / dim.get() as f64,
                     );
                 }
-                let mut votes = vec![0u32; n_classes];
-                for &(_, j) in &best {
-                    votes[labels[j]] += 1;
-                }
-                votes
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-                    .map_or(0, |(c, _)| c)
+                majority_vote(nearest.iter().map(|&(_, j)| labels[j]), n_classes)
             })
             .collect();
 
@@ -136,44 +128,6 @@ impl LeaveOneOut {
 impl Default for LeaveOneOut {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Bounded per-row lists of the `k` smallest `(distance, index)`
-/// candidates seen so far, each kept sorted ascending, in one flat buffer.
-struct RowTops {
-    k: usize,
-    lens: Vec<usize>,
-    slots: Vec<(usize, usize)>,
-}
-
-impl RowTops {
-    fn new(n: usize, k: usize) -> Self {
-        Self {
-            k,
-            lens: vec![0; n],
-            slots: vec![(0, 0); n * k],
-        }
-    }
-
-    /// Row `row`'s candidates, ascending.
-    fn row(&self, row: usize) -> &[(usize, usize)] {
-        &self.slots[row * self.k..][..self.lens[row]]
-    }
-
-    /// Offers `candidate` to row `row`, keeping the `k` smallest. `k` is
-    /// tiny, so a bounded insertion beats a heap.
-    fn offer(&mut self, row: usize, candidate: (usize, usize)) {
-        let k = self.k;
-        let len = self.lens[row];
-        let list = &mut self.slots[row * k..][..k];
-        if len == k && candidate >= list[k - 1] {
-            return;
-        }
-        let at = list[..len].partition_point(|c| *c < candidate);
-        list.copy_within(at..len.min(k - 1), at + 1);
-        list[at] = candidate;
-        self.lens[row] = (len + 1).min(k);
     }
 }
 

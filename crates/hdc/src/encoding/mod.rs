@@ -27,10 +27,9 @@ pub use linear::LinearEncoder;
 pub use ngram::NgramEncoder;
 pub use pruned::PrunedLinearEncoder;
 pub use quantized::QuantizedLinearEncoder;
-pub(crate) use record::MIN_CHUNK_RECORDS;
 pub use record::{
-    FeatureKind, FeatureSpec, LenientBatch, QuarantineEntry, QuarantineReport, RecordEncoder,
-    RecordSchema, RecordScratch,
+    FeatureKind, FeatureSpec, QuarantineEntry, QuarantineReport, RecordEncoder, RecordSchema,
+    RecordScratch,
 };
 
 use crate::binary::{BinaryHypervector, Dim};

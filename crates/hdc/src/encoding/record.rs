@@ -4,15 +4,9 @@ use crate::binary::{BinaryHypervector, Dim};
 use crate::bundle::Bundler;
 use crate::encoding::{CategoricalEncoder, FeatureEncoder, LinearEncoder, QuantizedLinearEncoder};
 use crate::error::HdcError;
-use crate::failpoint;
-use crate::obs;
 use crate::rng::SplitMix64;
+use crate::stream::{CollectSink, RowStream, StreamEncoder};
 use serde::{Deserialize, Serialize};
-
-/// Fewest records a parallel chunk of a batch or stream encode takes: a
-/// 10,000-bit record encodes in a few microseconds, so sixteen of them
-/// outweigh the thread a chunk costs, and a single record never spawns.
-pub(crate) const MIN_CHUNK_RECORDS: usize = 16;
 
 /// The kind and parameters of a single feature.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -250,142 +244,37 @@ impl RecordEncoder {
 
     /// Encodes a batch of records in parallel.
     ///
-    /// Rows are split into contiguous chunks by `rayon::map_chunks` (at
+    /// The rows run through the [`StreamEncoder`] driver as one
+    /// micro-batch: contiguous chunks split by `rayon::map_chunks_with` (at
     /// most one per worker, at least 16 rows each, the last on the calling
     /// thread), each chunk reusing its own [`RecordScratch`] (encoder
     /// scratch vector + bundler), so the hot loop performs no per-record
-    /// allocation beyond the output hypervectors. Results are identical to
-    /// the sequential path regardless of thread count; the first error (in
-    /// row order) is returned.
+    /// allocation beyond the output hypervectors, which are collected by
+    /// value. Results are identical to the sequential path regardless of
+    /// thread count; the first error (in row order) is returned.
     pub fn encode_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<BinaryHypervector>, HdcError> {
-        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        self.encode_rows_chunked(&refs)
-    }
-
-    /// Encodes a batch given as a flat row-major slice with `arity` columns.
-    pub fn encode_batch_flat(
-        &self,
-        data: &[f64],
-        n_rows: usize,
-    ) -> Result<Vec<BinaryHypervector>, HdcError> {
-        let arity = self.schema.arity();
-        if data.len() != n_rows * arity {
-            return Err(HdcError::ArityMismatch {
-                expected: n_rows * arity,
-                got: data.len(),
-            });
+        let mut sink = CollectSink::new();
+        let outcome = StreamEncoder::new(self)
+            .with_micro_batch(rows.len())
+            .encode_batch(&mut RowStream::unlabeled(rows), &mut sink, true)?;
+        match outcome.report.entries().first() {
+            Some(entry) => Err(entry.error.clone()),
+            None => Ok(sink.into_parts().0),
         }
-        let refs: Vec<&[f64]> = data.chunks_exact(arity).collect();
-        self.encode_rows_chunked(&refs)
-    }
-
-    /// Encodes a batch of records, quarantining failures instead of
-    /// aborting.
-    ///
-    /// Where [`RecordEncoder::encode_batch`] returns the first error and
-    /// discards all work, the lenient mode encodes every row it can: rows
-    /// that fail (NaN values, arity mismatches, injected faults) are
-    /// skipped and recorded in the returned [`QuarantineReport`] with their
-    /// original index and typed error. This never aborts — an all-bad batch
-    /// simply yields zero hypervectors and a full quarantine list.
-    ///
-    /// Results are deterministic: `hypervectors[i]` corresponds to original
-    /// row `kept[i]`, both in ascending row order regardless of thread
-    /// count, and equal inputs produce byte-identical outputs.
-    #[must_use]
-    pub fn encode_batch_lenient(&self, rows: &[Vec<f64>]) -> LenientBatch {
-        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        self.encode_rows_lenient(&refs)
-    }
-
-    /// Lenient chunked-parallel driver: per-row results, never an abort.
-    fn encode_rows_lenient(&self, rows: &[&[f64]]) -> LenientBatch {
-        let _span = obs::span("hdc/encode_batch_lenient");
-        let total = rows.len();
-        if total == 0 {
-            return LenientBatch {
-                hypervectors: Vec::new(),
-                kept: Vec::new(),
-                report: QuarantineReport::new(0, Vec::new()),
-            };
-        }
-        let chunks = rayon::map_chunks(rows, MIN_CHUNK_RECORDS, |_, chunk| {
-            let mut scratch = RecordScratch::new(self.dim);
-            chunk
-                .iter()
-                .map(|row| {
-                    failpoint::check("hdc/encode_record")?;
-                    self.encode_record_with(row, &mut scratch)
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut hypervectors = Vec::with_capacity(total);
-        let mut kept = Vec::with_capacity(total);
-        let mut entries = Vec::new();
-        for (row, result) in chunks.into_iter().flatten().enumerate() {
-            match result {
-                Ok(hv) => {
-                    hypervectors.push(hv);
-                    kept.push(row);
-                }
-                Err(error) => entries.push(QuarantineEntry { row, error }),
-            }
-        }
-        obs::counter_add("hdc/records_encoded", kept.len() as u64);
-        obs::counter_add("hdc/records_quarantined", entries.len() as u64);
-        LenientBatch {
-            hypervectors,
-            kept,
-            report: QuarantineReport::new(total, entries),
-        }
-    }
-
-    /// Shared chunked-parallel driver behind both batch entry points.
-    fn encode_rows_chunked(&self, rows: &[&[f64]]) -> Result<Vec<BinaryHypervector>, HdcError> {
-        let _span = obs::span("hdc/encode_batch");
-        failpoint::check("hdc/encode_batch")?;
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-        let chunks = rayon::map_chunks(rows, MIN_CHUNK_RECORDS, |_, chunk| {
-            // Spawned chunks run on their own threads, so there this span
-            // is a root, not a child of the batch span above; the chunk
-            // on the calling thread nests under it.
-            let _span = obs::span("hdc/encode_chunk");
-            let mut scratch = RecordScratch::new(self.dim);
-            chunk
-                .iter()
-                .map(|row| self.encode_record_with(row, &mut scratch))
-                .collect::<Result<Vec<_>, _>>()
-        });
-        let mut out = Vec::with_capacity(rows.len());
-        for chunk in chunks {
-            out.extend(chunk?);
-        }
-        obs::counter_add("hdc/records_encoded", out.len() as u64);
-        // The batch path materializes every input row and output
-        // hypervector at once — the O(rows × dim) footprint the streaming
-        // pipeline exists to avoid (see `crate::stream`).
-        let arity = self.schema.arity();
-        obs::gauge_max(
-            "hdc/batch_peak_bytes",
-            (rows.len() * (arity + self.dim.words()) * 8) as u64,
-        );
-        Ok(out)
     }
 }
 
-/// One quarantined record: its original batch index and the typed error
-/// that disqualified it.
+/// One quarantined record: its position in the encoded stream and the
+/// typed error that disqualified it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuarantineEntry {
-    /// Index of the record in the original batch.
+    /// Index of the record in the encoded stream or batch.
     pub row: usize,
     /// Why the record was quarantined.
     pub error: HdcError,
 }
 
-/// Per-record accounting of a lenient batch encode: which rows were
+/// Per-record accounting of a lenient encode: which records were
 /// quarantined, why, and how many survived.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QuarantineReport {
@@ -427,19 +316,6 @@ impl QuarantineReport {
     pub fn entries(&self) -> &[QuarantineEntry] {
         &self.entries
     }
-}
-
-/// The outcome of [`RecordEncoder::encode_batch_lenient`]: the surviving
-/// hypervectors, the original indices they came from, and the quarantine
-/// accounting for everything that did not survive.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LenientBatch {
-    /// Hypervectors for the rows that encoded successfully, in row order.
-    pub hypervectors: Vec<BinaryHypervector>,
-    /// Original batch index of each surviving hypervector (ascending).
-    pub kept: Vec<usize>,
-    /// Which rows were quarantined and why.
-    pub report: QuarantineReport,
 }
 
 /// Reusable scratch state for [`RecordEncoder::encode_record_with`]: one
@@ -543,10 +419,6 @@ mod tests {
         for (row, hv) in rows.iter().zip(&batch) {
             assert_eq!(hv, &enc.encode_record(row).unwrap());
         }
-        // Flat layout agrees too.
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        assert_eq!(enc.encode_batch_flat(&flat, rows.len()).unwrap(), batch);
-        assert!(enc.encode_batch_flat(&flat[1..], rows.len()).is_err());
     }
 
     #[test]
@@ -589,6 +461,29 @@ mod tests {
         ));
     }
 
+    /// What a lenient batch pass over `rows` kept: the survivors, their
+    /// row indices (each row's label is its index) and the report.
+    struct LenientBatch {
+        hypervectors: Vec<BinaryHypervector>,
+        kept: Vec<usize>,
+        report: QuarantineReport,
+    }
+
+    fn lenient_batch(enc: &RecordEncoder, rows: &[Vec<f64>]) -> LenientBatch {
+        let index: Vec<usize> = (0..rows.len()).collect();
+        let mut sink = CollectSink::new();
+        let outcome = StreamEncoder::new(enc)
+            .with_micro_batch(rows.len())
+            .encode_batch(&mut RowStream::new(rows, &index).unwrap(), &mut sink, false)
+            .unwrap();
+        let (hypervectors, kept) = sink.into_parts();
+        LenientBatch {
+            hypervectors,
+            kept,
+            report: outcome.report,
+        }
+    }
+
     #[test]
     fn lenient_batch_quarantines_nan_and_arity_rows() {
         let enc = RecordEncoder::new(Dim::new(512), schema(), 7).unwrap();
@@ -599,7 +494,7 @@ mod tests {
             vec![60.0, 130.0, 1.0],         // good
             vec![65.0, f64::INFINITY, 0.0], // infinite value
         ];
-        let batch = enc.encode_batch_lenient(&rows);
+        let batch = lenient_batch(&enc, &rows);
         assert_eq!(batch.kept, vec![0, 3]);
         assert_eq!(batch.hypervectors.len(), 2);
         assert_eq!(batch.report.total(), 5);
@@ -624,7 +519,7 @@ mod tests {
             .map(|i| vec![21.0 + i as f64, 60.0 + 5.0 * i as f64, f64::from(i % 2)])
             .collect();
         let strict = enc.encode_batch(&rows).unwrap();
-        let lenient = enc.encode_batch_lenient(&rows);
+        let lenient = lenient_batch(&enc, &rows);
         assert_eq!(lenient.hypervectors, strict);
         assert_eq!(lenient.kept, (0..rows.len()).collect::<Vec<_>>());
         assert!(lenient.report.is_clean());
@@ -634,10 +529,10 @@ mod tests {
     fn lenient_batch_survives_all_bad_and_empty_input() {
         let enc = RecordEncoder::new(Dim::new(256), schema(), 3).unwrap();
         let all_bad = vec![vec![f64::NAN, 1.0, 0.0], vec![1.0]];
-        let batch = enc.encode_batch_lenient(&all_bad);
+        let batch = lenient_batch(&enc, &all_bad);
         assert!(batch.hypervectors.is_empty());
         assert_eq!(batch.report.quarantined(), 2);
-        let empty = enc.encode_batch_lenient(&[]);
+        let empty = lenient_batch(&enc, &[]);
         assert!(empty.hypervectors.is_empty());
         assert!(empty.report.is_clean());
         assert_eq!(empty.report.total(), 0);

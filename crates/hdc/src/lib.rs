@@ -16,6 +16,8 @@
 //! * [`encoding`] — the paper's linear (level) encoder for continuous
 //!   features, the categorical encoder for binary features, and the record
 //!   encoder that bundles one hypervector per patient.
+//! * [`topk`] — the bounded k-nearest selection every Hamming k-NN path
+//!   shares.
 //! * [`classify`] — Hamming 1-NN / k-NN, nearest-centroid (class prototype)
 //!   classifiers with optional perceptron-style retraining, online
 //!   mistake-driven trainers (perceptron / passive-aggressive / LVQ) with
@@ -67,6 +69,7 @@ pub mod sdm;
 pub mod similarity;
 pub mod stream;
 pub mod ternary;
+pub mod topk;
 
 pub use binary::{BinaryHypervector, Dim};
 pub use bipolar::BipolarHypervector;
@@ -88,8 +91,8 @@ pub mod prelude {
     };
     pub use crate::distill::{discrimination_scores, permutation_scores, BitSelection};
     pub use crate::encoding::{
-        CategoricalEncoder, FeatureEncoder, LenientBatch, LinearEncoder, PrunedLinearEncoder,
-        QuarantineEntry, QuarantineReport, RecordEncoder, RecordSchema, RecordScratch,
+        CategoricalEncoder, FeatureEncoder, LinearEncoder, PrunedLinearEncoder, QuarantineEntry,
+        QuarantineReport, RecordEncoder, RecordSchema, RecordScratch,
     };
     pub use crate::error::HdcError;
     pub use crate::rng::SplitMix64;

@@ -1,21 +1,26 @@
 //! Single-pass streaming encode pipeline: O(dim) state for unbounded
 //! cohorts.
 //!
-//! [`RecordEncoder::encode_batch`](crate::encoding::RecordEncoder::encode_batch)
-//! materializes every hypervector of a cohort before any consumer sees
-//! one, so memory grows O(rows × dim). This module restructures encoding
-//! as a stream: a [`RecordStream`] yields raw feature rows one at a time,
-//! a [`StreamEncoder`] encodes them in micro-batches split by
+//! A [`RecordStream`] yields raw feature rows one at a time, a
+//! [`StreamEncoder`] encodes them in micro-batches split by
 //! `rayon::map_chunks_with` (reusing one [`RecordScratch`] per chunk slot
 //! across the whole stream), and each encoded hypervector is handed to a
-//! [`StreamSink`] in stream order and then dropped. Resident state is one micro-batch of rows and
-//! hypervectors plus the sink's accumulator — O(dim), independent of how
-//! many records flow through.
+//! [`StreamSink`] in stream order, by value. Resident state is one
+//! micro-batch of rows and hypervectors plus the sink's accumulator —
+//! O(dim), independent of how many records flow through.
+//!
+//! This micro-batch driver is the only encode loop in the crate. A batch
+//! encode ([`StreamEncoder::encode_batch`], behind
+//! [`RecordEncoder::encode_batch`](crate::encoding::RecordEncoder::encode_batch))
+//! runs it as one micro-batch sized to the whole cohort and collects every
+//! hypervector before any consumer sees one, so its memory grows
+//! O(rows × dim).
 //!
 //! ## Sink contract
 //!
-//! [`StreamSink::absorb`] receives records in stream order, exactly once
-//! per surviving record, tagged with the record's stream sequence number.
+//! [`StreamSink::absorb_owned`] (by default [`StreamSink::absorb`])
+//! receives records in stream order, exactly once per surviving record,
+//! tagged with the record's stream sequence number.
 //! A sink error aborts the stream (sink failures are structural, not
 //! per-record data problems). Sinks whose state is a commutative
 //! accumulator — [`BundlerSink`] (counter planes) and
@@ -33,17 +38,21 @@
 //! `hdc/stream_encode` seam) aborts with its typed error; everything the
 //! sink already absorbed stays absorbed. The lenient variant
 //! [`StreamEncoder::encode_stream_lenient`] quarantines failed records
-//! and keeps going, with the same `kept + quarantined == seen` invariant
-//! as the batch lenient path.
+//! and keeps going, with the invariant `kept + quarantined == seen`. The
+//! batch passes fail and quarantine records the same way but check their
+//! own failpoints (see [`StreamEncoder::encode_batch`]).
 
 use crate::binary::{BinaryHypervector, Dim};
 use crate::bundle::Bundler;
 use crate::classify::trainer::{ClassAccumulators, OnlineTrainer};
-use crate::encoding::{
-    QuarantineEntry, QuarantineReport, RecordEncoder, RecordScratch, MIN_CHUNK_RECORDS,
-};
+use crate::encoding::{QuarantineEntry, QuarantineReport, RecordEncoder, RecordScratch};
 use crate::error::HdcError;
 use crate::{failpoint, obs};
+
+/// Fewest records a parallel chunk of an encode micro-batch takes: a
+/// 10,000-bit record encodes in a few microseconds, so sixteen of them
+/// outweigh the thread a chunk costs, and a single record never spawns.
+const MIN_CHUNK_RECORDS: usize = 16;
 
 /// Default records per encode micro-batch: large enough to amortize the
 /// parallel fan-out, small enough that the resident buffer stays a rounding
@@ -144,6 +153,18 @@ pub trait StreamSink {
     /// number, so `seq` always matches the source row index).
     fn absorb(&mut self, seq: usize, label: usize, hv: &BinaryHypervector)
         -> Result<(), HdcError>;
+
+    /// Absorbs one encoded record the sink may keep without copying. The
+    /// encode driver hands every record over through this; by default it
+    /// is [`StreamSink::absorb`].
+    fn absorb_owned(
+        &mut self,
+        seq: usize,
+        label: usize,
+        hv: BinaryHypervector,
+    ) -> Result<(), HdcError> {
+        self.absorb(seq, label, &hv)
+    }
 
     /// Approximate resident bytes of the sink's accumulator state, folded
     /// into the `hdc/stream_peak_bytes` watermark. O(dim) sinks report a
@@ -355,13 +376,17 @@ impl CollectSink {
 }
 
 impl StreamSink for CollectSink {
-    fn absorb(
+    fn absorb(&mut self, seq: usize, label: usize, hv: &BinaryHypervector) -> Result<(), HdcError> {
+        self.absorb_owned(seq, label, hv.clone())
+    }
+
+    fn absorb_owned(
         &mut self,
         _seq: usize,
         label: usize,
-        hv: &BinaryHypervector,
+        hv: BinaryHypervector,
     ) -> Result<(), HdcError> {
-        self.hypervectors.push(hv.clone());
+        self.hypervectors.push(hv);
         self.labels.push(label);
         Ok(())
     }
@@ -390,9 +415,9 @@ pub struct StreamOutcome {
 /// (contiguous chunks, the last on the calling thread, one persistent
 /// [`RecordScratch`] per chunk slot — bit-identical to the sequential
 /// path regardless of thread count), then drained into the sink in
-/// stream order on the calling thread.
-/// The `hdc/stream_encode` failpoint is evaluated once per record during
-/// the sequential drain, so fault windows replay deterministically.
+/// stream order on the calling thread. A per-record failpoint
+/// (`hdc/stream_encode` for streams) is evaluated during that sequential
+/// drain, so fault windows replay deterministically.
 #[derive(Debug, Clone)]
 pub struct StreamEncoder<'a> {
     encoder: &'a RecordEncoder,
@@ -424,12 +449,6 @@ impl<'a> StreamEncoder<'a> {
         self.encoder.dim()
     }
 
-    /// Records per micro-batch.
-    #[must_use]
-    pub fn micro_batch(&self) -> usize {
-        self.micro_batch
-    }
-
     /// Strict streaming encode: feeds `stream` through the encoder into
     /// `sink`, aborting on the first failed record with its typed error.
     /// Returns the number of records encoded and absorbed. Records the
@@ -439,13 +458,12 @@ impl<'a> StreamEncoder<'a> {
         S: RecordStream + ?Sized,
         K: StreamSink + ?Sized,
     {
-        match self.drive(stream, sink, true)? {
-            outcome if outcome.report.is_clean() => Ok(outcome.absorbed),
-            outcome => {
-                // Strict mode quarantines at most one record: the abort.
-                // lint: index-ok (non-clean report has at least one entry)
-                Err(outcome.report.entries()[0].error.clone())
-            }
+        let _span = obs::span("hdc/encode_stream");
+        let outcome = self.drive(stream, sink, Pass::Stream { strict: true })?;
+        // Strict mode quarantines at most one record: the abort.
+        match outcome.report.entries().first() {
+            Some(entry) => Err(entry.error.clone()),
+            None => Ok(outcome.absorbed),
         }
     }
 
@@ -462,28 +480,91 @@ impl<'a> StreamEncoder<'a> {
         S: RecordStream + ?Sized,
         K: StreamSink + ?Sized,
     {
-        self.drive(stream, sink, false)
+        let _span = obs::span("hdc/encode_stream");
+        self.drive(stream, sink, Pass::Stream { strict: false })
     }
 
-    /// Shared micro-batch driver. In strict mode the outcome carries at
-    /// most one quarantine entry (the record that aborted the stream).
-    // lint: index-ok (every `filled`-bounded access is into buffers sized
-    // `micro_batch` with `filled <= micro_batch` by the fill loop)
-    fn drive<S, K>(&self, stream: &mut S, sink: &mut K, strict: bool) -> Result<StreamOutcome, HdcError>
+    /// Batch encode through the same driver, for callers that hold the
+    /// whole cohort: [`RecordEncoder::encode_batch`] and the table
+    /// transforms of the `hyperfex` crate, which size the micro-batch to
+    /// the stream so it runs as one.
+    ///
+    /// Strict: the `hdc/encode_batch` failpoint is checked once up front,
+    /// and the first failed record stops the pass as the report's only
+    /// entry. Lenient: the `hdc/encode_record` failpoint is checked once
+    /// per record, and failed records are quarantined. Either way a
+    /// non-finite value fails its record, and `Err` means a failpoint or
+    /// sink failure rather than a bad record.
+    pub fn encode_batch<S, K>(
+        &self,
+        stream: &mut S,
+        sink: &mut K,
+        strict: bool,
+    ) -> Result<StreamOutcome, HdcError>
     where
         S: RecordStream + ?Sized,
         K: StreamSink + ?Sized,
     {
-        let _span = obs::span("hdc/encode_stream");
+        let _span = obs::span(if strict {
+            "hdc/encode_batch"
+        } else {
+            "hdc/encode_batch_lenient"
+        });
+        if strict {
+            failpoint::check("hdc/encode_batch")?;
+        }
+        let pass = if strict {
+            Pass::Batch
+        } else {
+            Pass::LenientBatch
+        };
+        let outcome = self.drive(stream, sink, pass)?;
+        let total = outcome.report.total();
+        if total > 0 && (!strict || outcome.report.is_clean()) {
+            // lint: cast-ok (usize counts widen losslessly to u64 on every supported target)
+            obs::counter_add("hdc/records_encoded", outcome.absorbed as u64);
+            if strict {
+                // The batch path materializes every input row and output
+                // hypervector at once — the O(rows × dim) footprint the
+                // streaming pipeline exists to avoid.
+                let row_bytes = (self.encoder.schema().arity() + self.dim().words()) * 8;
+                // lint: cast-ok (byte counts fit u64 on every supported target)
+                obs::gauge_max("hdc/batch_peak_bytes", (total * row_bytes) as u64);
+            } else {
+                // lint: cast-ok (usize counts widen losslessly to u64 on every supported target)
+                obs::counter_add(
+                    "hdc/records_quarantined",
+                    outcome.report.quarantined() as u64,
+                );
+            }
+        }
+        Ok(outcome)
+    }
+
+    /// The micro-batch driver behind every encode: fills a micro-batch from
+    /// the stream, encodes it in parallel, then drains it into the sink in
+    /// stream order. Strict passes stop at the first failed record, which
+    /// is then the outcome's only quarantine entry.
+    // lint: index-ok (every `filled`-bounded access is into buffers grown
+    // to at least `filled` entries by the fill loop)
+    fn drive<S, K>(
+        &self,
+        stream: &mut S,
+        sink: &mut K,
+        pass: Pass,
+    ) -> Result<StreamOutcome, HdcError>
+    where
+        S: RecordStream + ?Sized,
+        K: StreamSink + ?Sized,
+    {
         let arity = self.encoder.schema().arity();
         let words = self.encoder.dim().words();
 
-        // Row buffers and result slots are allocated once and reused
+        // Row buffers grow to the largest micro-batch filled and are reused
         // across micro-batches; worker scratches persist for the whole
         // stream. Resident footprint is O(micro_batch × dim).
         let mut rows: Vec<Vec<f64>> = Vec::new();
-        rows.resize_with(self.micro_batch, || Vec::with_capacity(arity));
-        let mut labels = vec![0usize; self.micro_batch];
+        let mut labels: Vec<usize> = Vec::new();
         let mut scratches: Vec<RecordScratch> = Vec::new();
 
         let mut seen = 0usize;
@@ -494,6 +575,10 @@ impl<'a> StreamEncoder<'a> {
             // Fill the next micro-batch.
             let mut filled = 0usize;
             while filled < self.micro_batch {
+                if filled == rows.len() {
+                    rows.push(Vec::with_capacity(arity));
+                    labels.push(0);
+                }
                 let buf = &mut rows[filled];
                 buf.clear();
                 match stream.next_record(buf) {
@@ -520,6 +605,10 @@ impl<'a> StreamEncoder<'a> {
                 &mut scratches,
                 || RecordScratch::new(dim),
                 |scratch, _, chunk| {
+                    // Spawned chunks run on their own threads, so there
+                    // this span is a root, not a child of the batch span;
+                    // the chunk on the calling thread nests under it.
+                    let _span = (pass == Pass::Batch).then(|| obs::span("hdc/encode_chunk"));
                     chunk
                         .iter()
                         .map(|row| encoder.encode_record_with(row, scratch))
@@ -529,49 +618,79 @@ impl<'a> StreamEncoder<'a> {
 
             // Drain in stream order on this thread. The failpoint seam is
             // sequential, so windowed fault rules replay byte-identically.
-            let mut aborted: Option<HdcError> = None;
+            let mut aborted = false;
             for (result, &label) in chunks.into_iter().flatten().zip(&labels[..filled]) {
                 let seq = seen;
                 seen += 1;
-                match failpoint::check("hdc/stream_encode").and(result) {
+                match pass.check_record().and(result) {
                     Ok(hv) => {
-                        sink.absorb(seq, label, &hv)?;
+                        sink.absorb_owned(seq, label, hv)?;
                         absorbed += 1;
                     }
                     Err(error) => {
-                        entries.push(QuarantineEntry { row: seq, error: error.clone() });
-                        if strict {
-                            aborted = Some(error);
+                        entries.push(QuarantineEntry { row: seq, error });
+                        if pass.strict() {
+                            aborted = true;
                             break;
                         }
                     }
                 }
             }
 
-            // The watermark models the pipeline's resident buffers: the
-            // row/result micro-batch plus the sink accumulator. An
-            // allocator hook would need a dependency this workspace
-            // doesn't take; this accounting is exact for the buffers the
-            // stream owns.
-            let batch_bytes = self.micro_batch * (arity + words) * 8;
-            let scratch_bytes = scratches.len() * words * 8 * 2;
-            obs::gauge_max(
-                "hdc/stream_peak_bytes",
-                // lint: cast-ok (byte counts fit u64 on every supported target)
-                (batch_bytes + scratch_bytes + sink.state_bytes()) as u64,
-            );
+            if let Pass::Stream { .. } = pass {
+                // The watermark models the pipeline's resident buffers: the
+                // row/result micro-batch plus the sink accumulator. An
+                // allocator hook would need a dependency this workspace
+                // doesn't take; this accounting is exact for the buffers
+                // the stream owns.
+                let batch_bytes = self.micro_batch * (arity + words) * 8;
+                let scratch_bytes = scratches.len() * words * 8 * 2;
+                obs::gauge_max(
+                    "hdc/stream_peak_bytes",
+                    // lint: cast-ok (byte counts fit u64 on every supported target)
+                    (batch_bytes + scratch_bytes + sink.state_bytes()) as u64,
+                );
+            }
 
-            if aborted.is_some() {
+            if aborted {
                 break;
             }
         }
 
-        // lint: cast-ok (usize counts widen losslessly to u64 on every supported target)
-        obs::counter_add("hdc/stream_records", absorbed as u64);
-        obs::counter_add("hdc/stream_quarantined", entries.len() as u64);
+        if let Pass::Stream { .. } = pass {
+            // lint: cast-ok (usize counts widen losslessly to u64 on every supported target)
+            obs::counter_add("hdc/stream_records", absorbed as u64);
+            obs::counter_add("hdc/stream_quarantined", entries.len() as u64);
+        }
         Ok(StreamOutcome {
             absorbed,
             report: QuarantineReport::new(seen, entries),
         })
+    }
+}
+
+/// Which entry point one run of the driver serves: that decides its
+/// per-record failpoint, whether it stops at the first failed record, and
+/// what it reports (only streams feed the `hdc/stream_*` counters and
+/// watermark; only a strict batch opens `hdc/encode_chunk` spans).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    Stream { strict: bool },
+    Batch,
+    LenientBatch,
+}
+
+impl Pass {
+    fn strict(self) -> bool {
+        matches!(self, Self::Stream { strict: true } | Self::Batch)
+    }
+
+    /// Evaluates this pass's per-record failpoint, if it has one.
+    fn check_record(self) -> Result<(), HdcError> {
+        match self {
+            Self::Stream { .. } => failpoint::check("hdc/stream_encode"),
+            Self::LenientBatch => failpoint::check("hdc/encode_record"),
+            Self::Batch => Ok(()),
+        }
     }
 }

@@ -6,7 +6,8 @@ use crate::linalg::Matrix;
 use crate::traits::{
     validate_fit_inputs, validate_packed_fit_inputs, Estimator, Features, ProbabilisticEstimator,
 };
-use hyperfex_hdc::bitmatrix::{hamming_words, BitMatrix};
+use hyperfex_hdc::bitmatrix::BitMatrix;
+use hyperfex_hdc::topk::TopK;
 use serde::{Deserialize, Serialize};
 
 /// Fewest query rows a parallel chunk of a prediction takes: each row
@@ -44,8 +45,8 @@ impl Default for KnnParams {
 ///
 /// Fitting on [`Features::Packed`] stores the training set in bit-packed
 /// form: on 0/1 features squared Euclidean distance *equals* Hamming
-/// distance, so neighbour search runs on integer popcounts
-/// ([`hamming_words`]) and reproduces the dense predictions bit-exactly
+/// distance, so neighbour search runs on integer popcounts (the shared
+/// [`TopK`] scan) and reproduces the dense predictions bit-exactly
 /// (f32 represents every distance ≤ 2²⁴ exactly, and integer ties order
 /// the same way as their f32 images).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -71,78 +72,57 @@ impl KnnClassifier {
     }
 
     fn vote(&self, row: &[f32]) -> Result<Vec<f64>, MlError> {
-        if self.x.is_none() {
-            // Fitted packed (or not at all): bridge through the bit rows.
-            let packed = self.packed.as_ref().ok_or(MlError::NotFitted)?;
-            if row.len() != packed.dim().get() {
-                return Err(MlError::ShapeMismatch {
-                    expected: format!("{} features", packed.dim().get()),
-                    got: format!("{} features", row.len()),
-                });
-            }
-            let n = packed.n_rows();
-            let k = self.params.k.min(n);
-            let mut best: Vec<(f32, usize)> = Vec::with_capacity(k + 1);
-            for i in 0..n {
-                let d = squared_distance_to_bits(row, packed.row_words(i));
-                let pos = best.partition_point(|&(bd, bi)| bd < d || (bd == d && bi < i));
-                if pos < k {
-                    best.insert(pos, (d, i));
-                    best.truncate(k);
-                }
-            }
-            return Ok(self.tally(&best));
-        }
-        let x = self.x.as_ref().ok_or(MlError::NotFitted)?;
-        if row.len() != x.n_cols() {
+        let best = match (&self.x, &self.packed) {
+            (Some(x), _) => self.nearest(row, x.n_cols(), x.n_rows(), |i| {
+                Matrix::squared_distance(row, x.row(i))
+            })?,
+            // Fitted packed: bridge through the bit rows.
+            (None, Some(p)) => self.nearest(row, p.dim().get(), p.n_rows(), |i| {
+                squared_distance_to_bits(row, p.row_words(i))
+            })?,
+            (None, None) => return Err(MlError::NotFitted),
+        };
+        Ok(self.tally(best.iter().map(|&(d, i)| (f64::from(d), i))))
+    }
+
+    /// The `k` nearest of `n` training rows, `width` features wide, to the
+    /// f32 `row` under `distance`: `(distance, index)` ascending, equal
+    /// distances to the lower index.
+    fn nearest(
+        &self,
+        row: &[f32],
+        width: usize,
+        n: usize,
+        distance: impl Fn(usize) -> f32,
+    ) -> Result<Vec<(f32, usize)>, MlError> {
+        if row.len() != width {
             return Err(MlError::ShapeMismatch {
-                expected: format!("{} features", x.n_cols()),
+                expected: format!("{width} features"),
                 got: format!("{} features", row.len()),
             });
         }
-        let k = self.params.k.min(x.n_rows());
+        let k = self.params.k.min(n);
         let mut best: Vec<(f32, usize)> = Vec::with_capacity(k + 1);
-        for i in 0..x.n_rows() {
-            let d = Matrix::squared_distance(row, x.row(i));
+        for i in 0..n {
+            let d = distance(i);
             let pos = best.partition_point(|&(bd, bi)| bd < d || (bd == d && bi < i));
             if pos < k {
                 best.insert(pos, (d, i));
                 best.truncate(k);
             }
         }
-        Ok(self.tally(&best))
+        Ok(best)
     }
 
-    fn tally(&self, best: &[(f32, usize)]) -> Vec<f64> {
+    /// Votes over the nearest training rows, given as `(squared distance,
+    /// index)`. A packed Hamming distance is an exact integer, so it votes
+    /// exactly as its f32 image on the dense path does.
+    fn tally(&self, best: impl Iterator<Item = (f64, usize)>) -> Vec<f64> {
         let mut votes = vec![0.0f64; self.n_classes];
-        for &(d, i) in best {
+        for (d, i) in best {
             let w = match self.params.weights {
                 KnnWeights::Uniform => 1.0,
-                KnnWeights::Distance => 1.0 / (f64::from(d).sqrt() + 1e-12),
-            };
-            votes[self.y[i]] += w;
-        }
-        votes
-    }
-
-    /// Votes for one packed query given its precomputed Hamming distances
-    /// to every training row. Distances are exact integers, so the f32
-    /// image of each is exact too and the (distance, index) insertion
-    /// order matches the dense path bit-for-bit.
-    fn tally_hamming(&self, dists: &[u32], k: usize) -> Vec<f64> {
-        let mut best: Vec<(u32, usize)> = Vec::with_capacity(k + 1);
-        for (i, &d) in dists.iter().enumerate() {
-            let pos = best.partition_point(|&(bd, bi)| bd < d || (bd == d && bi < i));
-            if pos < k {
-                best.insert(pos, (d, i));
-                best.truncate(k);
-            }
-        }
-        let mut votes = vec![0.0f64; self.n_classes];
-        for &(d, i) in &best {
-            let w = match self.params.weights {
-                KnnWeights::Uniform => 1.0,
-                KnnWeights::Distance => 1.0 / (f64::from(d).sqrt() + 1e-12),
+                KnnWeights::Distance => 1.0 / (d.sqrt() + 1e-12),
             };
             votes[self.y[i]] += w;
         }
@@ -235,23 +215,24 @@ impl Estimator for KnnClassifier {
     fn predict_features(&self, x: &Features<'_>) -> Result<Vec<usize>, MlError> {
         match (x, &self.packed) {
             (Features::Packed(q), Some(train)) => {
-                // Fully packed: popcount distances from each query row to
-                // every training row, then the usual vote.
+                // Fully packed: each query row's nearest training rows by
+                // popcount distance through the shared top-k, then the
+                // usual vote.
+                let shape_mismatch = || MlError::ShapeMismatch {
+                    expected: format!("{} features", train.dim().get()),
+                    got: format!("{} features", q.dim().get()),
+                };
                 if q.dim() != train.dim() {
-                    return Err(MlError::ShapeMismatch {
-                        expected: format!("{} features", train.dim().get()),
-                        got: format!("{} features", q.dim().get()),
-                    });
+                    return Err(shape_mismatch());
                 }
                 let n = train.n_rows();
                 let k = self.params.k.min(n);
                 Self::map_rows(q.n_rows(), |qi| {
-                    let query = q.row_words(qi);
-                    let dists: Vec<u32> = (0..n)
-                        // hamming <= dim, which a BitMatrix keeps below 2^32
-                        .map(|j| hamming_words(query, train.row_words(j)) as u32)
-                        .collect();
-                    Ok(Self::argmax(&self.tally_hamming(&dists, k)))
+                    let mut tops = TopK::new(1, k);
+                    tops.scan(&q.select_rows(&[qi]), train, 0..n, |j| j)
+                        .map_err(|_| shape_mismatch())?;
+                    let best = tops.list(0).iter().map(|&(d, i)| (d as f64, i));
+                    Ok(Self::argmax(&self.tally(best)))
                 })
             }
             (Features::Packed(q), None) => self.predict(&crate::traits::densify(q)),

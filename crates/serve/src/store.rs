@@ -21,9 +21,10 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use hyperfex_hdc::binary::Dim;
-use hyperfex_hdc::bitmatrix::{hamming_words, BitMatrix};
+use hyperfex_hdc::bitmatrix::BitMatrix;
 use hyperfex_hdc::classify::ClassAccumulators;
 use hyperfex_hdc::distill::BitSelection;
+use hyperfex_hdc::topk::TopK;
 use hyperfex_hdc::{failpoint, BinaryHypervector};
 
 use crate::error::ServeError;
@@ -32,7 +33,8 @@ use crate::snapshot::{self, Commit, Manifest, ShardEntry, ShardRecord, SidecarPi
 
 /// One k-NN candidate as `(distance, shard, row, label)`; the tuple order
 /// doubles as the deterministic tie-break order, so comparing candidates
-/// compares distance first, then shard index, then row.
+/// compares distance first, then shard index, then row. The scan keeps them
+/// in a [`TopK`] keyed `(shard, row, label)`, which orders the same way.
 type Candidate = (u32, u32, u32, u32);
 
 /// Fewest store rows a parallel chunk of [`HvStore::predict_batch`] scans:
@@ -174,7 +176,9 @@ fn on_disk_labels(labels: &[usize]) -> Result<Vec<u32>, ServeError> {
 
 impl HvStore {
     /// Builds a store from encoded records, splitting the rows into
-    /// `n_shards` contiguous shards and accumulating class centroids.
+    /// contiguous shards of `⌈records.len() / n_shards⌉` rows and
+    /// accumulating class centroids: an empty store of that shard capacity
+    /// followed by one [`HvStore::append_batch`].
     ///
     /// Labels must fit `u32` (the on-disk label width). `n_shards` must be
     /// in `1..=records.len()` so no shard is empty.
@@ -186,14 +190,6 @@ impl HvStore {
         let Some(first) = records.first() else {
             return Err(ServeError::Hdc(hyperfex_hdc::HdcError::EmptyInput));
         };
-        if records.len() != labels.len() {
-            return Err(ServeError::Hdc(
-                hyperfex_hdc::HdcError::LabelLengthMismatch {
-                    samples: records.len(),
-                    labels: labels.len(),
-                },
-            ));
-        }
         if n_shards == 0 || n_shards > records.len() {
             return Err(ServeError::ShardConflict {
                 detail: format!(
@@ -203,41 +199,9 @@ impl HvStore {
                 ),
             });
         }
-        u32::try_from(n_shards).map_err(|_| ServeError::ShardConflict {
-            detail: format!("{n_shards} shards do not fit the u32 shard index"),
-        })?;
-        let dim = first.dim();
-        // Labels are checked before accumulating, so an out-of-range label
-        // is a typed error rather than a class set grown to match it.
-        let label_u32 = on_disk_labels(labels)?;
-
-        let mut accums = ClassAccumulators::new(dim);
-        accums.add_batch(records, labels)?;
-
-        let rows_per_shard = records.len().div_ceil(n_shards);
-        let mut shards = Vec::with_capacity(n_shards);
-        for (s, (rows, row_labels)) in records
-            .chunks(rows_per_shard)
-            .zip(label_u32.chunks(rows_per_shard))
-            .enumerate()
-        {
-            shards.push(ShardRecord {
-                shard_index: u32::try_from(s).unwrap_or(u32::MAX),
-                labels: row_labels.to_vec(),
-                bank: BitMatrix::from_hypervectors(rows)?,
-            });
-        }
-        Ok(Self {
-            dim,
-            shards,
-            accums: Some(accums),
-            selection: None,
-            shard_capacity: rows_per_shard,
-            index_space: 0,
-            unserved: Vec::new(),
-            unread: Sidecars::default(),
-            committed: None,
-        })
+        let mut store = Self::new_empty(first.dim(), records.len().div_ceil(n_shards))?;
+        store.append_batch(records, labels)?;
+        Ok(store)
     }
 
     /// Creates an empty store ready for incremental ingest:
@@ -1208,71 +1172,59 @@ impl HvStore {
 
         // The store's rows, shard after shard, form one global row range.
         // `rayon::map_ranges` gives each chunk a contiguous part of it
-        // (which may span shards), and each chunk returns its own sorted
-        // per-query top-k. The serial merge below then keeps the k
-        // globally smallest candidate tuples per query — identical to
-        // folding shards one by one, because both are "the k smallest
-        // elements" of the same candidate multiset and the (distance,
-        // shard, row, label) tuple order makes every candidate distinct.
-        // How the rows are split therefore cannot change the result.
-        // A query has at most `n_rows` candidates, so a larger k is moot.
+        // (which may span shards), and each chunk returns its own per-query
+        // top-k. Merging them keeps the k globally smallest candidates per
+        // query — identical to folding shards one by one, because both are
+        // "the k smallest elements" of the same candidate multiset and the
+        // (distance, shard, row, label) order makes every candidate
+        // distinct. How the rows are split therefore cannot change the
+        // result. A query has at most `n_rows` candidates, so a larger k
+        // is moot.
         let k = k.min(self.n_rows());
         let chunk_tops = rayon::map_ranges(self.n_rows(), MIN_CHUNK_ROWS, |rows| {
             self.range_candidates(&query_matrix, rows, k)
         });
-
-        // Per-query top-k candidates as (distance, shard, row, label),
-        // kept sorted ascending; the tuple order is the tie-break order.
-        let mut best: Vec<Vec<Candidate>> =
-            vec![Vec::with_capacity(k * chunk_tops.len()); queries.len()];
+        let mut best = TopK::new(queries.len(), k);
         for tops in chunk_tops {
-            for (heap, chunk_heap) in best.iter_mut().zip(tops) {
-                heap.extend(chunk_heap);
-            }
+            best.merge(&tops?);
         }
-        for heap in &mut best {
-            heap.sort_unstable();
-            heap.truncate(k);
-        }
-
-        Ok(best.iter().map(|heap| Self::vote(heap)).collect())
+        Ok((0..queries.len())
+            .map(|q| {
+                let candidates: Vec<Candidate> = best
+                    .list(q)
+                    .iter()
+                    .map(|&(d, (shard, row, label))| {
+                        (u32::try_from(d).unwrap_or(u32::MAX), shard, row, label)
+                    })
+                    .collect();
+                Self::vote(&candidates)
+            })
+            .collect())
     }
 
-    /// The sorted per-query top-k candidates among the global rows `rows`
-    /// (rows numbered shard after shard) — the unit of work one chunk of
-    /// [`HvStore::predict_batch`] computes. Each bank row is loaded once
-    /// and compared against every query.
+    /// The per-query top-k among the global rows `rows` (rows numbered
+    /// shard after shard), keyed `(shard, row, label)` — the unit of work
+    /// one chunk of [`HvStore::predict_batch`] computes.
     fn range_candidates(
         &self,
         queries: &BitMatrix,
         rows: Range<usize>,
         k: usize,
-    ) -> Vec<Vec<Candidate>> {
-        let mut tops: Vec<Vec<Candidate>> = vec![Vec::with_capacity(k + 1); queries.n_rows()];
+    ) -> Result<TopK<(u32, u32, u32)>, ServeError> {
+        let mut tops = TopK::new(queries.n_rows(), k);
         let mut shard_start = 0;
         for shard in &self.shards {
             let shard_end = shard_start + shard.bank.n_rows();
             let lo = rows.start.clamp(shard_start, shard_end) - shard_start;
             let hi = rows.end.clamp(shard_start, shard_end) - shard_start;
             shard_start = shard_end;
-            for row in lo..hi {
-                let words = shard.bank.row_words(row);
-                let label = shard.labels.get(row).copied().unwrap_or(0);
+            tops.scan(queries, &shard.bank, lo..hi, |row| {
                 let row_u32 = u32::try_from(row).unwrap_or(u32::MAX);
-                for (qi, heap) in tops.iter_mut().enumerate() {
-                    let distance = hamming_words(queries.row_words(qi), words);
-                    let distance = u32::try_from(distance).unwrap_or(u32::MAX);
-                    let candidate = (distance, shard.shard_index, row_u32, label);
-                    if heap.len() == k && heap.last().is_some_and(|worst| candidate >= *worst) {
-                        continue;
-                    }
-                    let at = heap.partition_point(|c| *c <= candidate);
-                    heap.insert(at, candidate);
-                    heap.truncate(k);
-                }
-            }
+                let label = shard.labels.get(row).copied().unwrap_or(0);
+                (shard.shard_index, row_u32, label)
+            })?;
         }
-        tops
+        Ok(tops)
     }
 
     /// Majority vote over one query's sorted candidate list; ties go to
