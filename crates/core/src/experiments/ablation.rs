@@ -4,12 +4,9 @@
 //!   much improvement" over 10k in informal experiments; this makes the
 //!   experiment formal (accuracy and encode+classify wall time per
 //!   dimensionality).
-//! * **Classifier variants** — 1-NN vs k-NN vs bundled-centroid (with and
-//!   without retraining), quantifying the design choice the paper made in
-//!   §II-C.
-//! * **Backend comparison** — binary majority bundling vs exact bipolar
-//!   accumulation (§II mentions ternary/integer hypervectors as
-//!   alternatives).
+//! * **Classifier variants** — 1-NN vs k-NN vs bundled class prototypes
+//!   (with and without perceptron retraining), quantifying the design
+//!   choice the paper made in §II-C.
 
 use crate::error::HyperfexError;
 use crate::extractor::HdcFeatureExtractor;
@@ -17,8 +14,9 @@ use crate::hamming::HammingModel;
 use hyperfex_data::Table;
 use hyperfex_eval::report::{pct, TableReport};
 use hyperfex_hdc::binary::Dim;
-use hyperfex_hdc::bipolar::{BipolarAccumulator, BipolarHypervector};
-use hyperfex_hdc::classify::{CentroidClassifier, LeaveOneOut};
+use hyperfex_hdc::classify::{
+    fit_pocketed, ClassAccumulators, LeaveOneOut, OnlineTrainer, PerceptronTrainer,
+};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -123,7 +121,7 @@ pub struct VariantAblation {
     pub five_nn: f64,
     /// Single-pass bundled class prototypes.
     pub centroid: f64,
-    /// Prototypes after perceptron-style retraining.
+    /// Prototypes after pocketed perceptron retraining.
     pub centroid_retrained: f64,
 }
 
@@ -139,26 +137,28 @@ pub fn classifier_variants(
     let knn = |k: usize| -> Result<f64, HyperfexError> {
         Ok(LeaveOneOut::with_k(k)?.run(&hvs, labels)?.accuracy())
     };
-    let mut centroid = CentroidClassifier::new();
-    centroid.fit(&hvs, labels)?;
-    let acc = |c: &CentroidClassifier| -> Result<f64, HyperfexError> {
-        let predictions = c.predict_batch(&hvs)?;
+    let accuracy = |predictions: Vec<usize>| {
         let correct = predictions
             .iter()
             .zip(labels)
             .filter(|(p, l)| p == l)
             .count();
-        Ok(correct as f64 / labels.len() as f64)
+        correct as f64 / labels.len() as f64
     };
-    let single_pass = acc(&centroid)?;
-    centroid.retrain(&hvs, labels, 20)?;
-    let retrained = acc(&centroid)?;
+    let mut bundled = ClassAccumulators::new(dim);
+    bundled.add_batch(&hvs, labels)?;
+    let bundled_predictions = hvs
+        .iter()
+        .map(|hv| bundled.predict(hv))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut retrained = PerceptronTrainer::new(dim);
+    fit_pocketed(&mut retrained, &hvs, labels, 20)?;
     Ok(VariantAblation {
         one_nn: knn(1)?,
         three_nn: knn(3)?,
         five_nn: knn(5)?,
-        centroid: single_pass,
-        centroid_retrained: retrained,
+        centroid: accuracy(bundled_predictions),
+        centroid_retrained: accuracy(retrained.predict_batch(&hvs)?),
     })
 }
 
@@ -216,41 +216,6 @@ pub fn distance_metrics(
         euclidean_raw: euclidean_loocv(&raw),
         euclidean_scaled: euclidean_loocv(&scaled),
     })
-}
-
-/// Agreement rate between binary majority bundling (tie → 1) and exact
-/// bipolar sign accumulation (tie → +1) when bundling the same per-feature
-/// codes. The two backends can only disagree on tie bits of even-arity
-/// records, so the agreement quantifies how much information the binary
-/// tie rule actually loses on a real schema.
-pub fn backend_agreement(table: &Table, dim: Dim, seed: u64) -> Result<f64, HyperfexError> {
-    let mut extractor = HdcFeatureExtractor::new(dim, seed);
-    extractor.fit(table, None)?;
-    let mut agree_bits = 0usize;
-    let mut total_bits = 0usize;
-    for i in 0..table.n_rows() {
-        if table.row_has_missing(i) {
-            continue;
-        }
-        let binary_bundle = extractor
-            .transform(table, Some(&[i]))?
-            .into_iter()
-            .next()
-            .ok_or_else(|| {
-                HyperfexError::Pipeline(
-                    "extractor returned no hypervector for a one-row transform".into(),
-                )
-            })?;
-        let features = extractor.feature_hypervectors(table, i)?;
-        let mut acc = BipolarAccumulator::new(dim);
-        for f in &features {
-            acc.push(&BipolarHypervector::from_binary(f))?;
-        }
-        let bipolar_bundle = acc.finish()?.to_binary();
-        agree_bits += dim.get() - binary_bundle.try_hamming(&bipolar_bundle)?;
-        total_bits += dim.get();
-    }
-    Ok(agree_bits as f64 / total_bits.max(1) as f64)
 }
 
 #[cfg(test)]
@@ -338,20 +303,6 @@ mod tests {
             "hamming {} vs euclidean-raw {}",
             c.hamming_hv,
             c.euclidean_raw
-        );
-    }
-
-    #[test]
-    fn backends_agree_exactly_including_ties() {
-        // Both backends resolve ties toward 1, so majority bundling and
-        // exact bipolar accumulation of the same feature codes must agree
-        // on every bit — this pins down the equivalence the bipolar module
-        // claims.
-        let table = cohort();
-        let agreement = backend_agreement(&table, Dim::new(512), 1).unwrap();
-        assert!(
-            (agreement - 1.0).abs() < 1e-12,
-            "agreement {agreement} should be exactly 1"
         );
     }
 }

@@ -218,7 +218,11 @@ impl HdcFeatureExtractor {
     /// Strict: the first record that fails to encode aborts with its typed
     /// error (mirroring [`HdcFeatureExtractor::transform`]). Returns the
     /// number of records absorbed by the sink.
-    pub fn transform_stream<S, K>(&self, stream: &mut S, sink: &mut K) -> Result<usize, HyperfexError>
+    pub fn transform_stream<S, K>(
+        &self,
+        stream: &mut S,
+        sink: &mut K,
+    ) -> Result<usize, HyperfexError>
     where
         S: RecordStream + ?Sized,
         K: StreamSink + ?Sized,
@@ -255,23 +259,6 @@ impl HdcFeatureExtractor {
     ) -> Result<Vec<BinaryHypervector>, HyperfexError> {
         self.fit(table, None)?;
         self.transform(table, None)
-    }
-
-    /// Encodes one row into its *per-feature* hypervectors (before
-    /// bundling) — used by ablations that compare bundling backends.
-    pub fn feature_hypervectors(
-        &self,
-        table: &Table,
-        row: usize,
-    ) -> Result<Vec<BinaryHypervector>, HyperfexError> {
-        let encoder = self.fitted()?;
-        let values = table
-            .rows()
-            .get(row)
-            .ok_or_else(|| out_of_bounds(row, table))?;
-        encoder
-            .encode_features(values)
-            .map_err(|error| record_error(row, &error))
     }
 
     /// Distils the fitted encoder down to the `k_bits` most
@@ -685,7 +672,6 @@ mod tests {
         assert!(ext.transform(&table, Some(bad)).is_err());
         assert!(ext.transform_lenient(&table, Some(bad)).is_err());
         assert!(ext.distill(&table, Some(bad), 16).is_err());
-        assert!(ext.feature_hypervectors(&table, 2).is_err());
         let distilled = ext.distill(&table, None, 16).unwrap();
         assert!(distilled.transform(&table, Some(bad)).is_err());
     }
@@ -855,11 +841,7 @@ mod tests {
                 ColumnSpec::continuous("glucose"),
                 ColumnSpec::binary("polyuria"),
             ],
-            vec![
-                vec![90.0, 0.0],
-                vec![f64::NAN, 1.0],
-                vec![180.0, 1.0],
-            ],
+            vec![vec![90.0, 0.0], vec![f64::NAN, 1.0], vec![180.0, 1.0]],
             vec![0, 1, 1],
         )
         .unwrap();

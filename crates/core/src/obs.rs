@@ -72,7 +72,9 @@ mod noop {
 }
 
 #[cfg(not(feature = "obs"))]
-pub use noop::{counter_add, current_depth, gauge_max, gauge_value, observe, reset, span, SpanGuard};
+pub use noop::{
+    counter_add, current_depth, gauge_max, gauge_value, observe, reset, span, SpanGuard,
+};
 
 /// A stage timer that always measures wall-clock time.
 ///

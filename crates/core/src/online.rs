@@ -11,7 +11,7 @@ use hyperfex_data::Table;
 use hyperfex_eval::metrics::{BinaryMetrics, ConfusionMatrix};
 use hyperfex_hdc::binary::Dim;
 use hyperfex_hdc::classify::LoocvOutcome;
-use hyperfex_ml::online::{OnlineHdcClassifier, OnlineTrainerKind, DEFAULT_EPOCHS};
+use hyperfex_ml::online::{OnlineHdcClassifier, OnlineTrainerKind};
 
 /// End-to-end pure-HDC online model: encode, then LOOCV with a prototype
 /// trainer refitted per held-out fold.
@@ -20,27 +20,13 @@ pub struct OnlineHdcModel {
     dim: Dim,
     seed: u64,
     kind: OnlineTrainerKind,
-    epochs: usize,
 }
 
 impl OnlineHdcModel {
     /// Creates the default configuration for one update rule.
     #[must_use]
     pub fn new(dim: Dim, seed: u64, kind: OnlineTrainerKind) -> Self {
-        Self {
-            dim,
-            seed,
-            kind,
-            epochs: DEFAULT_EPOCHS,
-        }
-    }
-
-    /// Uses `epochs` pocketed retraining epochs per fold instead of the
-    /// default (validated when the per-fold classifier is built).
-    #[must_use]
-    pub fn with_epochs(mut self, epochs: usize) -> Self {
-        self.epochs = epochs;
-        self
+        Self { dim, seed, kind }
     }
 
     /// The update rule this model applies.
@@ -78,7 +64,7 @@ impl OnlineHdcModel {
                 .filter(|&(i, _)| i != held_out)
                 .map(|(_, &l)| l)
                 .collect();
-            let mut clf = OnlineHdcClassifier::with_epochs(self.kind, self.epochs)?;
+            let mut clf = OnlineHdcClassifier::new(self.kind);
             clf.fit_hypervectors(&train_hvs, &train_labels)?;
             let mut p = clf.predict_hypervectors(std::slice::from_ref(&hvs[held_out]))?;
             p.pop()
@@ -156,13 +142,8 @@ mod tests {
     }
 
     #[test]
-    fn epochs_are_validated_and_tiny_tables_rejected() {
+    fn tiny_tables_rejected() {
         let table = cohort();
-        let err = OnlineHdcModel::new(Dim::new(256), 0, OnlineTrainerKind::Lvq)
-            .with_epochs(0)
-            .evaluate_loocv(&table)
-            .unwrap_err();
-        assert!(matches!(err, HyperfexError::Ml(_)), "{err}");
         let two = Table::new(
             table.columns().to_vec(),
             vec![table.row(0).to_vec()],

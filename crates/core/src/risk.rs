@@ -6,8 +6,20 @@ use crate::error::HyperfexError;
 use crate::extractor::HdcFeatureExtractor;
 use hyperfex_data::Table;
 use hyperfex_hdc::binary::Dim;
-use hyperfex_hdc::classify::CentroidClassifier;
-use hyperfex_hdc::similarity::risk_score;
+use hyperfex_hdc::classify::ClassAccumulators;
+
+/// Logistic slope in units of normalized Hamming margin: a 5% bit-margin
+/// maps to ≈ 0.82 risk.
+const BETA: f64 = 30.0;
+
+/// Maps the distances to the positive and negative class prototypes
+/// (normalized Hamming, in `[0, 1]`) to a risk score in `[0, 1]`: the
+/// negative-vs-positive margin through a logistic with slope [`BETA`].
+/// `0.5` means equidistant; higher means closer to the positive class.
+fn risk_score(dist_to_positive: f64, dist_to_negative: f64) -> f64 {
+    let margin = dist_to_negative - dist_to_positive;
+    1.0 / (1.0 + (-BETA * margin).exp())
+}
 
 /// A prototype-based risk scorer.
 ///
@@ -20,51 +32,39 @@ use hyperfex_hdc::similarity::risk_score;
 #[derive(Debug, Clone)]
 pub struct RiskScorer {
     extractor: HdcFeatureExtractor,
-    centroid: CentroidClassifier,
-    /// Logistic slope in units of normalized Hamming margin.
-    beta: f64,
+    prototypes: ClassAccumulators,
 }
 
 impl RiskScorer {
-    /// Default logistic slope: a 5% bit-margin maps to ≈ 0.82 risk.
-    pub const DEFAULT_BETA: f64 = 30.0;
-
     /// Fits prototypes from a (fully observed) cohort.
     pub fn fit(table: &Table, dim: Dim, seed: u64) -> Result<Self, HyperfexError> {
         let mut extractor = HdcFeatureExtractor::new(dim, seed);
         let hvs = extractor.fit_transform(table)?;
-        let mut centroid = CentroidClassifier::new();
-        centroid.fit(&hvs, table.labels())?;
+        let mut prototypes = ClassAccumulators::new(dim);
+        prototypes.add_batch(&hvs, table.labels())?;
         Ok(Self {
             extractor,
-            centroid,
-            beta: Self::DEFAULT_BETA,
+            prototypes,
         })
-    }
-
-    /// Overrides the logistic slope.
-    #[must_use]
-    pub fn with_beta(mut self, beta: f64) -> Self {
-        self.beta = beta;
-        self
     }
 
     /// Scores one patient record (raw feature values in table column
     /// order): 0 = prototypically non-diabetic, 1 = prototypically
     /// diabetic.
     pub fn score(&self, values: &[f64]) -> Result<f64, HyperfexError> {
-        let table_row = self.encode_row(values)?;
-        let d = self.centroid.distances(&table_row)?;
-        if d.len() < 2 {
+        let hv = self.encode_row(values)?;
+        let hammings = self.prototypes.hammings(&hv)?;
+        let [negative, positive, ..] = hammings[..] else {
             return Err(HyperfexError::Pipeline("scorer needs two classes".into()));
-        }
-        Ok(risk_score(d[1], d[0], self.beta))
+        };
+        let bits = self.prototypes.dim().get() as f64;
+        Ok(risk_score(positive as f64 / bits, negative as f64 / bits))
     }
 
     /// Folds a newly assessed patient into the prototypes (online update).
     pub fn observe(&mut self, values: &[f64], label: usize) -> Result<(), HyperfexError> {
         let hv = self.encode_row(values)?;
-        self.centroid.update(&hv, label)?;
+        self.prototypes.add_batch(&[hv], &[label])?;
         Ok(())
     }
 
@@ -120,14 +120,14 @@ mod tests {
     }
 
     #[test]
-    fn beta_controls_steepness() {
-        let (scorer, _) = scorer();
-        let symptomatic: Vec<f64> = vec![
-            55.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0,
-        ];
-        let steep = scorer.clone().with_beta(60.0).score(&symptomatic).unwrap();
-        let shallow = scorer.with_beta(5.0).score(&symptomatic).unwrap();
-        assert!(steep > shallow, "steeper slope amplifies the same margin");
+    fn risk_score_is_monotone_and_centered() {
+        assert!((risk_score(0.3, 0.3) - 0.5).abs() < 1e-12);
+        // Closer to positive → higher risk.
+        assert!(risk_score(0.2, 0.4) > 0.5);
+        assert!(risk_score(0.4, 0.2) < 0.5);
+        // Bounded.
+        let s = risk_score(0.0, 1.0);
+        assert!((0.0..=1.0).contains(&s));
     }
 
     #[test]

@@ -47,11 +47,6 @@ fn main() {
         );
     }
 
-    let agreement =
-        ablation::backend_agreement(&datasets.sylhet, cli.config.dim(), cli.config.seed)
-            .unwrap_or_else(|e| fail(e));
-    println!("binary vs bipolar bundling agreement: {:.4}", agreement);
-
     println!("\ndistance-metric comparison (1-NN LOOCV):");
     for (label, table) in [("Pima R", &datasets.pima_r), ("Syhlet", &datasets.sylhet)] {
         let c = ablation::distance_metrics(table, cli.config.dim(), cli.config.seed)

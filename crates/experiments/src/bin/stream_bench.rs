@@ -199,11 +199,10 @@ fn main() {
     } else {
         (2_048, &[100_000, 1_000_000])
     };
-    let encoder = RecordEncoder::new(Dim::new(dim), schema(), seed)
-        .unwrap_or_else(|e| {
-            eprintln!("stream_bench: encoder construction failed: {e}");
-            exit(1);
-        });
+    let encoder = RecordEncoder::new(Dim::new(dim), schema(), seed).unwrap_or_else(|e| {
+        eprintln!("stream_bench: encoder construction failed: {e}");
+        exit(1);
+    });
 
     let mut results = Vec::new();
     for &n in scales {
@@ -271,8 +270,8 @@ fn main() {
                 "streaming peak memory is not flat: max/min spread {peak_spread:.3} > 1.10"
             ));
         }
-        let record_ratio = report.scales[report.scales.len() - 1].records as f64
-            / report.scales[0].records as f64;
+        let record_ratio =
+            report.scales[report.scales.len() - 1].records as f64 / report.scales[0].records as f64;
         if batch_growth < record_ratio * 0.5 {
             failures.push(format!(
                 "batch peak grew only {batch_growth:.2}× over a {record_ratio:.0}× cohort — \

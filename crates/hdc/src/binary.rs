@@ -191,19 +191,6 @@ impl BinaryHypervector {
         Ok(hv)
     }
 
-    /// Infallible bit collection for crate-internal callers whose iterator
-    /// length is guaranteed by construction: takes at most `dim` bits and
-    /// leaves any remainder zero, so no length check can fail.
-    pub(crate) fn collect_bits<I: IntoIterator<Item = bool>>(dim: Dim, bits: I) -> Self {
-        let mut hv = Self::zeros(dim);
-        for (i, b) in bits.into_iter().take(dim.get()).enumerate() {
-            if b {
-                hv.set(i, true);
-            }
-        }
-        hv
-    }
-
     /// Copies one packed row of a `BitMatrix`, whose rows have `dim`'s
     /// word count and clear tail bits by that type's invariant.
     pub(crate) fn from_packed_row(dim: Dim, words: &[u64]) -> Self {

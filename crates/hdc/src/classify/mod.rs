@@ -2,26 +2,25 @@
 //!
 //! * [`HammingKnnClassifier`] — k-nearest-neighbour under Hamming distance
 //!   with majority voting (the paper's model is the `k = 1` special case).
-//! * [`CentroidClassifier`] — bundled class prototypes ("associative
-//!   memory") with optional perceptron-style retraining, the standard HDC
-//!   baseline from Kleyko et al. that the paper cites as \[39\].
 //! * [`LeaveOneOut`] — the paper's leave-one-out validation harness: one
 //!   symmetric distance sweep that computes each unordered pair once, in
 //!   tile pairs split across `rayon::map_chunks` workers.
+//! * [`ClassAccumulators`] — bundled class prototypes ("associative
+//!   memory", the standard HDC baseline from Kleyko et al. that the paper
+//!   cites as \[39\]): one signed per-bit counter per class.
+//! * [`trainer`] — online mistake-driven trainers (perceptron,
+//!   passive-aggressive, LVQ) sharing the [`OnlineTrainer`] streaming
+//!   `partial_fit`/`update` API over those accumulators, and
+//!   [`fit_pocketed`], the one multi-epoch pocket loop.
 //!
 //! Both k-NN paths select neighbours with the shared [`crate::topk::TopK`]
 //! under the `(distance, training index)` order and take a majority vote
 //! whose ties go to the lowest class index.
-//! * [`trainer`] — online mistake-driven trainers (perceptron,
-//!   passive-aggressive, LVQ) sharing the [`OnlineTrainer`] streaming
-//!   `partial_fit`/`update` API over integer class accumulators.
 
-mod centroid;
 mod knn;
 mod loocv;
 pub mod trainer;
 
-pub use centroid::CentroidClassifier;
 pub use knn::HammingKnnClassifier;
 pub use loocv::{LeaveOneOut, LoocvOutcome};
 pub use trainer::{

@@ -8,9 +8,9 @@
 //! [`accumulator::ClassAccumulators`]:
 //!
 //! * [`PerceptronTrainer`] — on a mistake, add the example to its true
-//!   class superposition and subtract it from the predicted one. This is
-//!   exactly the [`CentroidClassifier::retrain_epoch`] rule, generalised to
-//!   a streaming API.
+//!   class superposition and subtract it from the predicted one: the
+//!   classic HDC retraining rule (per-bit oracle:
+//!   [`crate::reference::centroid_retrain_epoch`]) as a streaming API.
 //! * [`PassiveAggressiveTrainer`] — margin-scaled integer updates on the
 //!   normalized-Hamming score gap: small corrections near the boundary,
 //!   large ones for confident mistakes, none once the margin is met.
@@ -22,16 +22,13 @@
 //! `(hypervector, label)` record in O(popcount) time, `partial_fit` streams
 //! a batch through `update` (instrumented with the
 //! `hdc/trainer_partial_fit` failpoint for chaos testing), and
-//! [`fit_pocketed`] wraps multi-epoch training with the same pocket
-//! (best-state) guarantee as [`CentroidClassifier::retrain`]: the returned
-//! model never scores worse on the training set than the best epoch seen.
+//! [`fit_pocketed`] wraps multi-epoch training with a pocket (best-state)
+//! guarantee: the returned model never scores worse on the training set
+//! than the best epoch seen.
 //!
 //! Labels grow on demand: an `update` with a previously unseen label
 //! allocates the class on the spot and seeds its superposition with that
 //! example, which is what the add-a-patient-online scenario needs.
-//!
-//! [`CentroidClassifier::retrain`]: crate::classify::CentroidClassifier::retrain
-//! [`CentroidClassifier::retrain_epoch`]: crate::classify::CentroidClassifier::retrain_epoch
 
 pub mod accumulator;
 mod lvq;

@@ -4,71 +4,35 @@ use super::{ClassAccumulators, OnlineTrainer};
 use crate::binary::{BinaryHypervector, Dim};
 use crate::error::HdcError;
 
-/// Default required score margin between the true class and the best rival.
-pub const DEFAULT_MARGIN: f64 = 0.1;
-/// Default scale from hinge loss to integer update weight.
-pub const DEFAULT_AGGRESSIVENESS: f64 = 4.0;
-/// Default clamp on a single update's integer weight.
-pub const DEFAULT_MAX_WEIGHT: i32 = 4;
+/// Required score margin between the true class and the best rival.
+const MARGIN: f64 = 0.1;
+/// Scale from hinge loss to integer update weight.
+const AGGRESSIVENESS: f64 = 4.0;
+/// Clamp on a single update's integer weight.
+const MAX_WEIGHT: i32 = 4;
 
 /// Passive-aggressive updates on the normalized-Hamming score gap.
 ///
 /// Scores are `s_c = 1 − 2·hamming_c/d ∈ [−1, 1]`. With true class `t` and
-/// best rival `r`, the hinge loss is `ℓ = max(0, margin − (s_t − s_r))`.
+/// best rival `r`, the hinge loss is `ℓ = max(0, MARGIN − (s_t − s_r))`.
 /// When `ℓ = 0` the trainer is *passive* (no update); otherwise it is
 /// *aggressive*: the example is added to class `t` and subtracted from
-/// class `r` with integer weight `⌈ℓ · aggressiveness⌉`, clamped to
-/// `max_weight`. Confident mistakes (large negative gap) therefore get
+/// class `r` with integer weight `⌈ℓ · AGGRESSIVENESS⌉`, clamped to
+/// `MAX_WEIGHT`. Confident mistakes (large negative gap) therefore get
 /// large corrections, boundary cases small ones, and — unlike the
 /// perceptron — correct-but-narrow wins still tighten the margin.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct PassiveAggressiveTrainer {
     acc: ClassAccumulators,
-    margin: f64,
-    aggressiveness: f64,
-    max_weight: i32,
 }
 
 impl PassiveAggressiveTrainer {
-    /// Creates a trainer with the default margin/aggressiveness/clamp.
+    /// Creates an empty trainer for `dim`-bit hypervectors.
     #[must_use]
     pub fn new(dim: Dim) -> Self {
         Self {
             acc: ClassAccumulators::new(dim),
-            margin: DEFAULT_MARGIN,
-            aggressiveness: DEFAULT_AGGRESSIVENESS,
-            max_weight: DEFAULT_MAX_WEIGHT,
         }
-    }
-
-    /// Creates a trainer with explicit hyper-parameters.
-    pub fn with_params(
-        dim: Dim,
-        margin: f64,
-        aggressiveness: f64,
-        max_weight: i32,
-    ) -> Result<Self, HdcError> {
-        if !margin.is_finite() || !(0.0..=2.0).contains(&margin) {
-            return Err(HdcError::InvalidConfig(format!(
-                "PA margin must be finite in [0, 2], got {margin}"
-            )));
-        }
-        if !aggressiveness.is_finite() || aggressiveness <= 0.0 {
-            return Err(HdcError::InvalidConfig(format!(
-                "PA aggressiveness must be finite and positive, got {aggressiveness}"
-            )));
-        }
-        if max_weight < 1 {
-            return Err(HdcError::InvalidConfig(format!(
-                "PA max_weight must be >= 1, got {max_weight}"
-            )));
-        }
-        Ok(Self {
-            acc: ClassAccumulators::new(dim),
-            margin,
-            aggressiveness,
-            max_weight,
-        })
     }
 }
 
@@ -115,7 +79,7 @@ impl OnlineTrainer for PassiveAggressiveTrainer {
         }
         let hammings = self.acc.hammings(hv)?;
         // lint: cast-ok (dim and hammings are <= d < 2^53; the update weight
-        // is clamped into [1, max_weight] before the i32 cast)
+        // is clamped into [1, MAX_WEIGHT] before the i32 cast)
         let d = self.acc.dim().get() as f64;
         let score = |h: usize| 1.0 - 2.0 * (h as f64) / d;
         // Best rival: minimum Hamming among classes != label, ties to the
@@ -128,13 +92,13 @@ impl OnlineTrainer for PassiveAggressiveTrainer {
             .map(|(c, _)| c)
             .ok_or(HdcError::NotFitted)?;
         let gap = score(hammings[label]) - score(hammings[rival]);
-        let loss = (self.margin - gap).max(0.0);
+        let loss = (MARGIN - gap).max(0.0);
         if loss <= 0.0 {
             return Ok(false);
         }
-        let weight = (loss * self.aggressiveness)
+        let weight = (loss * AGGRESSIVENESS)
             .ceil()
-            .clamp(1.0, f64::from(self.max_weight)) as i32;
+            .clamp(1.0, f64::from(MAX_WEIGHT)) as i32;
         self.acc.add(label, hv, weight);
         self.acc.add(rival, hv, -weight);
         Ok(true)
@@ -162,16 +126,6 @@ mod tests {
     use crate::rng::SplitMix64;
 
     #[test]
-    fn invalid_params_are_rejected() {
-        let dim = Dim::new(64);
-        assert!(PassiveAggressiveTrainer::with_params(dim, -0.1, 8.0, 16).is_err());
-        assert!(PassiveAggressiveTrainer::with_params(dim, f64::NAN, 8.0, 16).is_err());
-        assert!(PassiveAggressiveTrainer::with_params(dim, 0.1, 0.0, 16).is_err());
-        assert!(PassiveAggressiveTrainer::with_params(dim, 0.1, 8.0, 0).is_err());
-        assert!(PassiveAggressiveTrainer::with_params(dim, 0.1, 8.0, 16).is_ok());
-    }
-
-    #[test]
     fn confident_mistakes_get_larger_weights_than_boundary_cases() {
         // One class far away: a query identical to class 1's prototype but
         // labelled 0 is a confident mistake and must move the accumulators
@@ -193,7 +147,7 @@ mod tests {
     #[test]
     fn within_margin_predictions_are_passive() {
         let dim = Dim::new(256);
-        let mut t = PassiveAggressiveTrainer::with_params(dim, 0.05, 8.0, 16).unwrap();
+        let mut t = PassiveAggressiveTrainer::new(dim);
         let a = BinaryHypervector::random(dim, &mut SplitMix64::new(1));
         let b = a.complement();
         t.absorb(&a, 0).unwrap();

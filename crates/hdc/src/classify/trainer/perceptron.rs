@@ -10,10 +10,8 @@ use crate::error::HdcError;
 /// superposition and subtracted (weight −1) from the wrongly predicted one;
 /// correct predictions leave the model untouched. A full
 /// [`OnlineTrainer::partial_fit`] pass over a training set is bit-identical
-/// to one [`CentroidClassifier::retrain_epoch`] on equivalent state — the
-/// property test in `crates/hdc/tests` pins this equivalence.
-///
-/// [`CentroidClassifier::retrain_epoch`]: crate::classify::CentroidClassifier::retrain_epoch
+/// to one [`crate::reference::centroid_retrain_epoch`] on equivalent state —
+/// the property test in `crates/hdc/tests` pins this equivalence.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct PerceptronTrainer {
     acc: ClassAccumulators,

@@ -11,20 +11,15 @@
 //!   for 0, balanced random flips for 1).
 //! * [`RecordEncoder`] — per-feature encoders driven by a [`RecordSchema`],
 //!   bundled into one patient hypervector by majority vote (tie → 1).
-//! * [`ItemMemory`] — random symbol table for generic HDC workflows.
 
 mod categorical;
-mod item_memory;
 pub(crate) mod linear;
-mod ngram;
 mod pruned;
 mod quantized;
 mod record;
 
 pub use categorical::CategoricalEncoder;
-pub use item_memory::ItemMemory;
 pub use linear::LinearEncoder;
-pub use ngram::NgramEncoder;
 pub use pruned::PrunedLinearEncoder;
 pub use quantized::QuantizedLinearEncoder;
 pub use record::{

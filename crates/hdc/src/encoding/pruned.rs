@@ -110,12 +110,6 @@ impl PrunedLinearEncoder {
         (self.min, self.max)
     }
 
-    /// Number of surviving flip entries across all pair ranks.
-    #[must_use]
-    pub fn retained_flips(&self) -> usize {
-        self.flips.len()
-    }
-
     /// Number of original flip pairs applied for value `t` — identical to
     /// [`LinearEncoder::flips_for`] of the source encoder divided by two,
     /// because the schedule is computed from the *original*

@@ -160,12 +160,6 @@ impl RecordEncoder {
         self.dim
     }
 
-    /// The per-feature encoders, in schema order.
-    #[must_use]
-    pub fn feature_encoders(&self) -> &[FeatureEncoder] {
-        &self.encoders
-    }
-
     /// Remaps every feature encoder onto the bits retained by `selection`,
     /// producing an encoder that emits pruned-dimensionality records
     /// directly — no full-width detour at encode time.

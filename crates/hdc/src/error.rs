@@ -45,14 +45,6 @@ pub enum HdcError {
         /// Number of labels.
         labels: usize,
     },
-    /// A label referenced a class the classifier has never seen — e.g. a
-    /// retrain set containing a class absent at `fit` time.
-    UnknownLabel {
-        /// The offending label.
-        label: usize,
-        /// Number of classes the classifier currently knows.
-        classes: usize,
-    },
     /// A component was configured with an invalid parameter.
     InvalidConfig(String),
     /// A fault-injection failpoint forced this operation to fail. Only
@@ -85,12 +77,6 @@ impl fmt::Display for HdcError {
             Self::NotFitted => write!(f, "classifier has not been fitted"),
             Self::LabelLengthMismatch { samples, labels } => {
                 write!(f, "{samples} samples but {labels} labels")
-            }
-            Self::UnknownLabel { label, classes } => {
-                write!(
-                    f,
-                    "label {label} references an unknown class (classifier knows {classes})"
-                )
             }
             Self::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Self::Injected { point } => {

@@ -18,17 +18,14 @@
 //!   encoder that bundles one hypervector per patient.
 //! * [`topk`] — the bounded k-nearest selection every Hamming k-NN path
 //!   shares.
-//! * [`classify`] — Hamming 1-NN / k-NN, nearest-centroid (class prototype)
-//!   classifiers with optional perceptron-style retraining, online
-//!   mistake-driven trainers (perceptron / passive-aggressive / LVQ) with
-//!   streaming `partial_fit`, and a leave-one-out cross-validation harness
-//!   that sweeps each pair of records once, in parallel.
+//! * [`classify`] — Hamming 1-NN / k-NN, the signed per-bit class
+//!   accumulators behind every class prototype, online mistake-driven
+//!   trainers (perceptron / passive-aggressive / LVQ) with streaming
+//!   `partial_fit`, and a leave-one-out cross-validation harness that
+//!   sweeps each pair of records once, in parallel.
 //! * [`distill`] — dimension distillation: rank bit positions by class
 //!   discrimination and gather the top-k columns into a dense pruned space
 //!   for low-latency serving.
-//! * [`ternary`] and [`bipolar`] — the alternative hypervector backends the
-//!   paper mentions (§II: "ternary ... and integer hypervectors could also
-//!   be used").
 //!
 //! ## Quick example
 //!
@@ -54,7 +51,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod binary;
-pub mod bipolar;
 pub mod bitmatrix;
 pub mod bundle;
 pub mod classify;
@@ -65,29 +61,22 @@ pub mod failpoint;
 pub mod obs;
 pub mod reference;
 pub mod rng;
-pub mod sdm;
-pub mod similarity;
 pub mod stream;
-pub mod ternary;
 pub mod topk;
 
 pub use binary::{BinaryHypervector, Dim};
-pub use bipolar::BipolarHypervector;
 pub use bitmatrix::BitMatrix;
 pub use distill::BitSelection;
 pub use error::HdcError;
-pub use sdm::SparseDistributedMemory;
-pub use ternary::TernaryHypervector;
 
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {
     pub use crate::binary::{BinaryHypervector, Dim};
-    pub use crate::bipolar::BipolarHypervector;
     pub use crate::bitmatrix::BitMatrix;
     pub use crate::bundle;
     pub use crate::classify::{
-        fit_pocketed, CentroidClassifier, HammingKnnClassifier, LeaveOneOut, LoocvOutcome,
-        LvqTrainer, OnlineTrainer, PassiveAggressiveTrainer, PerceptronTrainer,
+        fit_pocketed, HammingKnnClassifier, LeaveOneOut, LoocvOutcome, LvqTrainer, OnlineTrainer,
+        PassiveAggressiveTrainer, PerceptronTrainer,
     };
     pub use crate::distill::{discrimination_scores, permutation_scores, BitSelection};
     pub use crate::encoding::{
@@ -96,13 +85,10 @@ pub mod prelude {
     };
     pub use crate::error::HdcError;
     pub use crate::rng::SplitMix64;
-    pub use crate::sdm::SparseDistributedMemory;
-    pub use crate::similarity::{cosine_from_hamming, normalized_hamming};
     pub use crate::stream::{
         BundlerSink, ClassAccumulatorSink, CollectSink, FnStream, RecordStream, RowStream,
         StreamEncoder, StreamOutcome, StreamSink, TrainerSink,
     };
-    pub use crate::ternary::TernaryHypervector;
 }
 
 /// The dimensionality used throughout the paper (10,000 bits).

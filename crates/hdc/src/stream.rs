@@ -151,8 +151,7 @@ pub trait StreamSink {
     /// Absorbs one encoded record. `seq` is the record's 0-based position
     /// in the stream (quarantined records still consume their sequence
     /// number, so `seq` always matches the source row index).
-    fn absorb(&mut self, seq: usize, label: usize, hv: &BinaryHypervector)
-        -> Result<(), HdcError>;
+    fn absorb(&mut self, seq: usize, label: usize, hv: &BinaryHypervector) -> Result<(), HdcError>;
 
     /// Absorbs one encoded record the sink may keep without copying. The
     /// encode driver hands every record over through this; by default it
@@ -242,12 +241,6 @@ impl ClassAccumulatorSink {
         Self {
             accumulators: ClassAccumulators::new(dim),
         }
-    }
-
-    /// Wraps existing accumulators (warm-start from a trained model).
-    #[must_use]
-    pub fn from_accumulators(accumulators: ClassAccumulators) -> Self {
-        Self { accumulators }
     }
 
     /// The accumulated per-class state.

@@ -5,7 +5,6 @@ use hyperfex_hdc::bitmatrix::BitMatrix;
 use hyperfex_hdc::bundle;
 use hyperfex_hdc::encoding::{CategoricalEncoder, LinearEncoder};
 use hyperfex_hdc::rng::SplitMix64;
-use hyperfex_hdc::similarity::normalized_hamming;
 use proptest::prelude::*;
 
 /// Dimensionalities across the tail-word classes, up to the paper's
@@ -146,10 +145,8 @@ proptest! {
         let enc = CategoricalEncoder::new(Dim::new(2048), n, seed).unwrap();
         for a in 0..n {
             for b in (a + 1)..n {
-                let d = normalized_hamming(
-                    enc.code(a).unwrap(),
-                    enc.code(b).unwrap(),
-                ).unwrap();
+                let d = enc.code(a).unwrap().try_hamming(enc.code(b).unwrap()).unwrap() as f64
+                    / 2048.0;
                 prop_assert!(d > 0.35, "categories {} and {} at distance {}", a, b, d);
             }
         }

@@ -99,42 +99,25 @@ impl TrainerState {
     }
 }
 
-/// Default number of pocketed retraining epochs for batch `fit`.
-pub const DEFAULT_EPOCHS: usize = 10;
+/// Pocketed retraining epochs of every batch `fit`.
+const EPOCHS: usize = 10;
 
 /// An [`Estimator`] over binary (hypervector) features backed by an online
 /// HDC trainer.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct OnlineHdcClassifier {
     kind: OnlineTrainerKind,
-    epochs: usize,
     trainer: Option<TrainerState>,
 }
 
 impl OnlineHdcClassifier {
-    /// Creates an unfitted classifier with [`DEFAULT_EPOCHS`].
+    /// Creates an unfitted classifier.
     #[must_use]
     pub fn new(kind: OnlineTrainerKind) -> Self {
         Self {
             kind,
-            epochs: DEFAULT_EPOCHS,
             trainer: None,
         }
-    }
-
-    /// Creates an unfitted classifier with an explicit epoch budget.
-    pub fn with_epochs(kind: OnlineTrainerKind, epochs: usize) -> Result<Self, MlError> {
-        if epochs == 0 {
-            return Err(MlError::InvalidParameter {
-                name: "epochs",
-                reason: "must be >= 1".into(),
-            });
-        }
-        Ok(Self {
-            kind,
-            epochs,
-            trainer: None,
-        })
     }
 
     /// The update rule this classifier applies.
@@ -177,9 +160,8 @@ impl OnlineHdcClassifier {
         if hvs.is_empty() {
             return Err(MlError::EmptyTrainingSet);
         }
-        let epochs = self.epochs;
         let trainer = self.trainer_for(hvs[0].dim());
-        trainer.fit_pocketed(hvs, labels, epochs).map_err(map_hdc)?;
+        trainer.fit_pocketed(hvs, labels, EPOCHS).map_err(map_hdc)?;
         Ok(())
     }
 
@@ -380,13 +362,9 @@ mod tests {
     }
 
     #[test]
-    fn unfitted_predict_errors_and_zero_epochs_rejected() {
+    fn unfitted_predict_errors() {
         let clf = OnlineHdcClassifier::new(OnlineTrainerKind::Lvq);
         let x = Matrix::zeros(2, 8);
         assert_eq!(clf.predict(&x), Err(MlError::NotFitted));
-        assert!(matches!(
-            OnlineHdcClassifier::with_epochs(OnlineTrainerKind::Lvq, 0),
-            Err(MlError::InvalidParameter { .. })
-        ));
     }
 }

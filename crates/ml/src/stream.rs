@@ -70,13 +70,6 @@ impl<'a> EstimatorSink<'a> {
         }
     }
 
-    /// Records already handed to `partial_fit` (excludes the buffered
-    /// tail).
-    #[must_use]
-    pub fn records_trained(&self) -> usize {
-        self.trained
-    }
-
     /// Number of `partial_fit` calls made so far.
     #[must_use]
     pub fn batches_flushed(&self) -> usize {
@@ -94,12 +87,11 @@ impl<'a> EstimatorSink<'a> {
         if self.batch.is_empty() {
             return Ok(());
         }
-        let bits = BitMatrix::from_hypervectors(&self.batch).map_err(|e| {
-            MlError::ShapeMismatch {
+        let bits =
+            BitMatrix::from_hypervectors(&self.batch).map_err(|e| MlError::ShapeMismatch {
                 expected: "uniform hypervector dimensionality".into(),
                 got: e.to_string(),
-            }
-        })?;
+            })?;
         self.estimator
             .partial_fit_features(&Features::Packed(&bits), &self.labels)?;
         self.trained += self.batch.len();
@@ -116,12 +108,18 @@ impl StreamSink for EstimatorSink<'_> {
     /// [`HdcError::InvalidConfig`] carrying the [`MlError`] message (the
     /// stream layer cannot name ML error types without inverting the crate
     /// dependency).
-    fn absorb(&mut self, _seq: usize, label: usize, hv: &BinaryHypervector) -> Result<(), HdcError> {
+    fn absorb(
+        &mut self,
+        _seq: usize,
+        label: usize,
+        hv: &BinaryHypervector,
+    ) -> Result<(), HdcError> {
         self.batch.push(hv.clone());
         self.labels.push(label);
         if self.batch.len() >= self.capacity {
-            self.flush()
-                .map_err(|e| HdcError::InvalidConfig(format!("estimator sink flush failed: {e}")))?;
+            self.flush().map_err(|e| {
+                HdcError::InvalidConfig(format!("estimator sink flush failed: {e}"))
+            })?;
         }
         Ok(())
     }

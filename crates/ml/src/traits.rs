@@ -39,16 +39,6 @@ impl Features<'_> {
             Self::Packed(b) => b.dim().get(),
         }
     }
-
-    /// An owned dense matrix: a clone when already dense, a 0.0/1.0
-    /// unpack when packed.
-    #[must_use]
-    pub fn to_dense(&self) -> Matrix {
-        match self {
-            Self::Dense(m) => (*m).clone(),
-            Self::Packed(b) => densify(b),
-        }
-    }
 }
 
 /// Unpacks a packed binary matrix into a dense 0.0/1.0 `f32` matrix

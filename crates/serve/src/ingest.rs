@@ -113,7 +113,12 @@ impl StreamSink for StoreAppendSink<'_> {
     /// [`HdcError::InvalidConfig`] carrying the message (the stream layer
     /// cannot name serve error types without inverting the crate
     /// dependency).
-    fn absorb(&mut self, _seq: usize, label: usize, hv: &BinaryHypervector) -> Result<(), HdcError> {
+    fn absorb(
+        &mut self,
+        _seq: usize,
+        label: usize,
+        hv: &BinaryHypervector,
+    ) -> Result<(), HdcError> {
         self.batch.push(hv.clone());
         self.labels.push(label);
         if self.batch.len() >= self.capacity {

@@ -21,7 +21,7 @@ pub const AUDITED_CRATES: [&str; 8] = [
 ];
 
 /// Kernel files where slice indexing requires an annotation.
-pub const KERNEL_FILES: [&str; 10] = [
+pub const KERNEL_FILES: [&str; 9] = [
     "crates/hdc/src/binary.rs",
     "crates/hdc/src/bitmatrix.rs",
     "crates/hdc/src/bundle.rs",
@@ -29,7 +29,6 @@ pub const KERNEL_FILES: [&str; 10] = [
     "crates/hdc/src/encoding/linear.rs",
     "crates/hdc/src/encoding/pruned.rs",
     "crates/hdc/src/classify/trainer/accumulator.rs",
-    "crates/hdc/src/classify/centroid.rs",
     "crates/serve/src/snapshot.rs",
     "crates/hdc/src/stream.rs",
 ];

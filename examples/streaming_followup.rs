@@ -8,7 +8,7 @@
 //! ```
 
 use hyperfex::prelude::*;
-use hyperfex_hdc::classify::CentroidClassifier;
+use hyperfex_hdc::classify::ClassAccumulators;
 use hyperfex_hdc::rng::SplitMix64;
 
 fn main() -> Result<(), HyperfexError> {
@@ -30,13 +30,13 @@ fn main() -> Result<(), HyperfexError> {
 
     // Seed the memory with the first 20 streamed patients.
     let seed = &stream[..20];
-    let mut memory = CentroidClassifier::new();
-    memory.fit(
-        &seed.iter().map(|&i| hvs[i].clone()).collect::<Vec<_>>(),
+    let mut memory = ClassAccumulators::new(dim);
+    memory.add_batch(
+        &seed.iter().map(|&i| &hvs[i]).collect::<Vec<_>>(),
         &seed.iter().map(|&i| labels[i]).collect::<Vec<_>>(),
     )?;
 
-    let evaluate = |memory: &CentroidClassifier| -> Result<f64, HyperfexError> {
+    let evaluate = |memory: &ClassAccumulators| -> Result<f64, HyperfexError> {
         let mut correct = 0usize;
         for &i in &holdout {
             if memory.predict(&hvs[i])? == labels[i] {
@@ -54,7 +54,7 @@ fn main() -> Result<(), HyperfexError> {
     println!("  ----   ------------------");
     println!("  {:>4}   {:>6.1}%", 20, evaluate(&memory)? * 100.0);
     for (count, &i) in stream[20..].iter().enumerate() {
-        memory.update(&hvs[i], labels[i])?;
+        memory.add_batch(&[&hvs[i]], &[labels[i]])?;
         let seen = 21 + count;
         if seen % 80 == 0 || count == stream.len() - 21 {
             println!("  {:>4}   {:>6.1}%", seen, evaluate(&memory)? * 100.0);

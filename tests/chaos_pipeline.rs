@@ -17,6 +17,7 @@
 //!    same transcript, down to every count and accuracy digit.
 
 use std::fmt::Write as _;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use hyperfex::prelude::*;
 use hyperfex_faults::{registry, FaultPlan};
@@ -24,6 +25,18 @@ use hyperfex_hdc::classify::{LeaveOneOut, OnlineTrainer, PerceptronTrainer};
 
 const N_PLANS: u64 = 16;
 const DIM: usize = 256;
+
+/// Serialises this file's tests. The failpoint hooks are global to the
+/// process, and most tests impute, encode or train before (or after) they
+/// hold their own `registry::install`; run beside another test's armed
+/// rules, those calls would fire its faults or advance its hit counters.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes the file's test lock; a test that failed while holding it does
+/// not stop the others.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn cohorts() -> Vec<(&'static str, Table)> {
     let pima = pima::generate(&PimaConfig {
@@ -173,6 +186,7 @@ fn run_pipeline(name: &str, base: &Table, plan: &FaultPlan) -> String {
 
 #[test]
 fn seeded_fault_plans_never_panic_and_replay_byte_identically() {
+    let _serial = serial();
     let cohorts = cohorts();
     let mut injected_somewhere = false;
     for seed in 0..N_PLANS {
@@ -195,6 +209,7 @@ fn seeded_fault_plans_never_panic_and_replay_byte_identically() {
 
 #[test]
 fn the_none_plan_reproduces_the_clean_pipeline_exactly() {
+    let _serial = serial();
     for (name, base) in &cohorts() {
         let treated = impute_class_median(base).unwrap();
         let clean = HammingModel::new(Dim::new(DIM), 7)
@@ -219,6 +234,7 @@ fn the_none_plan_reproduces_the_clean_pipeline_exactly() {
 
 #[test]
 fn trainer_partial_fit_survives_bit_flip_injection() {
+    let _serial = serial();
     let (_, table) = &cohorts()[1];
     let treated = impute_class_median(table).unwrap();
     let mut extractor = HdcFeatureExtractor::new(Dim::new(DIM), 7);
@@ -257,6 +273,7 @@ fn trainer_partial_fit_survives_bit_flip_injection() {
 fn stream_encode_seam_aborts_strict_quarantines_lenient_and_replays() {
     use hyperfex_hdc::stream::CollectSink;
 
+    let _serial = serial();
     let (_, table) = &cohorts()[0];
     let treated = impute_class_median(table).unwrap();
     let mut extractor = HdcFeatureExtractor::new(Dim::new(DIM), 7);
@@ -332,6 +349,7 @@ fn stream_encode_seam_aborts_strict_quarantines_lenient_and_replays() {
 
 #[test]
 fn injected_failpoints_surface_as_typed_errors() {
+    let _serial = serial();
     let (_, table) = &cohorts()[1];
     let treated = impute_class_median(table).unwrap();
     let rules = vec![hyperfex_faults::FailRule {

@@ -6,7 +6,6 @@ use hyperfex_hdc::bundle::try_weighted_majority;
 use hyperfex_hdc::encoding::LinearEncoder;
 use hyperfex_hdc::reference;
 use hyperfex_hdc::rng::SplitMix64;
-use hyperfex_hdc::similarity::normalized_hamming;
 use hyperfex_hdc::BinaryHypervector;
 use proptest::prelude::*;
 
@@ -147,7 +146,7 @@ proptest! {
         let hvs = ext.fit_transform(&table).unwrap();
         for i in 0..hvs.len().min(6) {
             for j in (i + 1)..hvs.len().min(6) {
-                let d = normalized_hamming(&hvs[i], &hvs[j]).unwrap();
+                let d = hvs[i].try_hamming(&hvs[j]).unwrap() as f64 / 256.0;
                 prop_assert!(d < 0.75, "distance {} suggests anti-correlation", d);
             }
         }
