@@ -222,6 +222,35 @@ impl ClassAccumulators {
         Ok(())
     }
 
+    /// Adds every count of `other` into `self`, class by class, growing
+    /// the class set to cover `other`'s, and requantises the classes
+    /// `other` holds. Accumulating two halves of a stream and merging them
+    /// equals accumulating the whole stream.
+    pub fn merge(&mut self, other: &Self) -> Result<(), HdcError> {
+        if other.dim != self.dim {
+            return Err(HdcError::DimensionMismatch {
+                left: self.dim.get(),
+                right: other.dim.get(),
+            });
+        }
+        let Some(last) = other.n_classes().checked_sub(1) else {
+            return Ok(());
+        };
+        self.grow(last);
+        for (sum, add) in self.ones.iter_mut().zip(&other.ones) {
+            for (a, b) in sum.iter_mut().zip(add) {
+                *a += b;
+            }
+        }
+        for (a, b) in self.totals.iter_mut().zip(&other.totals) {
+            *a += b;
+        }
+        for class in 0..other.n_classes() {
+            self.requantize_class(class);
+        }
+        Ok(())
+    }
+
     /// Rebuilds the quantised prototype of one class from its accumulators,
     /// in place.
     fn requantize_class(&mut self, class: usize) {

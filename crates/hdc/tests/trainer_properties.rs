@@ -163,7 +163,9 @@ proptest! {
 
     /// `add_batch` over any split of a labelled stream leaves the raw
     /// accumulators and every prototype equal to one `grow` + `add` per
-    /// record, across the tail-word dimensionalities of `TAIL_DIMS`.
+    /// record, across the tail-word dimensionalities of `TAIL_DIMS`; and
+    /// two halves accumulated apart then merged equal one `add_batch` over
+    /// all the rows.
     #[test]
     fn add_batch_over_any_split_equals_per_record_add(
         seed in any::<u64>(),
@@ -195,5 +197,14 @@ proptest! {
         for c in 0..per_record.n_classes() {
             prop_assert_eq!(batched.prototype(c), per_record.prototype(c), "class {}", c);
         }
+
+        let mut whole = ClassAccumulators::new(d);
+        whole.add_batch(&hvs, &labels).unwrap();
+        let mut merged = ClassAccumulators::new(d);
+        merged.add_batch(&hvs[..n / 2], &labels[..n / 2]).unwrap();
+        let mut second = ClassAccumulators::new(d);
+        second.add_batch(&hvs[n / 2..], &labels[n / 2..]).unwrap();
+        merged.merge(&second).unwrap();
+        prop_assert_eq!(merged, whole);
     }
 }

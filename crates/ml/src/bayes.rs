@@ -10,7 +10,7 @@
 
 use crate::error::MlError;
 use crate::linalg::Matrix;
-use crate::traits::{validate_fit_inputs, Estimator, ProbabilisticEstimator};
+use crate::traits::{validate_fit_inputs, Estimator, Features, ProbabilisticEstimator};
 use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for Gaussian naive Bayes.
@@ -73,7 +73,7 @@ impl GaussianNb {
 
 impl Estimator for GaussianNb {
     fn fit(&mut self, x: &Matrix, y: &[usize]) -> Result<(), MlError> {
-        let n_classes = validate_fit_inputs(x, y)?;
+        let n_classes = validate_fit_inputs(&Features::Dense(x), y)?;
         if self.params.var_smoothing < 0.0 {
             return Err(MlError::InvalidParameter {
                 name: "var_smoothing",
@@ -216,7 +216,7 @@ impl BernoulliNb {
 
 impl Estimator for BernoulliNb {
     fn fit(&mut self, x: &Matrix, y: &[usize]) -> Result<(), MlError> {
-        let n_classes = validate_fit_inputs(x, y)?;
+        let n_classes = validate_fit_inputs(&Features::Dense(x), y)?;
         if self.params.alpha <= 0.0 {
             return Err(MlError::InvalidParameter {
                 name: "alpha",

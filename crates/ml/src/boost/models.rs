@@ -6,7 +6,7 @@ use super::{base_score, logistic_grad_hess};
 use crate::error::MlError;
 use crate::linalg::Matrix;
 use crate::linear::sigmoid;
-use crate::traits::{validate_fit_inputs, Estimator, ProbabilisticEstimator};
+use crate::traits::{validate_fit_inputs, Estimator, Features, ProbabilisticEstimator};
 use serde::{Deserialize, Serialize};
 
 /// XGBoost-style hyper-parameters (defaults match the Python library).
@@ -127,7 +127,7 @@ impl Ensemble {
                 reason: "must be at least 1".into(),
             });
         }
-        let n_classes = validate_fit_inputs(x, y)?;
+        let n_classes = validate_fit_inputs(&Features::Dense(x), y)?;
         if n_classes > 2 {
             return Err(MlError::InvalidParameter {
                 name: "y",

@@ -3,7 +3,7 @@
 
 use crate::error::MlError;
 use crate::linalg::Matrix;
-use crate::traits::{validate_fit_inputs, Estimator, ProbabilisticEstimator};
+use crate::traits::{validate_fit_inputs, Estimator, Features, ProbabilisticEstimator};
 use crate::tree::{DecisionTreeClassifier, MaxFeatures, TreeParams};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -119,7 +119,7 @@ impl Estimator for RandomForestClassifier {
                 reason: "must be at least 1".into(),
             });
         }
-        let n_classes = validate_fit_inputs(x, y)?;
+        let n_classes = validate_fit_inputs(&Features::Dense(x), y)?;
         self.n_classes = n_classes;
         let n = x.n_rows();
         let params = &self.params;

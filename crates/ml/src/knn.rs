@@ -3,12 +3,11 @@
 
 use crate::error::MlError;
 use crate::linalg::Matrix;
-use crate::traits::{
-    validate_fit_inputs, validate_packed_fit_inputs, Estimator, Features, ProbabilisticEstimator,
-};
+use crate::traits::{validate_fit_inputs, Estimator, Features, ProbabilisticEstimator};
 use hyperfex_hdc::bitmatrix::BitMatrix;
 use hyperfex_hdc::topk::TopK;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Fewest query rows a parallel chunk of a prediction takes: each row
 /// scans the whole training set, so eight rows outweigh a thread.
@@ -136,12 +135,18 @@ impl KnnClassifier {
         n: usize,
         f: impl Fn(usize) -> Result<T, MlError> + Sync,
     ) -> Result<Vec<T>, MlError> {
-        rayon::map_ranges(n, MIN_CHUNK_ROWS, |rows| {
-            rows.map(&f).collect::<Result<Vec<_>, _>>()
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()
-        .map(|chunks| chunks.into_iter().flatten().collect())
+        Self::map_chunks(n, |rows| rows.map(&f).collect())
+    }
+
+    /// [`Self::map_rows`] with `f` mapping a whole chunk of rows at once.
+    fn map_chunks<T: Send>(
+        n: usize,
+        f: impl Fn(Range<usize>) -> Result<Vec<T>, MlError> + Sync,
+    ) -> Result<Vec<T>, MlError> {
+        rayon::map_ranges(n, MIN_CHUNK_ROWS, f)
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .map(|chunks| chunks.into_iter().flatten().collect())
     }
 
     fn argmax(votes: &[f64]) -> usize {
@@ -171,18 +176,7 @@ fn squared_distance_to_bits(row: &[f32], words: &[u64]) -> f32 {
 
 impl Estimator for KnnClassifier {
     fn fit(&mut self, x: &Matrix, y: &[usize]) -> Result<(), MlError> {
-        if self.params.k == 0 {
-            return Err(MlError::InvalidParameter {
-                name: "k",
-                reason: "must be at least 1".into(),
-            });
-        }
-        let n_classes = validate_fit_inputs(x, y)?;
-        self.n_classes = n_classes;
-        self.x = Some(x.clone());
-        self.packed = None;
-        self.y = y.to_vec();
-        Ok(())
+        self.fit_features(&Features::Dense(x), y)
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<usize>, MlError> {
@@ -194,20 +188,17 @@ impl Estimator for KnnClassifier {
     }
 
     fn fit_features(&mut self, x: &Features<'_>, y: &[usize]) -> Result<(), MlError> {
-        let b = match x {
-            Features::Dense(m) => return self.fit(m, y),
-            Features::Packed(b) => b,
-        };
         if self.params.k == 0 {
             return Err(MlError::InvalidParameter {
                 name: "k",
                 reason: "must be at least 1".into(),
             });
         }
-        let n_classes = validate_packed_fit_inputs(b, y)?;
-        self.n_classes = n_classes;
-        self.x = None;
-        self.packed = Some((*b).clone());
+        self.n_classes = validate_fit_inputs(x, y)?;
+        (self.x, self.packed) = match x {
+            Features::Dense(m) => (Some((*m).clone()), None),
+            Features::Packed(b) => (None, Some((*b).clone())),
+        };
         self.y = y.to_vec();
         Ok(())
     }
@@ -215,9 +206,9 @@ impl Estimator for KnnClassifier {
     fn predict_features(&self, x: &Features<'_>) -> Result<Vec<usize>, MlError> {
         match (x, &self.packed) {
             (Features::Packed(q), Some(train)) => {
-                // Fully packed: each query row's nearest training rows by
-                // popcount distance through the shared top-k, then the
-                // usual vote.
+                // Fully packed: one shared top-k scan of the training rows
+                // per chunk of queries, by popcount distance, then the
+                // usual vote per query.
                 let shape_mismatch = || MlError::ShapeMismatch {
                     expected: format!("{} features", train.dim().get()),
                     got: format!("{} features", q.dim().get()),
@@ -227,12 +218,17 @@ impl Estimator for KnnClassifier {
                 }
                 let n = train.n_rows();
                 let k = self.params.k.min(n);
-                Self::map_rows(q.n_rows(), |qi| {
-                    let mut tops = TopK::new(1, k);
-                    tops.scan(&q.select_rows(&[qi]), train, 0..n, |j| j)
+                Self::map_chunks(q.n_rows(), |rows| {
+                    let chunk = q.select_rows(&rows.collect::<Vec<_>>());
+                    let mut tops = TopK::new(chunk.n_rows(), k);
+                    tops.scan(&chunk, train, 0..n, |j| j)
                         .map_err(|_| shape_mismatch())?;
-                    let best = tops.list(0).iter().map(|&(d, i)| (d as f64, i));
-                    Ok(Self::argmax(&self.tally(best)))
+                    Ok((0..chunk.n_rows())
+                        .map(|qi| {
+                            let best = tops.list(qi).iter().map(|&(d, i)| (d as f64, i));
+                            Self::argmax(&self.tally(best))
+                        })
+                        .collect())
                 })
             }
             (Features::Packed(q), None) => self.predict(&crate::traits::densify(q)),

@@ -36,7 +36,6 @@ pub mod knn;
 pub mod linalg;
 pub mod linear;
 pub mod nn;
-pub mod obs;
 pub mod online;
 pub mod preprocessing;
 pub mod stream;
@@ -45,6 +44,7 @@ pub mod traits;
 pub mod tree;
 
 pub use error::MlError;
+pub use hyperfex_hdc::obs;
 pub use linalg::Matrix;
 pub use traits::{densify, Estimator, Features, ProbabilisticEstimator};
 

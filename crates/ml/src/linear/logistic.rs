@@ -11,9 +11,7 @@ use crate::error::MlError;
 use crate::linalg::Matrix;
 use crate::linear::{log_loss, sigmoid};
 use crate::preprocessing::StandardScaler;
-use crate::traits::{
-    validate_fit_inputs, validate_packed_fit_inputs, Estimator, Features, ProbabilisticEstimator,
-};
+use crate::traits::{validate_fit_inputs, Estimator, Features, ProbabilisticEstimator};
 use hyperfex_hdc::bitmatrix::{masked_weight_sum, BitMatrix};
 use serde::{Deserialize, Serialize};
 
@@ -80,94 +78,44 @@ impl LogisticRegression {
         z
     }
 
-    /// Packed-input fit. Runs the same Nesterov gradient descent as
-    /// [`Estimator::fit`] but never materialises the standardised matrix:
-    /// a scaled 0/1 feature takes one of two per-column values, so the
-    /// look-ahead logit collapses to
-    /// `z = base − Σⱼ rⱼ·mⱼ + Σ_{set bits} rⱼ` with `rⱼ = (wⱼ + μ·vwⱼ)/σⱼ`
-    /// hoisted once per iteration (the dense loop recomputes it per row),
-    /// and the weight gradient `Σᵢ errᵢ·bᵢⱼ` to one gather over each
-    /// feature's column of a one-time transpose (the bits never change
-    /// across iterations). The reformulated sums round differently from the dense
-    /// ones, so parity with the dense fit is close (≤1e-5 on logits)
-    /// rather than bit-exact; the scaler statistics themselves are
-    /// bit-identical.
-    fn fit_packed(&mut self, bits: &BitMatrix, y: &[usize]) -> Result<(), MlError> {
-        let n_classes = validate_packed_fit_inputs(bits, y)?;
-        if n_classes > 2 {
-            return Err(MlError::InvalidParameter {
-                name: "y",
-                reason: "logistic regression supports binary labels only".into(),
-            });
-        }
-        if self.params.c <= 0.0 {
-            return Err(MlError::InvalidParameter {
-                name: "c",
-                reason: "must be positive".into(),
-            });
-        }
-        self.scaler.fit_packed(bits)?;
-        let n = bits.n_rows();
-        let p = bits.dim().get();
+    /// Full-batch Nesterov gradient descent on the L2-penalised mean log
+    /// loss, in standardised coordinates. `gradient(look, bias, grad)`
+    /// evaluates the training rows at the look-ahead point: it fills
+    /// `grad[j]` with `Σᵢ errᵢ·x̃ᵢⱼ` over the standardised features and
+    /// returns `Σᵢ errᵢ`, where `errᵢ = σ(zᵢ) − yᵢ`.
+    fn nesterov(
+        &mut self,
+        n: usize,
+        p: usize,
+        mut gradient: impl FnMut(&[f64], f64, &mut [f64]) -> f64,
+    ) {
         let lambda = 1.0 / (self.params.c * n as f64);
         self.weights = vec![0.0; p];
         self.bias = 0.0;
 
+        // Lipschitz bound for BCE: L ≤ tr(XᵀX)/(4n) + λ. After
+        // standardisation tr(XᵀX)/n = p, so L ≤ p/4 + λ.
         let lr = 1.0 / (p as f64 / 4.0 + lambda);
+        // Nesterov momentum accelerates the well-conditioned standardised
+        // problem substantially.
         let momentum = 0.9;
         let mut vel_w = vec![0.0f64; p];
         let mut vel_b = 0.0f64;
 
-        let means = self.scaler.means().to_vec();
-        let inv_s: Vec<f64> = self.scaler.stds().iter().map(|&s| 1.0 / s).collect();
-
-        // The bits never change across iterations, so the gradient
-        // Σᵢ errᵢ·bᵢⱼ can run column-major over a one-time transpose with
-        // the gather kernel instead of a per-row scatter — one
-        // masked_weight_sum over an n-bit column per feature.
-        let cols = bits.transpose().map_err(|_| MlError::EmptyTrainingSet)?;
-
-        // Look-ahead weights in original bit coordinates, refreshed once
-        // per iteration.
-        let mut r = vec![0.0f64; p];
-        let mut err = vec![0.0f64; n];
+        let mut look = vec![0.0f64; p];
+        let mut grad_w = vec![0.0f64; p];
         for _ in 0..self.params.max_iter {
-            let mut offset = 0.0f64;
-            for (((rj, &w), &vw), (&m, &is)) in r
-                .iter_mut()
-                .zip(&self.weights)
-                .zip(&vel_w)
-                .zip(means.iter().zip(&inv_s))
-            {
-                *rj = (w + momentum * vw) * is;
-                offset += *rj * m;
+            for ((l, &w), &vw) in look.iter_mut().zip(&self.weights).zip(&vel_w) {
+                *l = w + momentum * vw;
             }
-            let base = self.bias + momentum * vel_b - offset;
-
-            let mut err_sum = 0.0f64;
-            for ((e, &yi), i) in err.iter_mut().zip(y).zip(0..n) {
-                let z = base + masked_weight_sum(bits.row_words(i), &r);
-                *e = sigmoid(z) - yi as f64;
-                err_sum += *e;
-            }
-
+            let err_sum = gradient(&look, self.bias + momentum * vel_b, &mut grad_w);
             let inv_n = 1.0 / n as f64;
             let mut grad_norm = 0.0f64;
-            for (((j, w), vw), (&m, &is)) in self
-                .weights
-                .iter_mut()
-                .enumerate()
-                .zip(vel_w.iter_mut())
-                .zip(means.iter().zip(&inv_s))
-            {
-                // Chain rule back into scaled coordinates: the gradient the
-                // dense loop accumulates is Σᵢ errᵢ·(bᵢⱼ − mⱼ)/σⱼ.
-                let g1 = masked_weight_sum(cols.row_words(j), &err);
-                let gs = (g1 - m * err_sum) * is;
-                let gj = gs * inv_n + lambda * *w;
-                grad_norm += gj * gj;
-                *vw = momentum * *vw - lr * gj;
-                *w += *vw;
+            for ((w, v), &g) in self.weights.iter_mut().zip(vel_w.iter_mut()).zip(&grad_w) {
+                let g = g * inv_n + lambda * *w;
+                grad_norm += g * g;
+                *v = momentum * *v - lr * g;
+                *w += *v;
             }
             let grad_b = err_sum * inv_n;
             grad_norm += grad_b * grad_b;
@@ -179,7 +127,6 @@ impl LogisticRegression {
             }
         }
         self.fitted = true;
-        Ok(())
     }
 
     /// Class-1 probability per packed row, staying in bit coordinates.
@@ -208,76 +155,95 @@ impl LogisticRegression {
     }
 }
 
+/// The dense gradient of [`LogisticRegression::nesterov`] over the
+/// standardised design matrix `xs`, one row at a time.
+fn dense_gradient(xs: &Matrix, y: &[usize], look: &[f64], bias: f64, grad: &mut [f64]) -> f64 {
+    grad.iter_mut().for_each(|g| *g = 0.0);
+    let mut err_sum = 0.0f64;
+    for (i, &yi) in y.iter().enumerate() {
+        let row = xs.row(i);
+        let mut z = bias;
+        for (&l, &v) in look.iter().zip(row) {
+            z += l * f64::from(v);
+        }
+        let err = sigmoid(z) - yi as f64;
+        for (g, &v) in grad.iter_mut().zip(row) {
+            *g += err * f64::from(v);
+        }
+        err_sum += err;
+    }
+    err_sum
+}
+
+/// The packed gradient of [`LogisticRegression::nesterov`], which never
+/// materialises the standardised matrix. A scaled 0/1 feature takes one
+/// of two per-column values, so the logit collapses to
+/// `z = base − Σⱼ rⱼ·mⱼ + Σ_{set bits} rⱼ` with `rⱼ = lookⱼ/σⱼ` hoisted
+/// once per iteration, and the weight gradient `Σᵢ errᵢ·bᵢⱼ` to one gather
+/// over each feature's column of a one-time transpose (the bits never
+/// change across iterations). These sums round differently from the
+/// dense ones, so parity with the dense fit is close (≤1e-5 on logits)
+/// rather than bit-exact; the scaler statistics themselves are
+/// bit-identical.
+struct PackedGradient<'a> {
+    bits: &'a BitMatrix,
+    /// Feature-major transpose: row `j` is feature j's sample mask.
+    cols: BitMatrix,
+    means: Vec<f64>,
+    inv_s: Vec<f64>,
+    /// Look-ahead weights in bit coordinates.
+    r: Vec<f64>,
+    /// Per-row residual `σ(zᵢ) − yᵢ`.
+    err: Vec<f64>,
+}
+
+impl<'a> PackedGradient<'a> {
+    fn new(bits: &'a BitMatrix, scaler: &StandardScaler) -> Result<Self, MlError> {
+        Ok(Self {
+            bits,
+            cols: bits.transpose().map_err(|_| MlError::EmptyTrainingSet)?,
+            means: scaler.means().to_vec(),
+            inv_s: scaler.stds().iter().map(|&s| 1.0 / s).collect(),
+            r: vec![0.0; bits.dim().get()],
+            err: vec![0.0; bits.n_rows()],
+        })
+    }
+
+    fn gradient(&mut self, y: &[usize], look: &[f64], bias: f64, grad: &mut [f64]) -> f64 {
+        let mut offset = 0.0f64;
+        for ((rj, &l), (&m, &is)) in self
+            .r
+            .iter_mut()
+            .zip(look)
+            .zip(self.means.iter().zip(&self.inv_s))
+        {
+            *rj = l * is;
+            offset += *rj * m;
+        }
+        let base = bias - offset;
+        let mut err_sum = 0.0f64;
+        for ((e, &yi), i) in self.err.iter_mut().zip(y).zip(0..) {
+            let z = base + masked_weight_sum(self.bits.row_words(i), &self.r);
+            *e = sigmoid(z) - yi as f64;
+            err_sum += *e;
+        }
+        // Chain rule back into scaled coordinates: the dense gradient is
+        // Σᵢ errᵢ·(bᵢⱼ − mⱼ)/σⱼ.
+        for ((g, j), (&m, &is)) in grad
+            .iter_mut()
+            .zip(0..)
+            .zip(self.means.iter().zip(&self.inv_s))
+        {
+            let g1 = masked_weight_sum(self.cols.row_words(j), &self.err);
+            *g = (g1 - m * err_sum) * is;
+        }
+        err_sum
+    }
+}
+
 impl Estimator for LogisticRegression {
     fn fit(&mut self, x: &Matrix, y: &[usize]) -> Result<(), MlError> {
-        let n_classes = validate_fit_inputs(x, y)?;
-        if n_classes > 2 {
-            return Err(MlError::InvalidParameter {
-                name: "y",
-                reason: "logistic regression supports binary labels only".into(),
-            });
-        }
-        if self.params.c <= 0.0 {
-            return Err(MlError::InvalidParameter {
-                name: "c",
-                reason: "must be positive".into(),
-            });
-        }
-        let xs = self.scaler.fit_transform(x)?;
-        let n = xs.n_rows();
-        let p = xs.n_cols();
-        let lambda = 1.0 / (self.params.c * n as f64);
-        self.weights = vec![0.0; p];
-        self.bias = 0.0;
-
-        // Lipschitz bound for BCE: L ≤ tr(XᵀX)/(4n) + λ. After
-        // standardisation tr(XᵀX)/n = p, so L ≤ p/4 + λ.
-        let lr = 1.0 / (p as f64 / 4.0 + lambda);
-        // Nesterov momentum accelerates the well-conditioned standardised
-        // problem substantially.
-        let momentum = 0.9;
-        let mut vel_w = vec![0.0f64; p];
-        let mut vel_b = 0.0f64;
-
-        let mut grad_w = vec![0.0f64; p];
-        for _ in 0..self.params.max_iter {
-            grad_w.iter_mut().for_each(|g| *g = 0.0);
-            let mut grad_b = 0.0f64;
-            for (i, &yi) in y.iter().enumerate() {
-                let row = xs.row(i);
-                // Look-ahead point for Nesterov.
-                let mut z = self.bias + momentum * vel_b;
-                for ((&w, &v), &vw) in self.weights.iter().zip(row).zip(vel_w.iter()) {
-                    z += (w + momentum * vw) * f64::from(v);
-                }
-                let err = sigmoid(z) - yi as f64;
-                for (g, &v) in grad_w.iter_mut().zip(row) {
-                    *g += err * f64::from(v);
-                }
-                grad_b += err;
-            }
-            let inv_n = 1.0 / n as f64;
-            let mut grad_norm = 0.0f64;
-            for (g, w) in grad_w.iter_mut().zip(&self.weights) {
-                *g = *g * inv_n + lambda * *w;
-                grad_norm += *g * *g;
-            }
-            grad_b *= inv_n;
-            grad_norm += grad_b * grad_b;
-
-            for ((w, v), &g) in self.weights.iter_mut().zip(vel_w.iter_mut()).zip(&grad_w) {
-                *v = momentum * *v - lr * g;
-                *w += *v;
-            }
-            vel_b = momentum * vel_b - lr * grad_b;
-            self.bias += vel_b;
-
-            if grad_norm.sqrt() < self.params.tol {
-                break;
-            }
-        }
-        self.fitted = true;
-        Ok(())
+        self.fit_features(&Features::Dense(x), y)
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<usize>, MlError> {
@@ -293,10 +259,36 @@ impl Estimator for LogisticRegression {
     }
 
     fn fit_features(&mut self, x: &Features<'_>, y: &[usize]) -> Result<(), MlError> {
-        match x {
-            Features::Dense(m) => self.fit(m, y),
-            Features::Packed(b) => self.fit_packed(b, y),
+        let n_classes = validate_fit_inputs(x, y)?;
+        if n_classes > 2 {
+            return Err(MlError::InvalidParameter {
+                name: "y",
+                reason: "logistic regression supports binary labels only".into(),
+            });
         }
+        if self.params.c <= 0.0 {
+            return Err(MlError::InvalidParameter {
+                name: "c",
+                reason: "must be positive".into(),
+            });
+        }
+        let (n, p) = (x.n_rows(), x.n_cols());
+        match x {
+            Features::Dense(m) => {
+                let xs = self.scaler.fit_transform(m)?;
+                self.nesterov(n, p, |look, bias, grad| {
+                    dense_gradient(&xs, y, look, bias, grad)
+                });
+            }
+            Features::Packed(bits) => {
+                self.scaler.fit_packed(bits)?;
+                let mut packed = PackedGradient::new(bits, &self.scaler)?;
+                self.nesterov(n, p, |look, bias, grad| {
+                    packed.gradient(y, look, bias, grad)
+                });
+            }
+        }
+        Ok(())
     }
 
     fn predict_features(&self, x: &Features<'_>) -> Result<Vec<usize>, MlError> {

@@ -11,8 +11,7 @@ use crate::error::MlError;
 use crate::linalg::Matrix;
 use crate::linear::sigmoid;
 use crate::traits::{
-    validate_fit_inputs, validate_packed_fit_inputs, validate_packed_partial_fit_inputs,
-    validate_partial_fit_inputs, Estimator, Features, ProbabilisticEstimator,
+    validate_fit_inputs, validate_partial_fit_inputs, Estimator, Features, ProbabilisticEstimator,
 };
 use hyperfex_hdc::bitmatrix::{masked_scatter_add, masked_weight_sum, BitMatrix};
 use rand::rngs::StdRng;
@@ -55,6 +54,100 @@ impl Default for SgdParams {
             tol: 1e-3,
             n_iter_no_change: 5,
             seed: 0,
+        }
+    }
+}
+
+/// The row kernels of one SGD step, one implementation per input kind.
+///
+/// Dense rows keep the live weights as they are. Packed rows keep them as
+/// `scale · v` with a lazy L2 scale: the per-step decay — O(p) multiplies
+/// per sample on dense rows, the dominant cost — becomes one multiply of
+/// `scale`, the logit is a [`masked_weight_sum`] over set bits and the
+/// gradient a [`masked_scatter_add`] of `−η·dloss/scale` onto them. The
+/// factored products round differently from the dense elementwise ones,
+/// so packed/dense parity is close (≤1e-5 on decision values for matched
+/// trajectories) rather than bit-exact.
+trait SgdRows {
+    /// The weights as the kernel keeps them while training.
+    type Weights;
+    /// Takes over plain weights at the start of a pass.
+    fn start(w: Vec<f64>) -> Self::Weights;
+    /// Hands plain weights back at the end of a pass.
+    fn finish(w: Self::Weights) -> Vec<f64>;
+    /// `bias + w·x_i`.
+    fn decision(&self, w: &Self::Weights, i: usize, bias: f64) -> f64;
+    /// `w ← decay·w − eta·dloss·x_i`.
+    fn update(&self, w: &mut Self::Weights, i: usize, decay: f64, eta: f64, dloss: f64);
+}
+
+impl SgdRows for Matrix {
+    type Weights = Vec<f64>;
+
+    fn start(w: Vec<f64>) -> Vec<f64> {
+        w
+    }
+
+    fn finish(w: Vec<f64>) -> Vec<f64> {
+        w
+    }
+
+    #[inline]
+    fn decision(&self, w: &Vec<f64>, i: usize, bias: f64) -> f64 {
+        let mut z = bias;
+        for (&wj, &v) in w.iter().zip(self.row(i)) {
+            z += wj * f64::from(v);
+        }
+        z
+    }
+
+    #[inline]
+    fn update(&self, w: &mut Vec<f64>, i: usize, decay: f64, eta: f64, dloss: f64) {
+        for wj in w.iter_mut() {
+            *wj *= decay;
+        }
+        if dloss != 0.0 {
+            for (wj, &v) in w.iter_mut().zip(self.row(i)) {
+                *wj -= eta * dloss * f64::from(v);
+            }
+        }
+    }
+}
+
+/// Weights `scale · v` under a lazy L2 scale.
+struct Scaled {
+    v: Vec<f64>,
+    scale: f64,
+}
+
+impl SgdRows for BitMatrix {
+    type Weights = Scaled;
+
+    fn start(v: Vec<f64>) -> Scaled {
+        Scaled { v, scale: 1.0 }
+    }
+
+    fn finish(w: Scaled) -> Vec<f64> {
+        w.v.iter().map(|&vj| w.scale * vj).collect()
+    }
+
+    #[inline]
+    fn decision(&self, w: &Scaled, i: usize, bias: f64) -> f64 {
+        bias + w.scale * masked_weight_sum(self.row_words(i), &w.v)
+    }
+
+    #[inline]
+    fn update(&self, w: &mut Scaled, i: usize, decay: f64, eta: f64, dloss: f64) {
+        w.scale *= decay;
+        if dloss != 0.0 {
+            masked_scatter_add(self.row_words(i), -eta * dloss / w.scale, &mut w.v);
+        }
+        // Fold the scale back in before it underflows.
+        if w.scale < 1e-9 {
+            for vj in &mut w.v {
+                *vj *= w.scale;
+            }
+            w.scale = 1.0;
         }
     }
 }
@@ -103,8 +196,11 @@ impl SgdClassifier {
         Ok(())
     }
 
-    /// Bottou schedule constants `(alpha, t0)`:
-    /// `eta(t) = 1 / (alpha * (t0 + t))`.
+    /// Bottou's "optimal" schedule as used by sklearn:
+    /// `eta(t) = 1 / (alpha * (t0 + t))` with `typw = sqrt(1/sqrt(alpha))`,
+    /// `eta0 = typw / max(1, |l'(-typw, 1)|)` and `t0 = 1 / (eta0 * alpha)`.
+    /// For both hinge and log loss the derivative magnitude at −typw is
+    /// ≈ 1. Returns `(alpha, t0)`.
     fn schedule(&self) -> (f64, f64) {
         let alpha = self.params.alpha;
         let typw = (1.0 / alpha.sqrt()).sqrt().max(1e-12);
@@ -114,6 +210,16 @@ impl SgdClassifier {
 
     /// The raw decision value `w·x + b` per row.
     pub fn decision_function(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
+        self.decisions(&Features::Dense(x))
+    }
+
+    /// The raw decision value per bit-packed row: on 0/1 features
+    /// `w·x` is the sum of weights over set bits.
+    pub fn decision_function_packed(&self, bits: &BitMatrix) -> Result<Vec<f64>, MlError> {
+        self.decisions(&Features::Packed(bits))
+    }
+
+    fn decisions(&self, x: &Features<'_>) -> Result<Vec<f64>, MlError> {
         if !self.fitted {
             return Err(MlError::NotFitted);
         }
@@ -123,103 +229,77 @@ impl SgdClassifier {
                 got: format!("{} features", x.n_cols()),
             });
         }
-        Ok((0..x.n_rows())
-            .map(|i| {
-                let mut z = self.bias;
-                for (&w, &v) in self.weights.iter().zip(x.row(i)) {
-                    z += w * f64::from(v);
-                }
-                z
-            })
-            .collect())
+        Ok(match x {
+            Features::Dense(m) => (0..m.n_rows())
+                .map(|i| m.decision(&self.weights, i, self.bias))
+                .collect(),
+            Features::Packed(b) => (0..b.n_rows())
+                .map(|i| self.bias + masked_weight_sum(b.row_words(i), &self.weights))
+                .collect(),
+        })
     }
 
-    /// The raw decision value per bit-packed row: on 0/1 features
-    /// `w·x` is the sum of weights over set bits.
-    pub fn decision_function_packed(&self, bits: &BitMatrix) -> Result<Vec<f64>, MlError> {
-        if !self.fitted {
-            return Err(MlError::NotFitted);
+    /// The loss at decision value `z` for `label`, and its gradient
+    /// `dloss/dz`.
+    fn loss(&self, z: f64, label: usize) -> (f64, f64) {
+        match self.params.loss {
+            SgdLoss::Hinge => {
+                let target = if label == 1 { 1.0 } else { -1.0 };
+                let margin = target * z;
+                let dloss = if margin < 1.0 { -target } else { 0.0 };
+                ((1.0 - margin).max(0.0), dloss)
+            }
+            SgdLoss::Log => {
+                let pz = sigmoid(z);
+                let yi = label as f64;
+                let loss = -(yi * pz.max(1e-12).ln() + (1.0 - yi) * (1.0 - pz).max(1e-12).ln());
+                (loss, pz - yi)
+            }
         }
-        if bits.dim().get() != self.weights.len() {
-            return Err(MlError::ShapeMismatch {
-                expected: format!("{} features", self.weights.len()),
-                got: format!("{} features", bits.dim().get()),
-            });
-        }
-        Ok((0..bits.n_rows())
-            .map(|i| self.bias + masked_weight_sum(bits.row_words(i), &self.weights))
-            .collect())
     }
 
-    /// Packed-input fit: the same per-sample update schedule as
-    /// [`Estimator::fit`], restructured for bits. The per-step L2 decay —
-    /// O(p) multiplies per sample in the dense loop, the dominant cost —
-    /// becomes one multiply of a lazy scale factor (`w = scale·v`), the
-    /// logit comes from [`masked_weight_sum`] over set bits, and the loss
-    /// gradient is a scatter-add of `−η·dloss/scale` onto the set bits.
-    /// The factored products round differently from the dense elementwise
-    /// ones, so parity is close (≤1e-5 on decision values for matched
-    /// trajectories) rather than bit-exact.
-    fn fit_packed(&mut self, bits: &BitMatrix, y: &[usize]) -> Result<(), MlError> {
-        let n_classes = validate_packed_fit_inputs(bits, y)?;
-        self.check_binary(n_classes)?;
-        let n = bits.n_rows();
-        let p = bits.dim().get();
+    /// One SGD step on row `i`: advances the global step counter, decays
+    /// the weights (L2) and descends the loss gradient. Returns the row's
+    /// loss before the step.
+    #[inline]
+    fn step<R: SgdRows>(
+        &mut self,
+        x: &R,
+        w: &mut R::Weights,
+        i: usize,
+        label: usize,
+        (alpha, t0): (f64, f64),
+    ) -> f64 {
+        self.t += 1.0;
+        let eta = 1.0 / (alpha * (t0 + self.t));
+        let z = x.decision(w, i, self.bias);
+        let (loss, dloss) = self.loss(z, label);
+        x.update(w, i, 1.0 - eta * alpha, eta, dloss);
+        if dloss != 0.0 {
+            self.bias -= eta * dloss;
+        }
+        loss
+    }
+
+    /// sklearn's `fit`: from zero weights, reshuffled epochs of one step
+    /// per row, stopping once the mean epoch loss has failed to improve by
+    /// `tol` for `n_iter_no_change` epochs.
+    fn fit_rows<R: SgdRows>(&mut self, x: &R, y: &[usize], p: usize) {
+        let schedule = self.schedule();
+        let mut w = R::start(vec![0.0; p]);
         self.bias = 0.0;
-
-        let (alpha, t0) = self.schedule();
-
-        // Lazy L2 scaling: the live weights are `scale * v`.
-        let mut v = vec![0.0f64; p];
-        let mut scale = 1.0f64;
-
-        let mut order: Vec<usize> = (0..n).collect();
+        self.t = 0.0;
+        let mut order: Vec<usize> = (0..y.len()).collect();
         let mut rng = StdRng::seed_from_u64(self.params.seed);
-        let mut t = 0.0f64;
         let mut best_loss = f64::INFINITY;
         let mut stall = 0usize;
-
         for _epoch in 0..self.params.max_iter {
             order.shuffle(&mut rng);
             let mut epoch_loss = 0.0f64;
             for &i in &order {
-                t += 1.0;
-                let eta = 1.0 / (alpha * (t0 + t));
-                let row = bits.row_words(i);
-                let target = if y[i] == 1 { 1.0 } else { -1.0 };
-                let z = self.bias + scale * masked_weight_sum(row, &v);
-                scale *= 1.0 - eta * alpha;
-                let dloss = match self.params.loss {
-                    SgdLoss::Hinge => {
-                        let margin = target * z;
-                        epoch_loss += (1.0 - margin).max(0.0);
-                        if margin < 1.0 {
-                            -target
-                        } else {
-                            0.0
-                        }
-                    }
-                    SgdLoss::Log => {
-                        let pz = sigmoid(z);
-                        let yi = y[i] as f64;
-                        epoch_loss +=
-                            -(yi * pz.max(1e-12).ln() + (1.0 - yi) * (1.0 - pz).max(1e-12).ln());
-                        pz - yi
-                    }
-                };
-                if dloss != 0.0 {
-                    masked_scatter_add(row, -eta * dloss / scale, &mut v);
-                    self.bias -= eta * dloss;
-                }
-                // Fold the scale back in before it underflows.
-                if scale < 1e-9 {
-                    for vj in &mut v {
-                        *vj *= scale;
-                    }
-                    scale = 1.0;
-                }
+                epoch_loss += self.step(x, &mut w, i, y[i], schedule);
             }
-            epoch_loss /= n as f64;
+            epoch_loss /= y.len() as f64;
             if epoch_loss > best_loss - self.params.tol {
                 stall += 1;
                 if stall >= self.params.n_iter_no_change {
@@ -230,86 +310,25 @@ impl SgdClassifier {
             }
             best_loss = best_loss.min(epoch_loss);
         }
-        self.weights = v.iter().map(|&vj| scale * vj).collect();
-        self.t = t;
+        self.weights = R::finish(w);
         self.fitted = true;
-        Ok(())
     }
 
-    /// One pass over a mini-batch *in stream order* (no shuffle, no
-    /// convergence bookkeeping), continuing the global step counter —
-    /// sklearn's `partial_fit` semantics. Cold starts bootstrap zeroed
-    /// weights from the first batch's width.
-    fn partial_fit_dense(&mut self, x: &Matrix, y: &[usize]) -> Result<(), MlError> {
-        let n_classes = validate_partial_fit_inputs(x, y)?;
-        self.check_binary(n_classes)?;
-        let p = x.n_cols();
-        self.prepare_partial(p)?;
-        let (alpha, t0) = self.schedule();
+    /// sklearn's `partial_fit`: one pass over a mini-batch *in stream
+    /// order* (no shuffle, no convergence bookkeeping), continuing the
+    /// global step counter.
+    fn partial_fit_rows<R: SgdRows>(&mut self, x: &R, y: &[usize]) {
+        let schedule = self.schedule();
+        let mut w = R::start(std::mem::take(&mut self.weights));
         for (i, &label) in y.iter().enumerate() {
-            self.t += 1.0;
-            let eta = 1.0 / (alpha * (t0 + self.t));
-            let row = x.row(i);
-            let target = if label == 1 { 1.0 } else { -1.0 };
-            let mut z = self.bias;
-            for (&w, &v) in self.weights.iter().zip(row) {
-                z += w * f64::from(v);
-            }
-            let decay = 1.0 - eta * alpha;
-            for w in &mut self.weights {
-                *w *= decay;
-            }
-            let dloss = self.gradient(z, target, label);
-            if dloss != 0.0 {
-                for (w, &v) in self.weights.iter_mut().zip(row) {
-                    *w -= eta * dloss * f64::from(v);
-                }
-                self.bias -= eta * dloss;
-            }
+            self.step(x, &mut w, i, label, schedule);
         }
+        self.weights = R::finish(w);
         self.fitted = true;
-        Ok(())
     }
 
-    /// Packed-input [`Estimator::partial_fit`]: the same stream-order
-    /// update as the dense path, restructured with the lazy L2 scale and
-    /// popcount kernels of [`SgdClassifier::fit_packed`]. Parity with the
-    /// dense trajectory is close (≤1e-5 on decision values) rather than
-    /// bit-exact, for the same factored-rounding reason.
-    fn partial_fit_packed(&mut self, bits: &BitMatrix, y: &[usize]) -> Result<(), MlError> {
-        let n_classes = validate_packed_partial_fit_inputs(bits, y)?;
-        self.check_binary(n_classes)?;
-        let p = bits.dim().get();
-        self.prepare_partial(p)?;
-        let (alpha, t0) = self.schedule();
-        let mut v = std::mem::take(&mut self.weights);
-        let mut scale = 1.0f64;
-        for (i, &label) in y.iter().enumerate() {
-            self.t += 1.0;
-            let eta = 1.0 / (alpha * (t0 + self.t));
-            let row = bits.row_words(i);
-            let target = if label == 1 { 1.0 } else { -1.0 };
-            let z = self.bias + scale * masked_weight_sum(row, &v);
-            scale *= 1.0 - eta * alpha;
-            let dloss = self.gradient(z, target, label);
-            if dloss != 0.0 {
-                masked_scatter_add(row, -eta * dloss / scale, &mut v);
-                self.bias -= eta * dloss;
-            }
-            // Fold the scale back in before it underflows.
-            if scale < 1e-9 {
-                for vj in &mut v {
-                    *vj *= scale;
-                }
-                scale = 1.0;
-            }
-        }
-        self.weights = v.iter().map(|&vj| scale * vj).collect();
-        self.fitted = true;
-        Ok(())
-    }
-
-    /// Cold-start bootstrap / width check shared by both partial paths.
+    /// Cold-start bootstrap (zeroed weights of the first batch's width) or
+    /// width check before a `partial_fit` pass.
     fn prepare_partial(&mut self, p: usize) -> Result<(), MlError> {
         if !self.fitted {
             self.weights = vec![0.0; p];
@@ -323,109 +342,15 @@ impl SgdClassifier {
         }
         Ok(())
     }
-
-    /// The loss gradient `dloss/dz` (epoch-loss bookkeeping omitted — the
-    /// streaming paths have no epochs to compare).
-    fn gradient(&self, z: f64, target: f64, label: usize) -> f64 {
-        match self.params.loss {
-            SgdLoss::Hinge => {
-                if target * z < 1.0 {
-                    -target
-                } else {
-                    0.0
-                }
-            }
-            SgdLoss::Log => sigmoid(z) - label as f64,
-        }
-    }
 }
 
 impl Estimator for SgdClassifier {
     fn fit(&mut self, x: &Matrix, y: &[usize]) -> Result<(), MlError> {
-        let n_classes = validate_fit_inputs(x, y)?;
-        self.check_binary(n_classes)?;
-        let n = x.n_rows();
-        let p = x.n_cols();
-        self.weights = vec![0.0; p];
-        self.bias = 0.0;
-
-        // Bottou's "optimal" schedule as used by sklearn:
-        // eta(t) = 1 / (alpha * (t0 + t)) with
-        // typw = sqrt(1/sqrt(alpha)), eta0 = typw / max(1, |l'(-typw, 1)|),
-        // t0 = 1 / (eta0 * alpha). For both hinge and log loss the
-        // derivative magnitude at −typw is ≈ 1.
-        let (alpha, t0) = self.schedule();
-
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut rng = StdRng::seed_from_u64(self.params.seed);
-        let mut t = 0.0f64;
-        let mut best_loss = f64::INFINITY;
-        let mut stall = 0usize;
-
-        for _epoch in 0..self.params.max_iter {
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0f64;
-            for &i in &order {
-                t += 1.0;
-                let eta = 1.0 / (alpha * (t0 + t));
-                let row = x.row(i);
-                let target = if y[i] == 1 { 1.0 } else { -1.0 };
-                let mut z = self.bias;
-                for (&w, &v) in self.weights.iter().zip(row) {
-                    z += w * f64::from(v);
-                }
-                // L2 decay on every step.
-                let decay = 1.0 - eta * alpha;
-                for w in &mut self.weights {
-                    *w *= decay;
-                }
-                let dloss = match self.params.loss {
-                    SgdLoss::Hinge => {
-                        let margin = target * z;
-                        epoch_loss += (1.0 - margin).max(0.0);
-                        if margin < 1.0 {
-                            -target
-                        } else {
-                            0.0
-                        }
-                    }
-                    SgdLoss::Log => {
-                        let pz = sigmoid(z);
-                        let yi = y[i] as f64;
-                        epoch_loss +=
-                            -(yi * pz.max(1e-12).ln() + (1.0 - yi) * (1.0 - pz).max(1e-12).ln());
-                        pz - yi
-                    }
-                };
-                if dloss != 0.0 {
-                    for (w, &v) in self.weights.iter_mut().zip(row) {
-                        *w -= eta * dloss * f64::from(v);
-                    }
-                    self.bias -= eta * dloss;
-                }
-            }
-            epoch_loss /= n as f64;
-            if epoch_loss > best_loss - self.params.tol {
-                stall += 1;
-                if stall >= self.params.n_iter_no_change {
-                    break;
-                }
-            } else {
-                stall = 0;
-            }
-            best_loss = best_loss.min(epoch_loss);
-        }
-        self.t = t;
-        self.fitted = true;
-        Ok(())
+        self.fit_features(&Features::Dense(x), y)
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<usize>, MlError> {
-        Ok(self
-            .decision_function(x)?
-            .iter()
-            .map(|&z| usize::from(z >= 0.0))
-            .collect())
+        self.predict_features(&Features::Dense(x))
     }
 
     fn name(&self) -> &'static str {
@@ -433,21 +358,20 @@ impl Estimator for SgdClassifier {
     }
 
     fn fit_features(&mut self, x: &Features<'_>, y: &[usize]) -> Result<(), MlError> {
+        self.check_binary(validate_fit_inputs(x, y)?)?;
         match x {
-            Features::Dense(m) => self.fit(m, y),
-            Features::Packed(b) => self.fit_packed(b, y),
+            Features::Dense(m) => self.fit_rows(*m, y, x.n_cols()),
+            Features::Packed(b) => self.fit_rows(*b, y, x.n_cols()),
         }
+        Ok(())
     }
 
     fn predict_features(&self, x: &Features<'_>) -> Result<Vec<usize>, MlError> {
-        match x {
-            Features::Dense(m) => self.predict(m),
-            Features::Packed(b) => Ok(self
-                .decision_function_packed(b)?
-                .iter()
-                .map(|&z| usize::from(z >= 0.0))
-                .collect()),
-        }
+        Ok(self
+            .decisions(x)?
+            .iter()
+            .map(|&z| usize::from(z >= 0.0))
+            .collect())
     }
 
     /// Streaming mini-batch update with sklearn's `partial_fit` semantics:
@@ -456,14 +380,17 @@ impl Estimator for SgdClassifier {
     /// not a batch property). With `loss = Log` this is an out-of-core
     /// logistic regression; with `loss = Hinge`, a streaming linear SVM.
     fn partial_fit(&mut self, x: &Matrix, y: &[usize]) -> Result<(), MlError> {
-        self.partial_fit_dense(x, y)
+        self.partial_fit_features(&Features::Dense(x), y)
     }
 
     fn partial_fit_features(&mut self, x: &Features<'_>, y: &[usize]) -> Result<(), MlError> {
+        self.check_binary(validate_partial_fit_inputs(x, y)?)?;
+        self.prepare_partial(x.n_cols())?;
         match x {
-            Features::Dense(m) => self.partial_fit_dense(m, y),
-            Features::Packed(b) => self.partial_fit_packed(b, y),
+            Features::Dense(m) => self.partial_fit_rows(*m, y),
+            Features::Packed(b) => self.partial_fit_rows(*b, y),
         }
+        Ok(())
     }
 }
 
@@ -635,7 +562,7 @@ mod tests {
             let mut a = SgdClassifier::new(params.clone());
             a.fit(&dense, &y).unwrap();
             let mut b = SgdClassifier::new(params);
-            b.fit_packed(&bits, &y).unwrap();
+            b.fit_features(&Features::Packed(&bits), &y).unwrap();
             let za = a.decision_function(&dense).unwrap();
             let zb = b.decision_function_packed(&bits).unwrap();
             for (&da, &db) in za.iter().zip(&zb) {
@@ -739,7 +666,7 @@ mod tests {
         let bits = random_bits(20, 128, 3);
         let y: Vec<usize> = (0..20).map(|i| usize::from(i % 2 == 0)).collect();
         let mut sgd = SgdClassifier::new(SgdParams::default());
-        sgd.fit_packed(&bits, &y).unwrap();
+        sgd.fit_features(&Features::Packed(&bits), &y).unwrap();
         let wrong = random_bits(4, 64, 4);
         assert!(matches!(
             sgd.decision_function_packed(&wrong),

@@ -16,7 +16,7 @@ pub use optimizer::Adam;
 use crate::error::MlError;
 use crate::linalg::Matrix;
 use crate::linear::{log_loss, sigmoid};
-use crate::traits::{validate_fit_inputs, Estimator, ProbabilisticEstimator};
+use crate::traits::{validate_fit_inputs, Estimator, Features, ProbabilisticEstimator};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -207,7 +207,7 @@ impl SequentialNn {
 impl Estimator for SequentialNn {
     fn fit(&mut self, x: &Matrix, y: &[usize]) -> Result<(), MlError> {
         let _span = crate::obs::span("ml/nn_fit");
-        let n_classes = validate_fit_inputs(x, y)?;
+        let n_classes = validate_fit_inputs(&Features::Dense(x), y)?;
         if n_classes > 2 {
             return Err(MlError::InvalidParameter {
                 name: "y",

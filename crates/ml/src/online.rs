@@ -228,9 +228,7 @@ fn map_hdc(e: HdcError) -> MlError {
 
 impl Estimator for OnlineHdcClassifier {
     fn fit(&mut self, x: &Matrix, y: &[usize]) -> Result<(), MlError> {
-        crate::traits::validate_fit_inputs(x, y)?;
-        let hvs = dense_to_hypervectors(x)?;
-        self.fit_hypervectors(&hvs, y)
+        self.fit_features(&Features::Dense(x), y)
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<usize>, MlError> {
@@ -243,14 +241,12 @@ impl Estimator for OnlineHdcClassifier {
     }
 
     fn fit_features(&mut self, x: &Features<'_>, y: &[usize]) -> Result<(), MlError> {
-        match x {
-            Features::Dense(m) => self.fit(m, y),
-            Features::Packed(b) => {
-                crate::traits::validate_packed_fit_inputs(b, y)?;
-                let hvs = packed_to_hypervectors(b);
-                self.fit_hypervectors(&hvs, y)
-            }
-        }
+        crate::traits::validate_fit_inputs(x, y)?;
+        let hvs = match x {
+            Features::Dense(m) => dense_to_hypervectors(m)?,
+            Features::Packed(b) => packed_to_hypervectors(b),
+        };
+        self.fit_hypervectors(&hvs, y)
     }
 
     fn predict_features(&self, x: &Features<'_>) -> Result<Vec<usize>, MlError> {

@@ -6,9 +6,7 @@ use crate::error::MlError;
 use crate::linalg::Matrix;
 use crate::linear::sigmoid;
 use crate::preprocessing::packed_column_variances;
-use crate::traits::{
-    validate_fit_inputs, validate_packed_fit_inputs, Estimator, Features, ProbabilisticEstimator,
-};
+use crate::traits::{validate_fit_inputs, Estimator, Features, ProbabilisticEstimator};
 use hyperfex_hdc::bitmatrix::{hamming_between, pairwise_hamming, popcount_dot, BitMatrix};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -186,83 +184,24 @@ impl SvcClassifier {
         (alpha, b)
     }
 
-    /// Packed-input fit: the same SMO trajectory as [`Estimator::fit`] on
-    /// the densified matrix, reached much faster. On 0/1 rows the f32
-    /// squared distance is an exact integer equal to the Hamming distance,
-    /// so the RBF kernel matrix comes from [`pairwise_hamming`] popcounts
-    /// (and the linear kernel from [`popcount_dot`]); `gamma = "scale"`
-    /// replicates the dense variance accumulation order so every kernel
-    /// entry — and therefore every SMO step — is bit-identical.
-    fn fit_packed(&mut self, bits: &BitMatrix, y: &[usize]) -> Result<(), MlError> {
-        let _span = crate::obs::span("ml/svm_fit");
-        let n_classes = validate_packed_fit_inputs(bits, y)?;
-        if n_classes > 2 {
-            return Err(MlError::InvalidParameter {
-                name: "y",
-                reason: "SVC supports binary labels only".into(),
-            });
+    /// The `n × n` kernel matrix over the training rows. On packed 0/1
+    /// rows the f32 squared distance is an exact integer equal to the
+    /// Hamming distance, so the RBF kernel comes from [`pairwise_hamming`]
+    /// popcounts and the linear kernel from [`popcount_dot`]: every entry
+    /// is bit-identical to the dense one, and so is every SMO step.
+    fn kernel_matrix(&self, x: &Features<'_>) -> Vec<f64> {
+        match (x, self.params.kernel) {
+            (Features::Dense(m), _) => {
+                symmetric(m.n_rows(), |i, j| self.kernel_eval(m.row(i), m.row(j)))
+            }
+            (Features::Packed(bits), Kernel::Rbf { .. }) => pairwise_hamming(bits)
+                .iter()
+                .map(|&d| (-self.gamma * f64::from(d)).exp())
+                .collect(),
+            (Features::Packed(bits), Kernel::Linear) => symmetric(bits.n_rows(), |i, j| {
+                f64::from(popcount_dot(bits.row_words(i), bits.row_words(j)) as u32)
+            }),
         }
-        if self.params.c <= 0.0 {
-            return Err(MlError::InvalidParameter {
-                name: "c",
-                reason: "must be positive".into(),
-            });
-        }
-        let n = bits.n_rows();
-        let p = bits.dim().get();
-        self.gamma = match self.params.kernel {
-            Kernel::Linear => 0.0,
-            Kernel::Rbf { gamma: Some(g) } => {
-                if g <= 0.0 {
-                    return Err(MlError::InvalidParameter {
-                        name: "gamma",
-                        reason: "must be positive".into(),
-                    });
-                }
-                g
-            }
-            Kernel::Rbf { gamma: None } => {
-                let mean_var = packed_column_variances(bits).iter().sum::<f64>() / p as f64;
-                if mean_var > 0.0 {
-                    1.0 / (p as f64 * mean_var)
-                } else {
-                    1.0 / p as f64
-                }
-            }
-        };
-
-        let target: Vec<f64> = y.iter().map(|&l| if l == 1 { 1.0 } else { -1.0 }).collect();
-
-        let mut k = vec![0.0f64; n * n];
-        match self.params.kernel {
-            Kernel::Rbf { .. } => {
-                let h = pairwise_hamming(bits);
-                for (kv, &d) in k.iter_mut().zip(&h) {
-                    *kv = (-self.gamma * f64::from(d)).exp();
-                }
-            }
-            Kernel::Linear => {
-                for i in 0..n {
-                    for j in i..n {
-                        let dot = popcount_dot(bits.row_words(i), bits.row_words(j));
-                        let v = f64::from(dot as u32);
-                        k[i * n + j] = v;
-                        k[j * n + i] = v;
-                    }
-                }
-            }
-        }
-
-        let (alpha, b) = self.solve_smo(&k, &target, n);
-
-        let sv_indices: Vec<usize> = (0..n).filter(|&i| alpha[i] > 1e-8).collect();
-        self.alpha_y = sv_indices.iter().map(|&i| alpha[i] * target[i]).collect();
-        let sv = bits.select_rows(&sv_indices);
-        self.support = crate::traits::densify(&sv);
-        self.packed_support = Some(sv);
-        self.bias = b;
-        self.fitted = true;
-        Ok(())
     }
 
     /// Raw decision values for bit-packed query rows. Uses the popcount
@@ -334,8 +273,41 @@ impl SvcClassifier {
     }
 }
 
+/// The symmetric `n × n` matrix whose upper triangle is `entry(i, j)`.
+fn symmetric(n: usize, entry: impl Fn(usize, usize) -> f64) -> Vec<f64> {
+    let mut k = vec![0.0f64; n * n];
+    for i in 0..n {
+        for j in i..n {
+            let v = entry(i, j);
+            k[i * n + j] = v;
+            k[j * n + i] = v;
+        }
+    }
+    k
+}
+
 impl Estimator for SvcClassifier {
     fn fit(&mut self, x: &Matrix, y: &[usize]) -> Result<(), MlError> {
+        self.fit_features(&Features::Dense(x), y)
+    }
+
+    fn predict(&self, x: &Matrix) -> Result<Vec<usize>, MlError> {
+        Ok(self
+            .decision_function(x)?
+            .iter()
+            .map(|&z| usize::from(z >= 0.0))
+            .collect())
+    }
+
+    fn name(&self) -> &'static str {
+        "SVC"
+    }
+
+    /// Packed input reaches the same SMO trajectory as its densified
+    /// matrix, much faster: `gamma = "scale"` replicates the dense
+    /// variance accumulation order and [`SvcClassifier::kernel_matrix`]
+    /// every dense kernel entry, bit for bit.
+    fn fit_features(&mut self, x: &Features<'_>, y: &[usize]) -> Result<(), MlError> {
         let _span = crate::obs::span("ml/svm_fit");
         let n_classes = validate_fit_inputs(x, y)?;
         if n_classes > 2 {
@@ -351,6 +323,7 @@ impl Estimator for SvcClassifier {
             });
         }
         let n = x.n_rows();
+        let p = x.n_cols();
         // Resolve gamma = "scale" = 1 / (p · Var(X)).
         self.gamma = match self.params.kernel {
             Kernel::Linear => 0.0,
@@ -364,59 +337,36 @@ impl Estimator for SvcClassifier {
                 g
             }
             Kernel::Rbf { gamma: None } => {
-                let mean_var = x.column_variances().iter().sum::<f64>() / x.n_cols() as f64;
+                let variances = match x {
+                    Features::Dense(m) => m.column_variances(),
+                    Features::Packed(bits) => packed_column_variances(bits),
+                };
+                let mean_var = variances.iter().sum::<f64>() / p as f64;
                 if mean_var > 0.0 {
-                    1.0 / (x.n_cols() as f64 * mean_var)
+                    1.0 / (p as f64 * mean_var)
                 } else {
-                    1.0 / x.n_cols() as f64
+                    1.0 / p as f64
                 }
             }
         };
 
         let target: Vec<f64> = y.iter().map(|&l| if l == 1 { 1.0 } else { -1.0 }).collect();
-
-        // Precompute the kernel matrix (n ≤ a few hundred in this domain).
-        let mut k = vec![0.0f64; n * n];
-        {
-            // Temporarily install gamma so kernel_eval sees it.
-            for i in 0..n {
-                for j in i..n {
-                    let v = self.kernel_eval(x.row(i), x.row(j));
-                    k[i * n + j] = v;
-                    k[j * n + i] = v;
-                }
-            }
-        }
-
+        let k = self.kernel_matrix(x);
         let (alpha, b) = self.solve_smo(&k, &target, n);
 
         // Retain the support vectors.
         let sv_indices: Vec<usize> = (0..n).filter(|&i| alpha[i] > 1e-8).collect();
         self.alpha_y = sv_indices.iter().map(|&i| alpha[i] * target[i]).collect();
-        self.support = x.select_rows(&sv_indices);
-        self.packed_support = None;
+        (self.support, self.packed_support) = match x {
+            Features::Dense(m) => (m.select_rows(&sv_indices), None),
+            Features::Packed(bits) => {
+                let sv = bits.select_rows(&sv_indices);
+                (crate::traits::densify(&sv), Some(sv))
+            }
+        };
         self.bias = b;
         self.fitted = true;
         Ok(())
-    }
-
-    fn predict(&self, x: &Matrix) -> Result<Vec<usize>, MlError> {
-        Ok(self
-            .decision_function(x)?
-            .iter()
-            .map(|&z| usize::from(z >= 0.0))
-            .collect())
-    }
-
-    fn name(&self) -> &'static str {
-        "SVC"
-    }
-
-    fn fit_features(&mut self, x: &Features<'_>, y: &[usize]) -> Result<(), MlError> {
-        match x {
-            Features::Dense(m) => self.fit(m, y),
-            Features::Packed(b) => self.fit_packed(b, y),
-        }
     }
 
     fn predict_features(&self, x: &Features<'_>) -> Result<Vec<usize>, MlError> {

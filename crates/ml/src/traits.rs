@@ -139,19 +139,9 @@ pub trait ProbabilisticEstimator: Estimator {
 
 /// Validates the common preconditions every `fit` shares; returns the
 /// number of classes.
-pub(crate) fn validate_fit_inputs(x: &Matrix, y: &[usize]) -> Result<usize, MlError> {
+pub(crate) fn validate_fit_inputs(x: &Features<'_>, y: &[usize]) -> Result<usize, MlError> {
     crate::obs::counter_add("ml/fits", 1);
-    if x.n_rows() == 0 || x.n_cols() == 0 {
-        return Err(MlError::EmptyTrainingSet);
-    }
-    if x.n_rows() != y.len() {
-        return Err(MlError::LabelLengthMismatch {
-            rows: x.n_rows(),
-            labels: y.len(),
-        });
-    }
-    x.check_finite()?;
-    let n_classes = y.iter().copied().max().unwrap_or(0) + 1;
+    let n_classes = validate_rows(x, y)?;
     // At least two classes must actually appear.
     let first = y[0];
     if y.iter().all(|&l| l == first) {
@@ -167,8 +157,15 @@ pub(crate) fn validate_fit_inputs(x: &Matrix, y: &[usize]) -> Result<usize, MlEr
 /// mini-batch may legitimately contain a single class (or even a single
 /// record), so the `SingleClass` check does not apply — class coverage is
 /// a property of the whole stream, not of any one window of it.
-pub(crate) fn validate_partial_fit_inputs(x: &Matrix, y: &[usize]) -> Result<usize, MlError> {
+pub(crate) fn validate_partial_fit_inputs(x: &Features<'_>, y: &[usize]) -> Result<usize, MlError> {
     crate::obs::counter_add("ml/partial_fits", 1);
+    validate_rows(x, y)
+}
+
+/// The checks both validators share: a non-empty design matrix, one label
+/// per row and (for dense input; bits are always finite) finite cells.
+/// Returns `max label + 1`.
+fn validate_rows(x: &Features<'_>, y: &[usize]) -> Result<usize, MlError> {
     if x.n_rows() == 0 || x.n_cols() == 0 {
         return Err(MlError::EmptyTrainingSet);
     }
@@ -178,47 +175,10 @@ pub(crate) fn validate_partial_fit_inputs(x: &Matrix, y: &[usize]) -> Result<usi
             labels: y.len(),
         });
     }
-    x.check_finite()?;
-    Ok(y.iter().copied().max().unwrap_or(0) + 1)
-}
-
-/// Packed-input analogue of [`validate_partial_fit_inputs`].
-pub(crate) fn validate_packed_partial_fit_inputs(
-    x: &BitMatrix,
-    y: &[usize],
-) -> Result<usize, MlError> {
-    crate::obs::counter_add("ml/partial_fits", 1);
-    if x.n_rows() == 0 {
-        return Err(MlError::EmptyTrainingSet);
-    }
-    if x.n_rows() != y.len() {
-        return Err(MlError::LabelLengthMismatch {
-            rows: x.n_rows(),
-            labels: y.len(),
-        });
+    if let Features::Dense(m) = x {
+        m.check_finite()?;
     }
     Ok(y.iter().copied().max().unwrap_or(0) + 1)
-}
-
-/// Packed-input analogue of [`validate_fit_inputs`]: same checks minus
-/// finiteness, which holds trivially for bits.
-pub(crate) fn validate_packed_fit_inputs(x: &BitMatrix, y: &[usize]) -> Result<usize, MlError> {
-    crate::obs::counter_add("ml/fits", 1);
-    if x.n_rows() == 0 {
-        return Err(MlError::EmptyTrainingSet);
-    }
-    if x.n_rows() != y.len() {
-        return Err(MlError::LabelLengthMismatch {
-            rows: x.n_rows(),
-            labels: y.len(),
-        });
-    }
-    let n_classes = y.iter().copied().max().unwrap_or(0) + 1;
-    let first = y[0];
-    if y.iter().all(|&l| l == first) {
-        return Err(MlError::SingleClass);
-    }
-    Ok(n_classes)
 }
 
 #[cfg(test)]
@@ -257,8 +217,12 @@ mod tests {
     #[test]
     fn validate_rejects_bad_inputs() {
         let x = Matrix::zeros(0, 3);
-        assert_eq!(validate_fit_inputs(&x, &[]), Err(MlError::EmptyTrainingSet));
+        assert_eq!(
+            validate_fit_inputs(&Features::Dense(&x), &[]),
+            Err(MlError::EmptyTrainingSet)
+        );
         let x = Matrix::zeros(2, 2);
+        let x = Features::Dense(&x);
         assert!(matches!(
             validate_fit_inputs(&x, &[0]),
             Err(MlError::LabelLengthMismatch { .. })
@@ -268,7 +232,7 @@ mod tests {
         let mut bad = Matrix::zeros(2, 2);
         bad.set(0, 1, f32::INFINITY);
         assert!(matches!(
-            validate_fit_inputs(&bad, &[0, 1]),
+            validate_fit_inputs(&Features::Dense(&bad), &[0, 1]),
             Err(MlError::NonFiniteInput { .. })
         ));
     }

@@ -47,7 +47,6 @@ pub mod backoff;
 pub mod cohort;
 pub mod error;
 pub mod ingest;
-pub mod obs;
 pub mod snapshot;
 pub mod store;
 
@@ -55,6 +54,7 @@ pub use admission::{AdmissionConfig, BatchFrontend, Completion, Deadline};
 pub use backoff::RetryPolicy;
 pub use cohort::SyntheticCohort;
 pub use error::ServeError;
+pub use hyperfex_hdc::obs;
 pub use ingest::StoreAppendSink;
 pub use snapshot::ShardRecord;
 pub use store::{AppendReport, HvStore, QuarantinedShard, RecoveryReport};

@@ -1109,30 +1109,16 @@ fn reconcile(
     });
     // An accumulator file that is not the committed one says nothing
     // about the class count; a committed one keeps it.
-    let keep = if trust == AccumsTrust::Uncommitted {
-        0
-    } else {
-        acc.n_classes()
-    };
-    let mut ones: Vec<Vec<i32>> = vec![vec![0; dim.get()]; keep];
-    let mut totals = vec![0i32; keep];
-    for part in parts {
-        let part = part?;
-        let (part_ones, part_totals) = part.parts();
-        if part_totals.len() > totals.len() {
-            ones.resize(part_totals.len(), vec![0; dim.get()]);
-            totals.resize(part_totals.len(), 0);
-        }
-        for (sum, add) in ones.iter_mut().zip(part_ones) {
-            for (a, b) in sum.iter_mut().zip(add) {
-                *a += b;
-            }
-        }
-        for (a, b) in totals.iter_mut().zip(part_totals) {
-            *a += b;
+    let mut rebuilt = ClassAccumulators::new(dim);
+    if trust != AccumsTrust::Uncommitted {
+        if let Some(last) = acc.n_classes().checked_sub(1) {
+            rebuilt.grow(last);
         }
     }
-    *acc = ClassAccumulators::from_parts(dim, ones, totals)?;
+    for part in parts {
+        rebuilt.merge(&part?)?;
+    }
+    *acc = rebuilt;
     Ok(true)
 }
 
