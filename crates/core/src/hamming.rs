@@ -6,7 +6,7 @@ use crate::extractor::HdcFeatureExtractor;
 use hyperfex_data::Table;
 use hyperfex_eval::metrics::{BinaryMetrics, ConfusionMatrix};
 use hyperfex_hdc::binary::Dim;
-use hyperfex_hdc::classify::{HammingKnnClassifier, LeaveOneOut, LoocvOutcome};
+use hyperfex_hdc::classify::{LeaveOneOut, LoocvOutcome};
 use hyperfex_hdc::encoding::QuarantineReport;
 
 /// End-to-end pure-HDC model.
@@ -77,22 +77,6 @@ impl HammingModel {
             .binary_counts()
             .map(|(tp, tn, fp, fn_)| ConfusionMatrix { tp, tn, fp, fn_ }.metrics())
     }
-
-    /// Fits a reusable classifier on a training split (for train/test
-    /// evaluation instead of LOOCV).
-    pub fn fit(
-        &self,
-        table: &Table,
-        train_rows: &[usize],
-    ) -> Result<FittedHammingModel, HyperfexError> {
-        let mut extractor = HdcFeatureExtractor::new(self.dim, self.seed);
-        extractor.fit(table, Some(train_rows))?;
-        let hvs = extractor.transform(table, Some(train_rows))?;
-        let labels: Vec<usize> = train_rows.iter().map(|&i| table.labels()[i]).collect();
-        let mut knn = HammingKnnClassifier::new(self.k)?;
-        knn.fit(hvs, labels)?;
-        Ok(FittedHammingModel { extractor, knn })
-    }
 }
 
 /// The outcome of [`HammingModel::evaluate_loocv_lenient`]: LOOCV results
@@ -105,32 +89,6 @@ pub struct RobustLoocv {
     pub kept_rows: Vec<usize>,
     /// Which rows were quarantined and why.
     pub report: QuarantineReport,
-}
-
-/// A Hamming model fitted on a training split.
-#[derive(Debug, Clone)]
-pub struct FittedHammingModel {
-    extractor: HdcFeatureExtractor,
-    knn: HammingKnnClassifier,
-}
-
-impl FittedHammingModel {
-    /// Predicts classes for the selected rows.
-    pub fn predict(&self, table: &Table, rows: &[usize]) -> Result<Vec<usize>, HyperfexError> {
-        let hvs = self.extractor.transform(table, Some(rows))?;
-        Ok(self.knn.predict_batch(&hvs)?)
-    }
-
-    /// Accuracy over the selected rows.
-    pub fn accuracy(&self, table: &Table, rows: &[usize]) -> Result<f64, HyperfexError> {
-        let predictions = self.predict(table, rows)?;
-        let correct = predictions
-            .iter()
-            .zip(rows)
-            .filter(|(p, &i)| **p == table.labels()[i])
-            .count();
-        Ok(correct as f64 / rows.len().max(1) as f64)
-    }
 }
 
 #[cfg(test)]
@@ -160,19 +118,6 @@ mod tests {
         let m = HammingModel::metrics(&outcome).unwrap();
         assert!(m.recall > 0.7);
         assert!(m.specificity > 0.5);
-    }
-
-    #[test]
-    fn train_test_fit_generalises() {
-        let table = cohort();
-        let train: Vec<usize> = (0..100).filter(|i| i % 5 != 0).collect();
-        let test: Vec<usize> = (0..100).filter(|i| i % 5 == 0).collect();
-        let model = HammingModel::new(Dim::new(2_000), 3)
-            .fit(&table, &train)
-            .unwrap();
-        let acc = model.accuracy(&table, &test).unwrap();
-        assert!(acc > 0.6, "held-out accuracy {acc}");
-        assert_eq!(model.predict(&table, &test).unwrap().len(), test.len());
     }
 
     #[test]

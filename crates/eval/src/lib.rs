@@ -9,22 +9,16 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cv;
-pub mod importance;
 pub mod metrics;
 pub mod report;
-pub mod roc;
 
 pub use cv::{cross_validate, CvOutcome};
-pub use importance::{permutation_importance, FeatureImportance};
 pub use metrics::{BinaryMetrics, ConfusionMatrix};
 pub use report::TableReport;
-pub use roc::{auc, RocCurve};
 
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {
     pub use crate::cv::{cross_validate, CvOutcome};
-    pub use crate::importance::{permutation_importance, FeatureImportance};
     pub use crate::metrics::{BinaryMetrics, ConfusionMatrix};
     pub use crate::report::TableReport;
-    pub use crate::roc::{auc, RocCurve};
 }

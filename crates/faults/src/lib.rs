@@ -11,7 +11,7 @@
 //! - [`table`]: data faults on loaded [`hyperfex_data::Table`]s — missing
 //!   cells, out-of-range outliers, label noise, truncation, duplication,
 //!   whole-feature dropout.
-//! - [`registry`] (behind `fault-injection`): scheduled failpoint rules
+//! - `registry` (behind `fault-injection`): scheduled failpoint rules
 //!   injected into the pipeline seams compiled into `hyperfex-hdc` and
 //!   `hyperfex-data` (CSV loading, imputation, batch encoding, LOOCV).
 //!

@@ -452,7 +452,7 @@ pub(crate) fn tile_pair_rows(
 /// matrix, returned row-major as `n·n` entries (`out[i*n + j]`).
 ///
 /// Each unordered pair is computed once: the upper triangle is swept in
-/// [`TILE_ROWS`]-row tile pairs, split evenly across `rayon::map_chunks`
+/// 32-row (`TILE_ROWS`) tile pairs, split evenly across `rayon::map_chunks`
 /// workers, and every distance is written to both `(i, j)` and `(j, i)`.
 #[must_use]
 pub fn pairwise_hamming(m: &BitMatrix) -> Vec<u32> {

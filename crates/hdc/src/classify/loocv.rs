@@ -16,7 +16,6 @@
 
 use crate::binary::BinaryHypervector;
 use crate::bitmatrix::{hamming_words, tile_pair_rows, tile_pairs, MIN_TILE_PAIRS};
-use crate::classify::majority_vote;
 use crate::error::HdcError;
 use crate::obs;
 use crate::topk::TopK;
@@ -129,6 +128,21 @@ impl Default for LeaveOneOut {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Majority vote over neighbour labels: the class with the most votes, the
+/// lowest class index among equal counts. Every label must be below
+/// `n_classes`.
+fn majority_vote(labels: impl Iterator<Item = usize>, n_classes: usize) -> usize {
+    let mut votes = vec![0u32; n_classes];
+    for label in labels {
+        votes[label] += 1;
+    }
+    votes
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
+        .map_or(0, |(c, _)| c)
 }
 
 /// The result of a leave-one-out run.

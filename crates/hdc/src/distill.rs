@@ -11,8 +11,6 @@
 //! * [`discrimination_scores`] — per-bit margin `Σ_c w_c·|p_{c,i} − p_i|`
 //!   computed from the accumulators' set-counts (no extra passes over the
 //!   data).
-//! * [`permutation_scores`] — model-agnostic fallback: permutation
-//!   importance of each bit against the quantised class prototypes.
 //! * [`BitSelection`] — a validated ascending index set with word-level
 //!   column-gather kernels for hypervectors and bit matrices.
 //!
@@ -276,113 +274,6 @@ pub fn discrimination_scores(acc: &ClassAccumulators) -> Result<Vec<f64>, HdcErr
     Ok(scores)
 }
 
-/// Permutation-importance fallback: scores each bit by how much shuffling
-/// it across rows degrades nearest-prototype accuracy.
-///
-/// Fits [`ClassAccumulators`] on `rows`/`labels`, precomputes every row's
-/// Hamming distance to every class prototype, then for each bit and each
-/// of `repeats` seeded permutations re-derives the distances incrementally
-/// (permuting one column changes each row-prototype distance by at most
-/// ±1) and measures the accuracy drop. The score is the mean drop across
-/// repeats; negative drops clamp to zero.
-///
-/// Cost is `O(bits · repeats · n_rows · n_classes)` — tractable even at
-/// the paper's 10,000 bits — but still ~10³× the closed-form
-/// [`discrimination_scores`]; use it when accumulator state is unavailable
-/// or a model-agnostic cross-check is wanted.
-pub fn permutation_scores(
-    rows: &BitMatrix,
-    labels: &[usize],
-    repeats: usize,
-    seed: u64,
-) -> Result<Vec<f64>, HdcError> {
-    let n = rows.n_rows();
-    if n == 0 {
-        return Err(HdcError::EmptyInput);
-    }
-    if labels.len() != n {
-        return Err(HdcError::LabelLengthMismatch {
-            samples: n,
-            labels: labels.len(),
-        });
-    }
-    if repeats == 0 {
-        return Err(HdcError::InvalidConfig(
-            "permutation importance needs repeats ≥ 1".into(),
-        ));
-    }
-    let dim = rows.dim();
-    let mut acc = ClassAccumulators::new(dim);
-    for (r, &label) in labels.iter().enumerate() {
-        acc.grow(label);
-        acc.add(label, &rows.row_hypervector(r), 1);
-    }
-    let n_classes = acc.n_classes();
-    let prototypes: Vec<BinaryHypervector> = (0..n_classes)
-        .map(|c| acc.prototype(c).cloned().ok_or(HdcError::NotFitted))
-        .collect::<Result<_, _>>()?;
-
-    // Base distances, row-major n × n_classes, and baseline accuracy.
-    let mut base = vec![0i32; n * n_classes];
-    for r in 0..n {
-        for (c, proto) in prototypes.iter().enumerate() {
-            // lint: cast-ok (hamming ≤ dim < 2^31)
-            base[r * n_classes + c] = rows.row_hypervector(r).try_hamming(proto)? as i32;
-        }
-    }
-    let accuracy_of = |distances: &[i32]| -> f64 {
-        let correct = (0..n)
-            .filter(|&r| {
-                let row = &distances[r * n_classes..(r + 1) * n_classes];
-                let best = row
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(c, &d)| (d, c))
-                    .map_or(0, |(c, _)| c);
-                best == labels[r]
-            })
-            .count();
-        correct as f64 / n as f64
-    };
-    let baseline = accuracy_of(&base);
-
-    let root = SplitMix64::new(seed);
-    let mut scores = vec![0.0f64; dim.get()];
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut distances = base.clone();
-    for (bit, score) in scores.iter_mut().enumerate() {
-        let proto_bits: Vec<bool> = prototypes.iter().map(|p| p.get(bit)).collect();
-        let mut drop_sum = 0.0;
-        for rep in 0..repeats {
-            // lint: cast-ok (bit < dim and rep < repeats both fit u64)
-            let mut rng = root.derive(bit as u64, rep as u64);
-            for (i, slot) in perm.iter_mut().enumerate() {
-                *slot = i;
-            }
-            rng.shuffle(&mut perm);
-            distances.copy_from_slice(&base);
-            for (r, &src) in perm.iter().enumerate() {
-                let old = rows.get(r, bit);
-                let new = rows.get(src, bit);
-                if old == new {
-                    continue;
-                }
-                for (c, &pb) in proto_bits.iter().enumerate() {
-                    // Mismatch flips: the permuted bit either joins or
-                    // leaves the prototype's disagreement set.
-                    let delta = if new != pb { 1 } else { -1 };
-                    // lint: index-ok (r < n and c < n_classes span the
-                    // row-major distance table exactly)
-                    distances[r * n_classes + c] += delta;
-                }
-            }
-            drop_sum += (baseline - accuracy_of(&distances)).max(0.0);
-        }
-        *score = drop_sum / repeats as f64;
-    }
-    Ok(scores)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,51 +406,5 @@ mod tests {
         assert!(discrimination_scores(&acc).is_err());
         let empty = ClassAccumulators::new(d);
         assert!(discrimination_scores(&empty).is_err());
-    }
-
-    #[test]
-    fn permutation_scores_find_the_separating_bit() {
-        // 20 rows: class = bit 5; bits 0..4 are seeded noise.
-        let d = Dim::new(66);
-        let mut rng = SplitMix64::new(3);
-        let mut rows = Vec::new();
-        let mut labels = Vec::new();
-        for r in 0..20 {
-            let mut v = BinaryHypervector::zeros(d);
-            for b in 0..5 {
-                v.set(b, rng.next_bounded(2) == 1);
-            }
-            let label = r % 2;
-            v.set(5, label == 1);
-            rows.push(v);
-            labels.push(label);
-        }
-        let m = BitMatrix::from_hypervectors(&rows).unwrap();
-        let scores = permutation_scores(&m, &labels, 3, 9).unwrap();
-        let best = scores
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        assert_eq!(best, 5, "scores: {:?}", &scores[..8]);
-        // Agreement with the closed-form ranking on the same data.
-        let mut acc = ClassAccumulators::new(d);
-        for (r, &l) in labels.iter().enumerate() {
-            acc.grow(l);
-            acc.add(l, &m.row_hypervector(r), 1);
-        }
-        let closed = discrimination_scores(&acc).unwrap();
-        let closed_best = BitSelection::top_k(d, &closed, 1).unwrap();
-        assert_eq!(closed_best.indices(), &[5]);
-    }
-
-    #[test]
-    fn permutation_scores_validate_inputs() {
-        let m = BitMatrix::zeros(4, Dim::new(32));
-        assert!(permutation_scores(&m, &[0, 1], 1, 0).is_err());
-        assert!(permutation_scores(&m, &[0, 1, 0, 1], 0, 0).is_err());
-        let empty = BitMatrix::zeros(0, Dim::new(32));
-        assert!(permutation_scores(&empty, &[], 1, 0).is_err());
     }
 }

@@ -63,13 +63,36 @@ impl CategoricalEncoder {
     /// Returns an error if `category ≥ n_categories` — categorical features
     /// have no meaningful clamping, unlike continuous ones.
     pub fn encode(&self, category: usize) -> Result<BinaryHypervector, HdcError> {
-        self.codes
-            .get(category)
-            .cloned()
-            .ok_or(HdcError::ArityMismatch {
+        self.code_checked(category).cloned()
+    }
+
+    /// The code for a raw feature value rounded to the nearest category
+    /// index. A value that rounds outside `0..n_categories` is the same
+    /// error as an out-of-range [`CategoricalEncoder::encode`] index (a
+    /// negative one reports `got: 0`): nothing is clamped into range.
+    pub(crate) fn code_of_value(&self, value: f64) -> Result<&BinaryHypervector, HdcError> {
+        if !value.is_finite() {
+            return Err(HdcError::NonFiniteValue);
+        }
+        let index = value.round();
+        if index < 0.0 {
+            return Err(HdcError::ArityMismatch {
                 expected: self.codes.len(),
-                got: category + 1,
-            })
+                got: 0,
+            });
+        }
+        // A float-to-int `as` saturates, so an index past `usize::MAX` reads
+        // as `usize::MAX`, which is out of range too.
+        self.code_checked(index as usize)
+    }
+
+    /// The code for `category`, or the out-of-range error, whose `got` is
+    /// one past the index (saturating, so no index overflows).
+    fn code_checked(&self, category: usize) -> Result<&BinaryHypervector, HdcError> {
+        self.codes.get(category).ok_or(HdcError::ArityMismatch {
+            expected: self.codes.len(),
+            got: category.saturating_add(1),
+        })
     }
 
     /// Borrowing accessor (no clone), for read-only comparisons.
@@ -128,6 +151,13 @@ mod tests {
     fn out_of_range_category_errors() {
         let e = CategoricalEncoder::binary(Dim::new(64), 1).unwrap();
         assert!(e.encode(2).is_err());
+        assert!(matches!(
+            e.encode(usize::MAX),
+            Err(HdcError::ArityMismatch {
+                expected: 2,
+                got: usize::MAX
+            })
+        ));
         assert!(e.code(2).is_none());
         assert_eq!(e.n_categories(), 2);
     }

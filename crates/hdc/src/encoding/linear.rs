@@ -30,7 +30,7 @@ pub(crate) const CHECKPOINT_STRIDE: usize = 64;
 ///
 /// Because the flips are nested, the cumulative flip mask after `h` flip
 /// pairs is a pure function of `h`. The constructor precomputes that mask
-/// at every [`CHECKPOINT_STRIDE`]-pair checkpoint; [`Self::encode`] then
+/// at every 64-pair checkpoint (`CHECKPOINT_STRIDE`); [`Self::encode`] then
 /// XORs the seed with the nearest checkpoint at or below `h` (`⌈d/64⌉`
 /// word XORs) and applies the at most `2·63` remaining flips bit by bit,
 /// instead of walking up to `d` individual flips.

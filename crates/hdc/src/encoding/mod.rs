@@ -54,18 +54,14 @@ impl FeatureEncoder {
     /// Continuous values are clamped to the encoder's range (the paper:
     /// "A lesser value could be found in new data that hasn't been seen by
     /// the encoder" — it maps to the seed vector). Categorical values are
-    /// rounded to the nearest category index.
+    /// rounded to the nearest category index, and one that rounds outside
+    /// `0..n` is an error, never clamped.
     pub fn encode(&self, value: f64) -> Result<BinaryHypervector, HdcError> {
         match self {
             Self::Linear(e) => e.encode_checked(value),
             Self::PrunedLinear(e) => e.encode_checked(value),
             Self::Quantized(e) => e.encode(value).cloned(),
-            Self::Categorical(e) => {
-                if !value.is_finite() {
-                    return Err(HdcError::NonFiniteValue);
-                }
-                e.encode(value.round().max(0.0) as usize)
-            }
+            Self::Categorical(e) => e.code_of_value(value).cloned(),
         }
     }
 
@@ -97,17 +93,7 @@ impl FeatureEncoder {
                 bundler.push(scratch)
             }
             Self::Quantized(e) => bundler.push(e.encode(value)?),
-            Self::Categorical(e) => {
-                if !value.is_finite() {
-                    return Err(HdcError::NonFiniteValue);
-                }
-                let idx = value.round().max(0.0) as usize;
-                let code = e.code(idx).ok_or(HdcError::ArityMismatch {
-                    expected: e.n_categories(),
-                    got: idx + 1,
-                })?;
-                bundler.push(code)
-            }
+            Self::Categorical(e) => bundler.push(e.code_of_value(value)?),
         }
     }
 

@@ -439,6 +439,16 @@ mod tests {
         let enc = RecordEncoder::new(Dim::new(256), schema(), 3).unwrap();
         assert!(enc.encode_record(&[30.0, 100.0, 5.0]).is_err());
         assert!(enc.encode_record(&[30.0, f64::NAN, 1.0]).is_err());
+        // Below zero or past `usize::MAX` is out of range too: no clamp to
+        // category 0 and no overflow.
+        for value in [-3.0, 1e20, f64::MAX] {
+            assert!(matches!(
+                enc.encode_record(&[30.0, 100.0, value]),
+                Err(HdcError::ArityMismatch { expected: 2, .. })
+            ));
+            assert!(enc.encode_features(&[30.0, 100.0, value]).is_err());
+            assert!(enc.encode_batch(&[vec![30.0, 100.0, value]]).is_err());
+        }
     }
 
     #[test]
@@ -487,12 +497,13 @@ mod tests {
             vec![50.0, 120.0],              // wrong arity
             vec![60.0, 130.0, 1.0],         // good
             vec![65.0, f64::INFINITY, 0.0], // infinite value
+            vec![70.0, 140.0, f64::MAX],    // category out of range
         ];
         let batch = lenient_batch(&enc, &rows);
         assert_eq!(batch.kept, vec![0, 3]);
         assert_eq!(batch.hypervectors.len(), 2);
-        assert_eq!(batch.report.total(), 5);
-        assert_eq!(batch.report.quarantined(), 3);
+        assert_eq!(batch.report.total(), 6);
+        assert_eq!(batch.report.quarantined(), 4);
         assert_eq!(batch.report.kept(), 2);
         assert!(!batch.report.is_clean());
         let entries = batch.report.entries();
@@ -501,6 +512,11 @@ mod tests {
         assert_eq!(entries[1].row, 2);
         assert!(matches!(entries[1].error, HdcError::ArityMismatch { .. }));
         assert_eq!(entries[2].row, 4);
+        assert_eq!(entries[3].row, 5);
+        assert!(matches!(
+            entries[3].error,
+            HdcError::ArityMismatch { expected: 2, .. }
+        ));
         // Survivors match the strict encoding of the same rows.
         assert_eq!(batch.hypervectors[0], enc.encode_record(&rows[0]).unwrap());
         assert_eq!(batch.hypervectors[1], enc.encode_record(&rows[3]).unwrap());

@@ -18,11 +18,11 @@
 //!   encoder that bundles one hypervector per patient.
 //! * [`topk`] — the bounded k-nearest selection every Hamming k-NN path
 //!   shares.
-//! * [`classify`] — Hamming 1-NN / k-NN, the signed per-bit class
-//!   accumulators behind every class prototype, online mistake-driven
-//!   trainers (perceptron / passive-aggressive / LVQ) with streaming
-//!   `partial_fit`, and a leave-one-out cross-validation harness that
-//!   sweeps each pair of records once, in parallel.
+//! * [`classify`] — the signed per-bit class accumulators behind every
+//!   class prototype, online mistake-driven trainers (perceptron /
+//!   passive-aggressive / LVQ) with streaming `partial_fit`, and the
+//!   Hamming 1-NN / k-NN leave-one-out harness that sweeps each pair of
+//!   records once, in parallel.
 //! * [`distill`] — dimension distillation: rank bit positions by class
 //!   discrimination and gather the top-k columns into a dense pruned space
 //!   for low-latency serving.
@@ -75,10 +75,10 @@ pub mod prelude {
     pub use crate::bitmatrix::BitMatrix;
     pub use crate::bundle;
     pub use crate::classify::{
-        fit_pocketed, HammingKnnClassifier, LeaveOneOut, LoocvOutcome, LvqTrainer, OnlineTrainer,
+        fit_pocketed, LeaveOneOut, LoocvOutcome, LvqTrainer, OnlineTrainer,
         PassiveAggressiveTrainer, PerceptronTrainer,
     };
-    pub use crate::distill::{discrimination_scores, permutation_scores, BitSelection};
+    pub use crate::distill::{discrimination_scores, BitSelection};
     pub use crate::encoding::{
         CategoricalEncoder, FeatureEncoder, LinearEncoder, PrunedLinearEncoder, QuarantineEntry,
         QuarantineReport, RecordEncoder, RecordSchema, RecordScratch,
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::rng::SplitMix64;
     pub use crate::stream::{
         BundlerSink, ClassAccumulatorSink, CollectSink, FnStream, RecordStream, RowStream,
-        StreamEncoder, StreamOutcome, StreamSink, TrainerSink,
+        StreamEncoder, StreamOutcome, StreamSink,
     };
 }
 

@@ -26,10 +26,7 @@
 //! accumulator — [`BundlerSink`] (counter planes) and
 //! [`ClassAccumulatorSink`] (signed set-counts) — are **order
 //! independent**: any permutation of the same records produces
-//! bit-identical results. [`TrainerSink`] performs corrective online
-//! updates and is order *dependent*; it matches the batch
-//! [`OnlineTrainer::partial_fit`] trajectory exactly when fed the same
-//! records in the same order.
+//! bit-identical results.
 //!
 //! ## Failure accounting
 //!
@@ -44,7 +41,7 @@
 
 use crate::binary::{BinaryHypervector, Dim};
 use crate::bundle::Bundler;
-use crate::classify::trainer::{ClassAccumulators, OnlineTrainer};
+use crate::classify::trainer::ClassAccumulators;
 use crate::encoding::{QuarantineEntry, QuarantineReport, RecordEncoder, RecordScratch};
 use crate::error::HdcError;
 use crate::{failpoint, obs};
@@ -274,60 +271,6 @@ impl StreamSink for ClassAccumulatorSink {
         // prototypes (dim bits ≈ dim/8 bytes per class).
         let dim = self.accumulators.dim().get();
         self.accumulators.n_classes() * (dim * 4 + dim / 8)
-    }
-}
-
-/// Streams labeled records into an [`OnlineTrainer`] via its corrective
-/// `update` — the same per-record trajectory as batch
-/// [`OnlineTrainer::partial_fit`], so streaming and batch fits agree
-/// exactly when fed the same records in the same order. Order dependent.
-pub struct TrainerSink<'a> {
-    trainer: &'a mut dyn OnlineTrainer,
-    corrections: usize,
-}
-
-impl std::fmt::Debug for TrainerSink<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrainerSink")
-            .field("trainer", &self.trainer.name())
-            .field("corrections", &self.corrections)
-            .finish()
-    }
-}
-
-impl<'a> TrainerSink<'a> {
-    /// Wraps `trainer`; absorbed records flow into
-    /// [`OnlineTrainer::update`].
-    pub fn new(trainer: &'a mut dyn OnlineTrainer) -> Self {
-        Self {
-            trainer,
-            corrections: 0,
-        }
-    }
-
-    /// Number of absorbed records that triggered a corrective update.
-    #[must_use]
-    pub fn corrections(&self) -> usize {
-        self.corrections
-    }
-}
-
-impl StreamSink for TrainerSink<'_> {
-    fn absorb(
-        &mut self,
-        _seq: usize,
-        label: usize,
-        hv: &BinaryHypervector,
-    ) -> Result<(), HdcError> {
-        if self.trainer.update(hv, label)? {
-            self.corrections += 1;
-        }
-        Ok(())
-    }
-
-    fn state_bytes(&self) -> usize {
-        let dim = self.trainer.dim().get();
-        self.trainer.n_classes() * (dim * 4 + dim / 8)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Bounded k-nearest selection: the one Hamming top-k behind every k-NN
-//! path — Hamming k-NN, leave-one-out, the packed `hyperfex-ml` k-NN and
-//! the serving store's scan.
+//! path — leave-one-out, the packed `hyperfex-ml` k-NN and the serving
+//! store's scan.
 //!
 //! A [`TopK`] keeps, for each of several lists (one per query, or per row
 //! in leave-one-out), the `k` smallest `(distance, key)` candidates offered

@@ -6,16 +6,14 @@
 //! hypervectors flowing into a sink are bit-identical to
 //! `RecordEncoder::encode_batch` over the same rows. On top of that the
 //! commutative sinks (bundle, class accumulators) must be stream-order
-//! invariant, the trainer sink must match the batch `partial_fit`
-//! trajectory exactly, and lenient quarantine accounting must add up.
+//! invariant, and lenient quarantine accounting must add up.
 
 use hyperfex_hdc::binary::Dim;
 use hyperfex_hdc::bundle::Bundler;
-use hyperfex_hdc::classify::{OnlineTrainer, PerceptronTrainer};
 use hyperfex_hdc::encoding::{FeatureSpec, RecordEncoder, RecordSchema};
 use hyperfex_hdc::rng::SplitMix64;
 use hyperfex_hdc::stream::{
-    BundlerSink, ClassAccumulatorSink, CollectSink, RowStream, StreamEncoder, TrainerSink,
+    BundlerSink, ClassAccumulatorSink, CollectSink, RowStream, StreamEncoder,
 };
 use proptest::prelude::*;
 
@@ -153,33 +151,6 @@ proptest! {
         prop_assert_eq!(f.n_classes(), p.n_classes());
         for c in 0..f.n_classes() {
             prop_assert_eq!(f.prototype(c), p.prototype(c), "class {} differs", c);
-        }
-    }
-
-    /// The trainer sink walks the exact batch `partial_fit` trajectory:
-    /// same prototypes, same correction count, same predictions.
-    #[test]
-    fn trainer_sink_matches_partial_fit_trajectory(
-        seed in any::<u64>(),
-        n in 2usize..32,
-        micro_batch in 1usize..16,
-    ) {
-        let dim = 320;
-        let enc = encoder(dim, seed ^ 0x7);
-        let (cohort, labels) = rows(seed, n);
-        let encoded = enc.encode_batch(&cohort).unwrap();
-
-        let mut reference = PerceptronTrainer::new(Dim::new(dim));
-        let corrections = reference.partial_fit(&encoded, &labels).unwrap();
-
-        let mut streamed = PerceptronTrainer::new(Dim::new(dim));
-        let mut sink = TrainerSink::new(&mut streamed);
-        let mut stream = RowStream::new(&cohort, &labels).unwrap();
-        StreamEncoder::new(&enc).with_micro_batch(micro_batch)
-            .encode_stream(&mut stream, &mut sink).unwrap();
-        prop_assert_eq!(sink.corrections(), corrections);
-        for c in 0..reference.n_classes() {
-            prop_assert_eq!(streamed.prototype(c).unwrap(), reference.prototype(c).unwrap());
         }
     }
 

@@ -4,7 +4,6 @@
 //! `(distance, key)` candidates — are common.
 
 use hyperfex_hdc::bitmatrix::hamming_words;
-use hyperfex_hdc::classify::HammingKnnClassifier;
 use hyperfex_hdc::rng::SplitMix64;
 use hyperfex_hdc::topk::TopK;
 use hyperfex_hdc::{BinaryHypervector, BitMatrix, Dim};
@@ -142,27 +141,4 @@ fn scan_rejects_a_bank_of_another_width() {
     let mut tops: TopK<usize> = TopK::new(1, 1);
     assert!(tops.scan(&queries, &bank, 0..2, |row| row).is_err());
     assert!(tops.list(0).is_empty());
-}
-
-/// Duplicate training rows with different labels tie at every distance;
-/// at k = 1 the lower training index wins, so its label is the prediction.
-#[test]
-fn hamming_knn_ties_go_to_the_lower_training_index() {
-    let mut rng = SplitMix64::new(5);
-    let a = BinaryHypervector::random(Dim::new(200), &mut rng);
-    let b = BinaryHypervector::random(Dim::new(200), &mut rng);
-    let probe = a.flip_balanced(10, &mut rng).unwrap();
-    // Rows 1 and 2 are the tied nearest; row 1's label must win, whether
-    // it is the lower or the higher class.
-    for (labels, want) in [(vec![2, 1, 0, 2], 1), (vec![2, 0, 1, 2], 0)] {
-        let mut clf = HammingKnnClassifier::new(1).unwrap();
-        clf.fit(vec![b.clone(), a.clone(), a.clone(), b.clone()], labels)
-            .unwrap();
-        assert_eq!(clf.predict(&a).unwrap(), want);
-        assert_eq!(clf.predict(&probe).unwrap(), want);
-        assert_eq!(
-            clf.predict_batch(&[a.clone(), probe.clone()]).unwrap(),
-            vec![want, want]
-        );
-    }
 }

@@ -393,6 +393,44 @@ mod tests {
         }
     }
 
+    /// Duplicate training rows with different labels tie at every distance;
+    /// at k = 1 the lower training index wins, so its label is the
+    /// prediction, whether the model was fitted dense or packed.
+    #[test]
+    fn hamming_knn_ties_go_to_the_lower_training_index() {
+        use hyperfex_hdc::prelude::*;
+        let mut rng = SplitMix64::new(5);
+        let a = BinaryHypervector::random(Dim::new(200), &mut rng);
+        let b = BinaryHypervector::random(Dim::new(200), &mut rng);
+        let probe = a.flip_balanced(10, &mut rng).unwrap();
+        let train = BitMatrix::from_hypervectors(&[b.clone(), a.clone(), a.clone(), b]).unwrap();
+        // Row 0 is `a` itself, row 1 the probe.
+        let queries = BitMatrix::from_hypervectors(&[a, probe]).unwrap();
+        let params = || KnnParams {
+            k: 1,
+            weights: KnnWeights::Uniform,
+        };
+        // Rows 1 and 2 are the tied nearest; row 1's label must win, whether
+        // it is the lower or the higher class.
+        for (labels, want) in [(vec![2, 1, 0, 2], 1), (vec![2, 0, 1, 2], 0)] {
+            let mut dense = KnnClassifier::new(params());
+            dense.fit(&crate::traits::densify(&train), &labels).unwrap();
+            let mut packed = KnnClassifier::new(params());
+            packed
+                .fit_features(&Features::Packed(&train), &labels)
+                .unwrap();
+            for clf in [&dense, &packed] {
+                let predict = |rows: &[usize]| {
+                    let q = queries.select_rows(rows);
+                    clf.predict_features(&Features::Packed(&q)).unwrap()
+                };
+                assert_eq!(predict(&[0]), vec![want]);
+                assert_eq!(predict(&[1]), vec![want]);
+                assert_eq!(predict(&[0, 1]), vec![want, want]);
+            }
+        }
+    }
+
     #[test]
     fn packed_dim_mismatch_errors() {
         let bits = random_bits(10, 64, 1);

@@ -29,7 +29,6 @@
 
 pub mod bayes;
 pub mod boost;
-pub mod calibration;
 pub mod error;
 pub mod forest;
 pub mod knn;
@@ -38,7 +37,6 @@ pub mod linear;
 pub mod nn;
 pub mod online;
 pub mod preprocessing;
-pub mod stream;
 pub mod svm;
 pub mod traits;
 pub mod tree;
@@ -55,7 +53,6 @@ pub mod prelude {
         CatBoostClassifier, CatBoostParams, LightGbmClassifier, LightGbmParams, XgBoostClassifier,
         XgBoostParams,
     };
-    pub use crate::calibration::PlattScaling;
     pub use crate::error::MlError;
     pub use crate::forest::{RandomForestClassifier, RandomForestParams};
     pub use crate::knn::{KnnClassifier, KnnParams};
@@ -66,7 +63,6 @@ pub mod prelude {
     pub use crate::nn::{EarlyStopping, SequentialNn, SequentialNnParams};
     pub use crate::online::{OnlineHdcClassifier, OnlineTrainerKind};
     pub use crate::preprocessing::{MinMaxScaler, StandardScaler};
-    pub use crate::stream::EstimatorSink;
     pub use crate::svm::{Kernel, SvcClassifier, SvcParams};
     pub use crate::traits::{densify, Estimator, Features, ProbabilisticEstimator};
     pub use crate::tree::{DecisionTreeClassifier, TreeParams};

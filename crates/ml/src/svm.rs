@@ -305,7 +305,7 @@ impl Estimator for SvcClassifier {
 
     /// Packed input reaches the same SMO trajectory as its densified
     /// matrix, much faster: `gamma = "scale"` replicates the dense
-    /// variance accumulation order and [`SvcClassifier::kernel_matrix`]
+    /// variance accumulation order and the private `kernel_matrix`
     /// every dense kernel entry, bit for bit.
     fn fit_features(&mut self, x: &Features<'_>, y: &[usize]) -> Result<(), MlError> {
         let _span = crate::obs::span("ml/svm_fit");

@@ -28,8 +28,6 @@
 //!   with an optional per-flush [`store::HvStore::save_dirty`] rolling
 //!   snapshot that writes only the rows each flush adds, so an unbounded
 //!   cohort streams into a servable store with O(buffer) transient state.
-//! * [`backoff`] — a seeded exponential-backoff-with-jitter retry policy:
-//!   every delay sequence replays bit-exactly from its seed.
 //! * [`cohort`] — deterministic synthetic cohorts (class prototypes plus
 //!   seeded bit-flip noise) for throughput benchmarks and recovery sweeps.
 //!
@@ -43,7 +41,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod admission;
-pub mod backoff;
 pub mod cohort;
 pub mod error;
 pub mod ingest;
@@ -51,7 +48,6 @@ pub mod snapshot;
 pub mod store;
 
 pub use admission::{AdmissionConfig, BatchFrontend, Completion, Deadline};
-pub use backoff::RetryPolicy;
 pub use cohort::SyntheticCohort;
 pub use error::ServeError;
 pub use hyperfex_hdc::obs;
