@@ -14,21 +14,13 @@ use hyperfex_hdc::encoding::QuarantineReport;
 pub struct HammingModel {
     dim: Dim,
     seed: u64,
-    k: usize,
 }
 
 impl HammingModel {
     /// Creates the paper's configuration: 1 nearest neighbour.
     #[must_use]
     pub fn new(dim: Dim, seed: u64) -> Self {
-        Self { dim, seed, k: 1 }
-    }
-
-    /// Uses `k` neighbours instead of 1 (extension).
-    #[must_use]
-    pub fn with_k(mut self, k: usize) -> Self {
-        self.k = k;
-        self
+        Self { dim, seed }
     }
 
     /// Runs the full §II-C procedure: encode every patient, then
@@ -42,7 +34,7 @@ impl HammingModel {
         let _span = crate::obs::span("core/evaluate_loocv");
         let mut extractor = HdcFeatureExtractor::new(self.dim, self.seed);
         let hvs = extractor.fit_transform(table)?;
-        let outcome = LeaveOneOut::with_k(self.k)?.run(&hvs, table.labels())?;
+        let outcome = LeaveOneOut::new().run(&hvs, table.labels())?;
         Ok(outcome)
     }
 
@@ -63,7 +55,7 @@ impl HammingModel {
             .iter()
             .map(|&i| table.labels()[i])
             .collect();
-        let outcome = LeaveOneOut::with_k(self.k)?.run(&lenient.hypervectors, &labels)?;
+        let outcome = LeaveOneOut::new().run(&lenient.hypervectors, &labels)?;
         Ok(RobustLoocv {
             outcome,
             kept_rows: lenient.kept_rows,
@@ -118,16 +110,6 @@ mod tests {
         let m = HammingModel::metrics(&outcome).unwrap();
         assert!(m.recall > 0.7);
         assert!(m.specificity > 0.5);
-    }
-
-    #[test]
-    fn k3_variant_runs() {
-        let table = cohort();
-        let outcome = HammingModel::new(Dim::new(1_000), 3)
-            .with_k(3)
-            .evaluate_loocv(&table)
-            .unwrap();
-        assert!(outcome.accuracy() > 0.7);
     }
 
     #[test]

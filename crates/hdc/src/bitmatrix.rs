@@ -7,7 +7,10 @@
 //! `f32` cell, hypervector-trained models keep the design matrix in packed
 //! form and run word-level popcount kernels — [`popcount_dot`],
 //! [`masked_weight_sum`], [`pairwise_hamming`] and [`hamming_between`] —
-//! over it.
+//! over it. The linear models' training loops walk each row relative to
+//! the cohort's [`BitMatrix::majority_row`] instead
+//! ([`relative_weight_sum`], [`relative_scatter_add`]): a level-encoded
+//! record differs from that row in far fewer bits than it sets.
 //!
 //! Every row maintains the tail invariant: bits at or above `d` in the
 //! final word of a row are zero, so popcounts over whole words are exact.
@@ -15,6 +18,7 @@
 //! property tests assert parity over non-word-multiple dimensionalities.
 
 use crate::binary::{debug_assert_tail_invariant, BinaryHypervector, Dim, WORD_BITS};
+use crate::bundle::Bundler;
 use crate::error::HdcError;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
@@ -310,6 +314,21 @@ impl BitMatrix {
             .map(|w| w.count_ones() as usize)
             .sum()
     }
+
+    /// The bitwise majority of the rows, ties to 1 (the paper's bundling
+    /// rule, as [`crate::bundle::try_majority`] applies it to the rows as
+    /// hypervectors): bit `c` is set iff at least half the rows set it.
+    /// It is the reference row of [`relative_weight_sum`] and
+    /// [`relative_scatter_add`].
+    ///
+    /// Returns [`HdcError::EmptyInput`] for a matrix with no rows.
+    pub fn majority_row(&self) -> Result<BinaryHypervector, HdcError> {
+        let mut bundler = Bundler::new(self.dim);
+        for r in 0..self.n_rows {
+            bundler.push(&self.row_hypervector(r))?;
+        }
+        bundler.finish()
+    }
 }
 
 impl fmt::Debug for BitMatrix {
@@ -384,23 +403,73 @@ pub fn masked_weight_sum(row: &[u64], weights: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
-/// Scatter-add of a scalar into a weight vector: `out[j] += delta` for
-/// every set bit `j` of `row` (the gradient-update dual of
-/// [`masked_weight_sum`]; every set bit touches a distinct element, so
-/// the walk order cannot affect the result). `out.len()` must equal the
-/// row's bit width; the tail invariant guarantees no set bit indexes
-/// past it.
+/// Signed weighted sum of a row relative to a reference row:
+/// `Σ_{j ∈ row∖reference} wⱼ − Σ_{j ∈ reference∖row} wⱼ`, walking only the
+/// bits of `row ^ reference`.
+///
+/// With weights split as `w = α·reference + u`, a row's dot product is
+/// `α·|row ∧ reference| + u·reference + relative_weight_sum(row,
+/// reference, u)`, so a row near the reference (a level-encoded record
+/// near its cohort's [`BitMatrix::majority_row`]) costs its distance from
+/// the reference rather than its popcount. Each word is one walk over its
+/// differing bits; a weight whose reference bit is set is negated by
+/// flipping its f64 sign bit (an exact negation), and the terms go
+/// round-robin into four accumulator lanes as in [`masked_weight_sum`], so
+/// parity with [`crate::reference::relative_weight_sum`] holds to a
+/// relative tolerance, not bit equality. With an all-zero reference it is
+/// [`masked_weight_sum`] term for term.
+///
+/// `reference` must have as many words as `row`, and `weights.len()` must
+/// equal their bit width; the tail invariant of both guarantees no
+/// differing bit indexes past it.
+#[must_use]
+// lint: index-ok (tail invariant bounds tz below chunk.len(); lane & 3 is always < 4)
+pub fn relative_weight_sum(row: &[u64], reference: &[u64], weights: &[f64]) -> f64 {
+    debug_assert_eq!(row.len(), reference.len(), "word-count mismatch");
+    debug_assert!(
+        weights.len() <= row.len() * WORD_BITS,
+        "weight vector longer than the packed row"
+    );
+    let mut acc = [0.0f64; 4];
+    let mut lane = 0usize;
+    for ((&x, &r), chunk) in row.iter().zip(reference).zip(weights.chunks(WORD_BITS)) {
+        let mut bits = x ^ r;
+        while bits != 0 {
+            let tz = bits.trailing_zeros() as usize;
+            // The reference bit, moved to the f64 sign position.
+            let sign = (r >> tz) << 63;
+            acc[lane & 3] += f64::from_bits(chunk[tz].to_bits() ^ sign);
+            lane += 1;
+            bits &= bits - 1;
+        }
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
+
+/// Signed scatter of a scalar relative to a reference row: `out[j] += δ`
+/// for every `j ∈ row∖reference` and `out[j] −= δ` for every
+/// `j ∈ reference∖row`, one walk over the bits of `row ^ reference` (the
+/// gradient-update dual of [`relative_weight_sum`]). Every differing bit
+/// makes one add to a distinct element, and the sign flip is an exact
+/// negation, so the result equals
+/// [`crate::reference::relative_scatter_add`] bit for bit.
+///
+/// `reference` must have as many words as `row`, and `out.len()` must
+/// equal their bit width; the tail invariant of both guarantees no
+/// differing bit indexes past it.
 // lint: index-ok (tail invariant bounds tz below chunk.len())
-pub fn masked_scatter_add(row: &[u64], delta: f64, out: &mut [f64]) {
+pub fn relative_scatter_add(row: &[u64], reference: &[u64], delta: f64, out: &mut [f64]) {
+    debug_assert_eq!(row.len(), reference.len(), "word-count mismatch");
     debug_assert!(
         out.len() <= row.len() * WORD_BITS,
         "output vector longer than the packed row"
     );
-    for (word, chunk) in row.iter().zip(out.chunks_mut(WORD_BITS)) {
-        let mut bits = *word;
+    let delta = delta.to_bits();
+    for ((&x, &r), chunk) in row.iter().zip(reference).zip(out.chunks_mut(WORD_BITS)) {
+        let mut bits = x ^ r;
         while bits != 0 {
             let tz = bits.trailing_zeros() as usize;
-            chunk[tz] += delta;
+            chunk[tz] += f64::from_bits(delta ^ ((r >> tz) << 63));
             bits &= bits - 1;
         }
     }
@@ -610,16 +679,22 @@ mod tests {
     }
 
     #[test]
-    fn masked_scatter_add_hits_exactly_the_set_bits() {
-        let hvs = random_stack(1, 130, 12);
-        let m = BitMatrix::from_hypervectors(&hvs).unwrap();
+    fn relative_scatter_add_hits_exactly_the_differing_bits() {
+        let hvs = random_stack(2, 130, 12);
+        let m = BitMatrix::from_hypervectors(&hvs[..1]).unwrap();
         let mut fast = vec![1.5f64; 130];
-        masked_scatter_add(m.row_words(0), -0.25, &mut fast);
+        relative_scatter_add(m.row_words(0), hvs[1].words(), -0.25, &mut fast);
         let mut naive = vec![1.5f64; 130];
-        crate::reference::masked_scatter_add(&m, 0, -0.25, &mut naive);
+        crate::reference::relative_scatter_add(&m, 0, &hvs[1], -0.25, &mut naive);
         for (c, (a, b)) in fast.iter().zip(&naive).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "column {c}");
         }
+    }
+
+    #[test]
+    fn majority_row_of_no_rows_is_an_error() {
+        let m = BitMatrix::zeros(0, Dim::new(70));
+        assert_eq!(m.majority_row(), Err(HdcError::EmptyInput));
     }
 
     #[test]

@@ -60,38 +60,39 @@ impl CategoricalEncoder {
 
     /// The code for `category`.
     ///
-    /// Returns an error if `category ≥ n_categories` — categorical features
-    /// have no meaningful clamping, unlike continuous ones.
+    /// Returns [`HdcError::CategoryOutOfRange`] if `category ≥
+    /// n_categories` — categorical features have no meaningful clamping,
+    /// unlike continuous ones.
     pub fn encode(&self, category: usize) -> Result<BinaryHypervector, HdcError> {
-        self.code_checked(category).cloned()
+        self.codes
+            .get(category)
+            .cloned()
+            .ok_or(HdcError::CategoryOutOfRange {
+                categories: self.codes.len(),
+                value: category as f64,
+            })
     }
 
     /// The code for a raw feature value rounded to the nearest category
-    /// index. A value that rounds outside `0..n_categories` is the same
-    /// error as an out-of-range [`CategoricalEncoder::encode`] index (a
-    /// negative one reports `got: 0`): nothing is clamped into range.
+    /// index. A value that rounds outside `0..n_categories` is
+    /// [`HdcError::CategoryOutOfRange`] naming the value: nothing is
+    /// clamped into range.
     pub(crate) fn code_of_value(&self, value: f64) -> Result<&BinaryHypervector, HdcError> {
         if !value.is_finite() {
             return Err(HdcError::NonFiniteValue);
         }
         let index = value.round();
-        if index < 0.0 {
-            return Err(HdcError::ArityMismatch {
-                expected: self.codes.len(),
-                got: 0,
-            });
-        }
-        // A float-to-int `as` saturates, so an index past `usize::MAX` reads
-        // as `usize::MAX`, which is out of range too.
-        self.code_checked(index as usize)
-    }
-
-    /// The code for `category`, or the out-of-range error, whose `got` is
-    /// one past the index (saturating, so no index overflows).
-    fn code_checked(&self, category: usize) -> Result<&BinaryHypervector, HdcError> {
-        self.codes.get(category).ok_or(HdcError::ArityMismatch {
-            expected: self.codes.len(),
-            got: category.saturating_add(1),
+        // A float-to-int `as` saturates (a negative index would read as
+        // 0), so the sign is checked first; an index past `usize::MAX`
+        // reads as `usize::MAX`, which is out of range too.
+        let code = if index < 0.0 {
+            None
+        } else {
+            self.codes.get(index as usize)
+        };
+        code.ok_or(HdcError::CategoryOutOfRange {
+            categories: self.codes.len(),
+            value,
         })
     }
 
@@ -153,13 +154,31 @@ mod tests {
         assert!(e.encode(2).is_err());
         assert!(matches!(
             e.encode(usize::MAX),
-            Err(HdcError::ArityMismatch {
-                expected: 2,
-                got: usize::MAX
-            })
+            Err(HdcError::CategoryOutOfRange { categories: 2, .. })
         ));
         assert!(e.code(2).is_none());
         assert_eq!(e.n_categories(), 2);
+    }
+
+    #[test]
+    fn out_of_range_value_names_the_value_not_an_arity() {
+        let e = CategoricalEncoder::binary(Dim::new(64), 1).unwrap();
+        for value in [5.0, -3.0, 1e20] {
+            let err = e.code_of_value(value).unwrap_err();
+            assert_eq!(
+                err,
+                HdcError::CategoryOutOfRange {
+                    categories: 2,
+                    value
+                }
+            );
+            let message = err.to_string();
+            assert!(message.contains(&value.to_string()), "{message}");
+            assert!(message.contains("0..2"), "{message}");
+            assert!(!message.contains("schema"), "{message}");
+        }
+        assert!(e.code_of_value(1.4).is_ok());
+        assert!(e.code_of_value(-0.4).is_ok());
     }
 
     #[test]

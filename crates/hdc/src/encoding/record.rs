@@ -444,7 +444,7 @@ mod tests {
         for value in [-3.0, 1e20, f64::MAX] {
             assert!(matches!(
                 enc.encode_record(&[30.0, 100.0, value]),
-                Err(HdcError::ArityMismatch { expected: 2, .. })
+                Err(HdcError::CategoryOutOfRange { categories: 2, .. })
             ));
             assert!(enc.encode_features(&[30.0, 100.0, value]).is_err());
             assert!(enc.encode_batch(&[vec![30.0, 100.0, value]]).is_err());
@@ -515,7 +515,7 @@ mod tests {
         assert_eq!(entries[3].row, 5);
         assert!(matches!(
             entries[3].error,
-            HdcError::ArityMismatch { expected: 2, .. }
+            HdcError::CategoryOutOfRange { categories: 2, .. }
         ));
         // Survivors match the strict encoding of the same rows.
         assert_eq!(batch.hypervectors[0], enc.encode_record(&rows[0]).unwrap());

@@ -35,6 +35,14 @@ pub enum HdcError {
         /// Number of values supplied.
         got: usize,
     },
+    /// A categorical feature value (or category index) fell outside the
+    /// encoder's categories `0..categories` once rounded to an index.
+    CategoryOutOfRange {
+        /// Number of categories the encoder defines.
+        categories: usize,
+        /// The value supplied.
+        value: f64,
+    },
     /// A classifier was asked to predict before being fitted, or fitted with
     /// inconsistent inputs.
     NotFitted,
@@ -74,6 +82,12 @@ impl fmt::Display for HdcError {
                     "record has {got} values but schema defines {expected} features"
                 )
             }
+            Self::CategoryOutOfRange { categories, value } => {
+                write!(
+                    f,
+                    "categorical value {value} is outside the categories 0..{categories}"
+                )
+            }
             Self::NotFitted => write!(f, "classifier has not been fitted"),
             Self::LabelLengthMismatch { samples, labels } => {
                 write!(f, "{samples} samples but {labels} labels")
@@ -104,6 +118,12 @@ mod tests {
         assert!(e.to_string().contains('3'));
         assert!(HdcError::ZeroDimension.to_string().contains("non-zero"));
         assert!(HdcError::NotFitted.to_string().contains("fitted"));
+        let e = HdcError::CategoryOutOfRange {
+            categories: 2,
+            value: 5.0,
+        };
+        assert!(e.to_string().contains("value 5 "));
+        assert!(e.to_string().contains("0..2"));
     }
 
     #[test]

@@ -192,13 +192,48 @@ pub fn masked_weight_sum(m: &BitMatrix, row: usize, weights: &[f64]) -> f64 {
         .sum()
 }
 
-/// Per-bit scatter-add oracle: `out[c] += delta` for every set bit of the
-/// given [`BitMatrix`] row. Additions are exact duals of each other in the
-/// kernel and the oracle (one add per set bit, same order), so parity
-/// tests may use bit equality.
-pub fn masked_scatter_add(m: &BitMatrix, row: usize, delta: f64, out: &mut [f64]) {
-    for c in (0..m.dim().get()).filter(|&c| m.get(row, c)) {
-        out[c] += delta;
+/// Per-bit signed sum of a [`BitMatrix`] row relative to a reference
+/// row: `+wⱼ` for every bit set in the row but not the reference, `−wⱼ`
+/// for every bit set in the reference but not the row, accumulated in
+/// naive left-to-right order. The word-level kernel uses four accumulator
+/// lanes, so parity tests against this oracle must allow a relative
+/// floating-point tolerance.
+#[must_use]
+pub fn relative_weight_sum(
+    m: &BitMatrix,
+    row: usize,
+    reference: &BinaryHypervector,
+    weights: &[f64],
+) -> f64 {
+    let mut sum = 0.0;
+    for (c, &w) in weights.iter().enumerate().take(m.dim().get()) {
+        match (m.get(row, c), reference.get(c)) {
+            (true, false) => sum += w,
+            (false, true) => sum -= w,
+            _ => {}
+        }
+    }
+    sum
+}
+
+/// Per-bit signed scatter oracle: `out[c] += delta` for every bit set in
+/// the [`BitMatrix`] row but not the reference, `out[c] -= delta` for
+/// every bit set in the reference but not the row. Each element takes at
+/// most one add in the kernel and the oracle alike, so parity tests may
+/// use bit equality.
+pub fn relative_scatter_add(
+    m: &BitMatrix,
+    row: usize,
+    reference: &BinaryHypervector,
+    delta: f64,
+    out: &mut [f64],
+) {
+    for (c, o) in out.iter_mut().enumerate().take(m.dim().get()) {
+        match (m.get(row, c), reference.get(c)) {
+            (true, false) => *o += delta,
+            (false, true) => *o -= delta,
+            _ => {}
+        }
     }
 }
 

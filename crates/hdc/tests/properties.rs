@@ -1,9 +1,12 @@
 //! Property-based tests for hypervector invariants.
 
 use hyperfex_hdc::binary::{BinaryHypervector, Dim};
-use hyperfex_hdc::bitmatrix::BitMatrix;
+use hyperfex_hdc::bitmatrix::{
+    masked_weight_sum, relative_scatter_add, relative_weight_sum, BitMatrix,
+};
 use hyperfex_hdc::bundle;
 use hyperfex_hdc::encoding::{CategoricalEncoder, LinearEncoder};
+use hyperfex_hdc::reference;
 use hyperfex_hdc::rng::SplitMix64;
 use proptest::prelude::*;
 
@@ -181,6 +184,101 @@ proptest! {
         let wider = BinaryHypervector::zeros(Dim::new(dim + 1));
         prop_assert!(grown.push_rows(&[hvs[0].clone(), wider]).is_err());
         prop_assert_eq!(&grown, &packed);
+    }
+
+    /// The reference-relative pair against its per-bit oracles: the signed
+    /// sum to a relative tolerance (four lanes reorder it), the signed
+    /// scatter bit for bit (one add per differing bit). The rows are a
+    /// random reference with about one bit in `flip_rate` flipped, the
+    /// shape of a level-encoded record near its cohort's majority row.
+    #[test]
+    fn relative_kernels_match_per_bit_oracles(
+        seed in any::<u64>(),
+        dim_index in 0usize..TAIL_DIMS.len(),
+        flip_rate in 1u64..9,
+    ) {
+        let dim = TAIL_DIMS[dim_index];
+        let d = Dim::new(dim);
+        let mut rng = SplitMix64::new(seed);
+        let reference_hv = BinaryHypervector::random(d, &mut rng);
+        let mut near = reference_hv.clone();
+        for bit in 0..dim {
+            if rng.next_bounded(flip_rate) == 0 {
+                near.flip(bit);
+            }
+        }
+        let m = BitMatrix::from_hypervectors(&[near]).unwrap();
+        let weights: Vec<f64> = (0..dim).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
+
+        let fast = relative_weight_sum(m.row_words(0), reference_hv.words(), &weights);
+        let naive = reference::relative_weight_sum(&m, 0, &reference_hv, &weights);
+        let magnitude: f64 = weights.iter().map(|w| w.abs()).sum();
+        prop_assert!(
+            (fast - naive).abs() <= 1e-10 * magnitude.max(1.0),
+            "relative sum {} vs oracle {}", fast, naive
+        );
+
+        let delta = rng.next_f64() - 0.5;
+        let mut fast = weights.clone();
+        relative_scatter_add(m.row_words(0), reference_hv.words(), delta, &mut fast);
+        let mut naive = weights;
+        reference::relative_scatter_add(&m, 0, &reference_hv, delta, &mut naive);
+        for (c, (a, b)) in fast.iter().zip(&naive).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "column {}", c);
+        }
+    }
+
+    /// Against an all-zero reference the signed sum is the set-bit sum, in
+    /// the same lane order (itself checked against its per-bit oracle);
+    /// against the row itself nothing differs.
+    #[test]
+    fn relative_sum_degenerates_at_zero_and_self_references(
+        seed in any::<u64>(),
+        dim_index in 0usize..TAIL_DIMS.len(),
+    ) {
+        let d = Dim::new(TAIL_DIMS[dim_index]);
+        let mut rng = SplitMix64::new(seed);
+        let row = BinaryHypervector::random(d, &mut rng);
+        let weights: Vec<f64> = (0..d.get()).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
+        let zero = BinaryHypervector::zeros(d);
+        let set_bits = masked_weight_sum(row.words(), &weights);
+        prop_assert_eq!(
+            relative_weight_sum(row.words(), zero.words(), &weights).to_bits(),
+            set_bits.to_bits()
+        );
+        let m = BitMatrix::from_hypervectors(std::slice::from_ref(&row)).unwrap();
+        let naive = reference::masked_weight_sum(&m, 0, &weights);
+        let magnitude: f64 = weights.iter().map(|w| w.abs()).sum();
+        prop_assert!((set_bits - naive).abs() <= 1e-10 * magnitude.max(1.0));
+        prop_assert_eq!(relative_weight_sum(row.words(), row.words(), &weights), 0.0);
+        let mut out = weights.clone();
+        relative_scatter_add(row.words(), row.words(), 0.5, &mut out);
+        prop_assert_eq!(out, weights);
+    }
+
+    /// `BitMatrix::majority_row` is the bundle of the rows as
+    /// hypervectors and their per-bit majority, ties to 1. Even row counts
+    /// with complement pairs force ties.
+    #[test]
+    fn majority_row_matches_bundling_with_ties_to_one(
+        seed in any::<u64>(),
+        dim_index in 0usize..TAIL_DIMS.len(),
+        n in 1usize..12,
+        with_complement in any::<bool>(),
+    ) {
+        let d = Dim::new(TAIL_DIMS[dim_index]);
+        let mut rng = SplitMix64::new(seed);
+        let mut hvs: Vec<_> = (0..n).map(|_| BinaryHypervector::random(d, &mut rng)).collect();
+        if with_complement {
+            hvs.push(hvs[0].complement());
+        }
+        let m = BitMatrix::from_hypervectors(&hvs).unwrap();
+        let majority = m.majority_row().unwrap();
+        prop_assert_eq!(&majority, &bundle::try_majority(&hvs).unwrap());
+        prop_assert_eq!(&majority, &reference::majority(&hvs).unwrap());
+        if with_complement && n == 1 {
+            prop_assert_eq!(majority.count_ones(), d.get());
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@ use crate::linalg::Matrix;
 use crate::linear::{log_loss, sigmoid};
 use crate::preprocessing::StandardScaler;
 use crate::traits::{validate_fit_inputs, Estimator, Features, ProbabilisticEstimator};
-use hyperfex_hdc::bitmatrix::{masked_weight_sum, BitMatrix};
+use hyperfex_hdc::bitmatrix::{masked_weight_sum, relative_weight_sum, BitMatrix};
+use hyperfex_hdc::BinaryHypervector;
 use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters (defaults mirror sklearn: `C = 1.0`, `max_iter` capped).
@@ -178,63 +179,89 @@ fn dense_gradient(xs: &Matrix, y: &[usize], look: &[f64], bias: f64, grad: &mut 
 /// The packed gradient of [`LogisticRegression::nesterov`], which never
 /// materialises the standardised matrix. A scaled 0/1 feature takes one
 /// of two per-column values, so the logit collapses to
-/// `z = base − Σⱼ rⱼ·mⱼ + Σ_{set bits} rⱼ` with `rⱼ = lookⱼ/σⱼ` hoisted
-/// once per iteration, and the weight gradient `Σᵢ errᵢ·bᵢⱼ` to one gather
-/// over each feature's column of a one-time transpose (the bits never
-/// change across iterations). These sums round differently from the
-/// dense ones, so parity with the dense fit is close (≤1e-5 on logits)
-/// rather than bit-exact; the scaler statistics themselves are
-/// bit-identical.
+/// `z = base − Σⱼ vⱼ·mⱼ + Σ_{set bits} vⱼ` with `vⱼ = lookⱼ/σⱼ` hoisted
+/// once per iteration, and the weight gradient to `Σᵢ errᵢ·xᵢⱼ`.
+///
+/// Both sums walk each row relative to the training rows' bitwise
+/// majority `r` (a level-encoded record differs from it in far fewer bits
+/// than it sets): `Σ_{set bits} vⱼ = v·r + relative_weight_sum(xᵢ, r, v)`
+/// with `v·r` formed once per iteration, and
+/// `Σᵢ errᵢ·xᵢⱼ = rⱼ·Σᵢ errᵢ ± Σ_{i: xᵢⱼ ≠ rⱼ} errᵢ` (minus where `rⱼ`
+/// is set), one gather over each feature's column of a one-time
+/// transpose of `X ⊕ r` (the bits never change across iterations). These
+/// sums round differently from the dense ones, so parity with the dense
+/// fit is close (≤1e-5 on logits) rather than bit-exact; the scaler
+/// statistics themselves are bit-identical.
 struct PackedGradient<'a> {
     bits: &'a BitMatrix,
-    /// Feature-major transpose: row `j` is feature j's sample mask.
-    cols: BitMatrix,
+    /// The training rows' bitwise majority `r`.
+    reference: BinaryHypervector,
+    /// Feature-major transpose of `X ⊕ r`: row `j` marks the samples whose
+    /// bit `j` differs from `rⱼ`.
+    diff_cols: BitMatrix,
     means: Vec<f64>,
     inv_s: Vec<f64>,
     /// Look-ahead weights in bit coordinates.
-    r: Vec<f64>,
+    v: Vec<f64>,
     /// Per-row residual `σ(zᵢ) − yᵢ`.
     err: Vec<f64>,
 }
 
 impl<'a> PackedGradient<'a> {
     fn new(bits: &'a BitMatrix, scaler: &StandardScaler) -> Result<Self, MlError> {
+        let reference = bits.majority_row().map_err(|_| MlError::EmptyTrainingSet)?;
+        let mut diff = bits.raw_words().to_vec();
+        for row in diff.chunks_mut(bits.words_per_row()) {
+            for (w, &r) in row.iter_mut().zip(reference.words()) {
+                *w ^= r;
+            }
+        }
+        let diff_cols = BitMatrix::from_words(bits.n_rows(), bits.dim(), diff)
+            .and_then(|diff| diff.transpose())
+            .map_err(|_| MlError::EmptyTrainingSet)?;
         Ok(Self {
             bits,
-            cols: bits.transpose().map_err(|_| MlError::EmptyTrainingSet)?,
+            reference,
+            diff_cols,
             means: scaler.means().to_vec(),
             inv_s: scaler.stds().iter().map(|&s| 1.0 / s).collect(),
-            r: vec![0.0; bits.dim().get()],
+            v: vec![0.0; bits.dim().get()],
             err: vec![0.0; bits.n_rows()],
         })
     }
 
     fn gradient(&mut self, y: &[usize], look: &[f64], bias: f64, grad: &mut [f64]) -> f64 {
         let mut offset = 0.0f64;
-        for ((rj, &l), (&m, &is)) in self
-            .r
+        for ((vj, &l), (&m, &is)) in self
+            .v
             .iter_mut()
             .zip(look)
             .zip(self.means.iter().zip(&self.inv_s))
         {
-            *rj = l * is;
-            offset += *rj * m;
+            *vj = l * is;
+            offset += *vj * m;
         }
-        let base = bias - offset;
+        let reference = self.reference.words();
+        let base = bias - offset + masked_weight_sum(reference, &self.v);
         let mut err_sum = 0.0f64;
         for ((e, &yi), i) in self.err.iter_mut().zip(y).zip(0..) {
-            let z = base + masked_weight_sum(self.bits.row_words(i), &self.r);
+            let z = base + relative_weight_sum(self.bits.row_words(i), reference, &self.v);
             *e = sigmoid(z) - yi as f64;
             err_sum += *e;
         }
         // Chain rule back into scaled coordinates: the dense gradient is
-        // Σᵢ errᵢ·(bᵢⱼ − mⱼ)/σⱼ.
+        // Σᵢ errᵢ·(xᵢⱼ − mⱼ)/σⱼ.
         for ((g, j), (&m, &is)) in grad
             .iter_mut()
             .zip(0..)
             .zip(self.means.iter().zip(&self.inv_s))
         {
-            let g1 = masked_weight_sum(self.cols.row_words(j), &self.err);
+            let flipped = masked_weight_sum(self.diff_cols.row_words(j), &self.err);
+            let g1 = if self.reference.get(j) {
+                err_sum - flipped
+            } else {
+                flipped
+            };
             *g = (g1 - m * err_sum) * is;
         }
         err_sum
