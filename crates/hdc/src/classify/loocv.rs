@@ -9,13 +9,17 @@
 //! visits each unordered pair once: the upper triangle is cut into square
 //! tiles of consecutive rows, the tile pairs are split evenly across
 //! `rayon::map_chunks` workers, and each distance is offered to both rows'
-//! lists in a per-worker [`TopK`]. The per-worker lists are merged under the
+//! lists in a per-worker [`TopK`]. A worker stops reading a pair once its
+//! running distance is strictly greater than the k-th distances of both
+//! rows' lists in that worker's [`TopK`]: a worker's k-th distance is
+//! never below the k-th distance over all workers, so such a pair enters
+//! neither row's final list. The per-worker lists are merged under the
 //! same `(distance, index)` order, so the result does not depend on how
 //! the tile pairs were split. [`crate::reference::loocv_sweep`] is the
 //! per-row formulation, kept as the oracle.
 
 use crate::binary::BinaryHypervector;
-use crate::bitmatrix::{hamming_words, tile_pair_rows, tile_pairs, MIN_TILE_PAIRS};
+use crate::bitmatrix::{hamming_within, tile_pair_rows, tile_pairs, MIN_TILE_PAIRS};
 use crate::error::HdcError;
 use crate::obs;
 use crate::topk::TopK;
@@ -83,24 +87,37 @@ impl LeaveOneOut {
         let k = self.k.min(n - 1);
 
         // Dims are equal: `run` validated the whole stack against `dim`
-        // above, so every `hamming_words` call sees equal-length rows.
+        // above, so every `hamming_within` call sees equal-length rows. A
+        // pair is dropped only when it can enter neither row's list.
         let pairs = tile_pairs(n);
         let chunk_tops = rayon::map_chunks(&pairs, MIN_TILE_PAIRS, |_, chunk| {
             let mut tops = TopK::new(n, k);
+            let mut abandoned = 0u64;
             for (i, j) in chunk.iter().flat_map(|(a, b)| tile_pair_rows(a, b)) {
-                let d = hamming_words(hypervectors[i].words(), hypervectors[j].words());
-                tops.offer(i, d, j);
-                tops.offer(j, d, i);
+                let bound = tops.bound(i).max(tops.bound(j));
+                match hamming_within(hypervectors[i].words(), hypervectors[j].words(), bound) {
+                    Some(d) => {
+                        tops.offer(i, d, j);
+                        tops.offer(j, d, i);
+                    }
+                    None => abandoned += 1,
+                }
             }
-            tops
+            (tops, abandoned)
         });
 
-        // Every unordered pair was offered by exactly one chunk, so a row's
-        // k nearest overall are the k smallest of its per-chunk lists.
+        // Every unordered pair was seen by exactly one chunk, which offered
+        // it to each list it could enter, so a row's k nearest overall are
+        // the k smallest of its per-chunk lists.
         let mut best = TopK::new(n, k);
-        for tops in &chunk_tops {
+        for (tops, _) in &chunk_tops {
             best.merge(tops);
         }
+        obs::counter_add("hdc/knn_pairs", (n * (n - 1) / 2) as u64);
+        obs::counter_add(
+            "hdc/knn_pairs_abandoned",
+            chunk_tops.iter().map(|&(_, abandoned)| abandoned).sum(),
+        );
         let predictions: Vec<usize> = (0..n)
             .map(|row| {
                 let nearest = best.list(row);

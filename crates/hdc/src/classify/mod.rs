@@ -3,8 +3,9 @@
 //! * [`LeaveOneOut`] — the paper's leave-one-out validation harness: 1-NN
 //!   under Hamming distance (k-NN with majority voting through
 //!   [`LeaveOneOut::with_k`]), one symmetric distance sweep that computes
-//!   each unordered pair once, in tile pairs split across
-//!   `rayon::map_chunks` workers.
+//!   each unordered pair at most once, in tile pairs split across
+//!   `rayon::map_chunks` workers, and stops reading a pair that can enter
+//!   neither row's k nearest.
 //! * [`ClassAccumulators`] — bundled class prototypes ("associative
 //!   memory", the standard HDC baseline from Kleyko et al. that the paper
 //!   cites as \[39\]): one signed per-bit counter per class.

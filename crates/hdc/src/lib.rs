@@ -17,12 +17,15 @@
 //!   features, the categorical encoder for binary features, and the record
 //!   encoder that bundles one hypervector per patient.
 //! * [`topk`] — the bounded k-nearest selection every Hamming k-NN path
-//!   shares.
+//!   shares. Its scans read each row through
+//!   [`bitmatrix::hamming_within`] and stop once the row cannot enter the
+//!   k nearest, with results identical to full-distance scans.
 //! * [`classify`] — the signed per-bit class accumulators behind every
 //!   class prototype, online mistake-driven trainers (perceptron /
 //!   passive-aggressive / LVQ) with streaming `partial_fit`, and the
 //!   Hamming 1-NN / k-NN leave-one-out harness that sweeps each pair of
-//!   records once, in parallel.
+//!   records at most once, in parallel, and stops reading a pair that can
+//!   enter neither record's k nearest.
 //! * [`distill`] — dimension distillation: rank bit positions by class
 //!   discrimination and gather the top-k columns into a dense pruned space
 //!   for low-latency serving.

@@ -92,6 +92,74 @@ fn tiled_pairwise_hamming_matches_the_per_bit_oracle() {
     }
 }
 
+/// `n` rows at the paper's 10,000 bits, ten 16-word blocks each, so the
+/// sweep can stop reading a pair part-way. Each row is one of three
+/// centres with 800 random bit flips, so a row's nearest rows sit far
+/// below the rest. Ties are planted: every fifth row is a copy of an
+/// earlier one, and six rows, one in each of the first six tiles, lie
+/// exactly 300 bits from row 0 and about 600 from each other, so row 0's
+/// five nearest all tie.
+fn clustered_cohort(n: usize, seed: u64) -> Vec<BinaryHypervector> {
+    let mut rng = SplitMix64::new(seed);
+    let dim = Dim::new(10_000);
+    let centres: Vec<BinaryHypervector> = (0..3)
+        .map(|_| BinaryHypervector::random(dim, &mut rng))
+        .collect();
+    let mut hvs: Vec<BinaryHypervector> = Vec::with_capacity(n);
+    for i in 0..n {
+        let hv = if i % 5 == 4 {
+            hvs[i / 2].clone()
+        } else {
+            let mut hv = centres[usize::try_from(rng.next_bounded(3)).unwrap()].clone();
+            for _ in 0..800 {
+                hv.flip(usize::try_from(rng.next_bounded(10_000)).unwrap());
+            }
+            hv
+        };
+        hvs.push(hv);
+    }
+    for row in [9, 40, 71, 100, 133, 170] {
+        let mut bits: Vec<usize> = (0..10_000).collect();
+        rng.shuffle(&mut bits);
+        let mut tied = hvs[0].clone();
+        for &bit in &bits[..300] {
+            tied.flip(bit);
+        }
+        hvs[row] = tied;
+    }
+    hvs
+}
+
+#[test]
+fn tiled_loocv_at_paper_width_matches_the_per_row_sweep() {
+    let _lock = registry_lock();
+    let n = 200;
+    let hvs = clustered_cohort(n, 10_000);
+    let mut rng = SplitMix64::new(3);
+    let three_classes: Vec<usize> = (0..n)
+        .map(|_| usize::try_from(rng.next_u64() % 3).unwrap())
+        .collect();
+    // One class per row: a 1-NN prediction names the nearest row itself,
+    // and a 5-NN one the lowest index among the five nearest.
+    let per_row: Vec<usize> = (0..n).collect();
+    for labels in [&three_classes, &per_row] {
+        let n_classes = labels.iter().max().unwrap() + 1;
+        for k in [1, 5] {
+            let want: Vec<usize> = reference::loocv_sweep(&hvs, labels, k)
+                .into_iter()
+                .map(|(prediction, _)| prediction)
+                .collect();
+            let want = LoocvOutcome::from_predictions(labels, &want, n_classes);
+            for workers in WORKERS {
+                let got = rayon::with_num_threads(workers, || {
+                    LeaveOneOut::with_k(k).unwrap().run(&hvs, labels).unwrap()
+                });
+                assert_eq!(got, want, "{n_classes} classes, k {k}, {workers} workers");
+            }
+        }
+    }
+}
+
 #[cfg(feature = "obs")]
 #[test]
 fn nearest_distance_histogram_matches_the_per_row_sweep() {

@@ -2,7 +2,8 @@
 
 use hyperfex_hdc::binary::{BinaryHypervector, Dim};
 use hyperfex_hdc::bitmatrix::{
-    masked_weight_sum, relative_scatter_add, relative_weight_sum, BitMatrix,
+    hamming_within, hamming_words, masked_weight_sum, popcount_dot, relative_scatter_add,
+    relative_weight_sum, BitMatrix,
 };
 use hyperfex_hdc::bundle;
 use hyperfex_hdc::encoding::{CategoricalEncoder, LinearEncoder};
@@ -19,6 +20,20 @@ fn hv_strategy(dim: usize) -> impl Strategy<Value = BinaryHypervector> {
         let mut rng = SplitMix64::new(seed);
         BinaryHypervector::random(Dim::new(dim), &mut rng)
     })
+}
+
+/// A random `dim`-bit row and a copy of it with each bit flipped with
+/// probability `1 / flip_rate`, as a two-row matrix.
+fn near_pair(dim: usize, flip_rate: u64, seed: u64) -> BitMatrix {
+    let mut rng = SplitMix64::new(seed);
+    let row = BinaryHypervector::random(Dim::new(dim), &mut rng);
+    let mut near = row.clone();
+    for bit in 0..dim {
+        if rng.next_bounded(flip_rate) == 0 {
+            near.flip(bit);
+        }
+    }
+    BitMatrix::from_hypervectors(&[row, near]).unwrap()
 }
 
 proptest! {
@@ -278,6 +293,44 @@ proptest! {
         prop_assert_eq!(&majority, &reference::majority(&hvs).unwrap());
         if with_complement && n == 1 {
             prop_assert_eq!(majority.count_ones(), d.get());
+        }
+    }
+
+    /// The word-level Hamming distance and popcount dot product against
+    /// their per-bit oracles. The second row is the first with about one
+    /// bit in `flip_rate` flipped (every bit when it is 1), so distances
+    /// range from 0 to the full width.
+    #[test]
+    fn hamming_and_dot_kernels_match_per_bit_oracles(
+        seed in any::<u64>(),
+        dim_index in 0usize..TAIL_DIMS.len(),
+        flip_rate in 1u64..400,
+    ) {
+        let m = near_pair(TAIL_DIMS[dim_index], flip_rate, seed);
+        let (a, b) = (m.row_words(0), m.row_words(1));
+        prop_assert_eq!(hamming_words(a, b), reference::row_hamming(&m, 0, 1));
+        prop_assert_eq!(hamming_words(a, a), 0);
+        prop_assert_eq!(popcount_dot(a, b), reference::popcount_dot(&m, 0, 1));
+        prop_assert_eq!(popcount_dot(a, a), m.row_count_ones(0));
+    }
+
+    /// `hamming_within` is the full distance when it is at most the
+    /// bound and `None` otherwise, at bounds on either side of the
+    /// distance, at 0 and at `usize::MAX`.
+    #[test]
+    fn hamming_within_is_the_distance_up_to_its_bound(
+        seed in any::<u64>(),
+        dim_index in 0usize..TAIL_DIMS.len(),
+        flip_rate in 1u64..400,
+    ) {
+        let m = near_pair(TAIL_DIMS[dim_index], flip_rate, seed);
+        let d = reference::row_hamming(&m, 0, 1);
+        for bound in [0, d.saturating_sub(1), d, d + 1, usize::MAX] {
+            prop_assert_eq!(
+                hamming_within(m.row_words(0), m.row_words(1), bound),
+                (d <= bound).then_some(d),
+                "distance {}, bound {}", d, bound
+            );
         }
     }
 
