@@ -1,6 +1,10 @@
 //! Formalises the paper's §II dimensionality remark: Hamming LOOCV
 //! accuracy and cost for 1k…30k-bit hypervectors, plus the HDC classifier
 //! variant comparison.
+//!
+//! The tables that carry wall-clock values (the dimensionality sweeps and
+//! the distillation ladders) print on stderr; stdout holds only lines a
+//! fixed seed reproduces byte for byte.
 
 use hyperfex::experiments::{ablation, distill};
 use hyperfex_experiments::{fail, Cli};
@@ -13,7 +17,7 @@ fn main() {
     for (label, table) in [("Pima R", &datasets.pima_r), ("Syhlet", &datasets.sylhet)] {
         let points = ablation::dimensionality_sweep(table, &dims, cli.config.seed)
             .unwrap_or_else(|e| fail(e));
-        cli.emit(&ablation::sweep_report(&points, label));
+        cli.emit_timed(&ablation::sweep_report(&points, label));
     }
 
     // Distilled rows: instead of *encoding* at a smaller width, prune a
@@ -30,7 +34,7 @@ fn main() {
             3,
         )
         .unwrap_or_else(|e| fail(e));
-        println!("{}", distill::pareto_report(&sweep).render());
+        eprintln!("{}", distill::pareto_report(&sweep).render());
     }
 
     println!("HDC classifier variants (dim = {}):", cli.config.dim);

@@ -125,6 +125,17 @@ impl Cli {
     /// Prints the report and optionally writes JSON.
     pub fn emit(&self, report: &TableReport) {
         println!("{}", report.render());
+        self.write_json(report);
+    }
+
+    /// [`Cli::emit`] for a report with wall-clock columns: the table goes
+    /// to stderr, so stdout keeps only what a fixed seed reproduces.
+    pub fn emit_timed(&self, report: &TableReport) {
+        eprintln!("{}", report.render());
+        self.write_json(report);
+    }
+
+    fn write_json(&self, report: &TableReport) {
         if let Some(path) = &self.json_out {
             match report.write_json(path) {
                 Ok(()) => println!("(json written to {})", path.display()),
