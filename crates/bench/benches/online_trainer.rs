@@ -6,9 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use hyperfex::HdcFeatureExtractor;
 use hyperfex_hdc::binary::{BinaryHypervector, Dim};
-use hyperfex_hdc::classify::{
-    fit_pocketed, LvqTrainer, OnlineTrainer, PassiveAggressiveTrainer, PerceptronTrainer,
-};
+use hyperfex_hdc::classify::{fit_pocketed, OnlineTrainer, UpdateRule};
 use hyperfex_hdc::rng::SplitMix64;
 use std::hint::black_box;
 
@@ -29,7 +27,12 @@ fn stream(n: usize) -> Vec<(BinaryHypervector, usize)> {
 fn bench_single_update(c: &mut Criterion) {
     let records = stream(64);
     let mut g = c.benchmark_group("online_trainer_10k");
-    let mut run = |name: &str, mut trainer: Box<dyn OnlineTrainer>| {
+    for (rule, name) in [
+        (UpdateRule::Perceptron, "perceptron"),
+        (UpdateRule::PassiveAggressive, "passive_aggressive"),
+        (UpdateRule::Lvq, "lvq"),
+    ] {
+        let mut trainer = OnlineTrainer::new(rule, Dim::PAPER);
         // Warm the trainer so the benchmark measures steady-state updates
         // (predict + occasional corrective accumulate), not cold seeding.
         for (hv, label) in &records {
@@ -43,13 +46,7 @@ fn bench_single_update(c: &mut Criterion) {
                 black_box(trainer.update(hv, *label).unwrap())
             });
         });
-    };
-    run("perceptron", Box::new(PerceptronTrainer::new(Dim::PAPER)));
-    run(
-        "passive_aggressive",
-        Box::new(PassiveAggressiveTrainer::new(Dim::PAPER)),
-    );
-    run("lvq", Box::new(LvqTrainer::new(Dim::PAPER)));
+    }
     g.finish();
 }
 
@@ -65,7 +62,7 @@ fn bench_fit_pocketed(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("perceptron/fit_pocketed_pima_r_392", |b| {
         b.iter(|| {
-            let mut trainer = PerceptronTrainer::new(Dim::PAPER);
+            let mut trainer = OnlineTrainer::new(UpdateRule::Perceptron, Dim::PAPER);
             black_box(fit_pocketed(&mut trainer, &hvs, &labels, 10).unwrap())
         });
     });

@@ -15,7 +15,7 @@ use hyperfex_data::Table;
 use hyperfex_eval::report::{pct, TableReport};
 use hyperfex_hdc::binary::Dim;
 use hyperfex_hdc::classify::{
-    fit_pocketed, ClassAccumulators, LeaveOneOut, OnlineTrainer, PerceptronTrainer,
+    fit_pocketed, ClassAccumulators, LeaveOneOut, OnlineTrainer, UpdateRule,
 };
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -151,7 +151,7 @@ pub fn classifier_variants(
         .iter()
         .map(|hv| bundled.predict(hv))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut retrained = PerceptronTrainer::new(dim);
+    let mut retrained = OnlineTrainer::new(UpdateRule::Perceptron, dim);
     fit_pocketed(&mut retrained, &hvs, labels, 20)?;
     Ok(VariantAblation {
         one_nn: knn(1)?,

@@ -11,7 +11,7 @@ use crate::online::OnlineHdcModel;
 use hyperfex_data::split::{stratified_split, SplitFractions};
 use hyperfex_data::Table;
 use hyperfex_eval::report::{pct, TableReport};
-use hyperfex_ml::online::OnlineTrainerKind;
+use hyperfex_hdc::classify::UpdateRule;
 use serde::{Deserialize, Serialize};
 
 /// One dataset's Table II numbers.
@@ -94,8 +94,8 @@ pub fn run(datasets: &Datasets, config: &ExperimentConfig) -> Result<Table2Resul
         // Extension rows: the online trainer family under the same
         // leave-one-out protocol as the Hamming model, so the trained
         // prototypes compete directly with the paper's 1-NN floor.
-        let online_loocv = |kind: OnlineTrainerKind| -> Result<f64, HyperfexError> {
-            Ok(OnlineHdcModel::new(config.dim(), config.seed, kind)
+        let online_loocv = |rule: UpdateRule| -> Result<f64, HyperfexError> {
+            Ok(OnlineHdcModel::new(config.dim(), config.seed, rule)
                 .evaluate_loocv(table)?
                 .accuracy())
         };
@@ -104,9 +104,9 @@ pub fn run(datasets: &Datasets, config: &ExperimentConfig) -> Result<Table2Resul
             hamming_accuracy: hamming,
             nn_features_accuracy: nn_features,
             nn_hypervector_accuracy: nn_hv,
-            perceptron_accuracy: online_loocv(OnlineTrainerKind::Perceptron)?,
-            passive_aggressive_accuracy: online_loocv(OnlineTrainerKind::PassiveAggressive)?,
-            lvq_accuracy: online_loocv(OnlineTrainerKind::Lvq)?,
+            perceptron_accuracy: online_loocv(UpdateRule::Perceptron)?,
+            passive_aggressive_accuracy: online_loocv(UpdateRule::PassiveAggressive)?,
+            lvq_accuracy: online_loocv(UpdateRule::Lvq)?,
         });
     }
     Ok(Table2Result { rows })
@@ -151,16 +151,16 @@ impl Table2Result {
                 pct(row.nn_hypervector_accuracy),
                 pct(p_hv),
             ]);
-            for (kind, acc) in [
-                (OnlineTrainerKind::Perceptron, row.perceptron_accuracy),
+            for (rule, acc) in [
+                (UpdateRule::Perceptron, row.perceptron_accuracy),
                 (
-                    OnlineTrainerKind::PassiveAggressive,
+                    UpdateRule::PassiveAggressive,
                     row.passive_aggressive_accuracy,
                 ),
-                (OnlineTrainerKind::Lvq, row.lvq_accuracy),
+                (UpdateRule::Lvq, row.lvq_accuracy),
             ] {
                 t.push_row(vec![
-                    format!("{} (LOOCV)", kind.label()),
+                    format!("{} (LOOCV)", rule.label()),
                     row.dataset.label().into(),
                     pct(acc),
                     "-".into(),

@@ -12,7 +12,8 @@ use hyperfex_data::split::{stratified_split, SplitFractions};
 use hyperfex_data::Table;
 use hyperfex_eval::metrics::{BinaryMetrics, ConfusionMatrix};
 use hyperfex_eval::report::{metric3, pct, TableReport};
-use hyperfex_ml::online::{OnlineHdcClassifier, OnlineTrainerKind};
+use hyperfex_hdc::classify::UpdateRule;
+use hyperfex_ml::online::OnlineHdcClassifier;
 use serde::{Deserialize, Serialize};
 
 /// One model's metrics on both input representations.
@@ -21,7 +22,7 @@ pub struct MetricsRow {
     /// Model row (None = an online-trainer or Hamming reference row).
     pub model: Option<ModelKind>,
     /// Online HDC trainer row (extension; hypervector input only).
-    pub online: Option<OnlineTrainerKind>,
+    pub online: Option<UpdateRule>,
     /// Metrics with raw features (None for online/Hamming rows).
     pub features: Option<BinaryMetrics>,
     /// Metrics with hypervectors.
@@ -79,13 +80,13 @@ fn evaluate_split(
     // Extension rows: the online HDC trainer family on the same split.
     // They live purely in hyperspace, so only the hypervector column is
     // populated (like the Hamming reference row of Table V).
-    for kind in OnlineTrainerKind::ALL {
-        let mut model = OnlineHdcClassifier::new(kind);
+    for rule in UpdateRule::ALL {
+        let mut model = OnlineHdcClassifier::new(rule);
         model.fit_hypervectors(&train_hvs, &y_train)?;
         let predictions = model.predict_hypervectors(&test_hvs)?;
         rows.push(MetricsRow {
             model: None,
-            online: Some(kind),
+            online: Some(rule),
             features: None,
             hypervectors: ConfusionMatrix::from_labels(&y_test, &predictions)?.metrics(),
         });
@@ -259,9 +260,9 @@ mod tests {
             assert!(row.online.is_none());
             assert!(row.features.is_some());
         }
-        for (row, kind) in result.rows[9..].iter().zip(OnlineTrainerKind::ALL) {
+        for (row, rule) in result.rows[9..].iter().zip(UpdateRule::ALL) {
             assert!(row.model.is_none());
-            assert_eq!(row.online, Some(kind));
+            assert_eq!(row.online, Some(rule));
             assert!(row.features.is_none());
         }
         for row in &result.rows {

@@ -183,6 +183,7 @@ impl std::fmt::Debug for HybridClassifier {
 mod tests {
     use super::*;
     use hyperfex_data::sylhet::{self, SylhetConfig};
+    use hyperfex_hdc::classify::UpdateRule;
     use hyperfex_ml::prelude::*;
 
     fn cohort() -> Table {
@@ -228,7 +229,7 @@ mod tests {
         let mut hybrid = HybridClassifier::new(
             Dim::new(1_000),
             3,
-            Box::new(OnlineHdcClassifier::new(OnlineTrainerKind::Perceptron)),
+            Box::new(OnlineHdcClassifier::new(UpdateRule::Perceptron)),
         );
         // Interleave the stream (the generator emits positives first, but
         // a clinic sees mixed arrivals): alternate front/back of the

@@ -10,8 +10,8 @@ use crate::extractor::HdcFeatureExtractor;
 use hyperfex_data::Table;
 use hyperfex_eval::metrics::{BinaryMetrics, ConfusionMatrix};
 use hyperfex_hdc::binary::Dim;
-use hyperfex_hdc::classify::LoocvOutcome;
-use hyperfex_ml::online::{OnlineHdcClassifier, OnlineTrainerKind};
+use hyperfex_hdc::classify::{LoocvOutcome, UpdateRule};
+use hyperfex_ml::online::OnlineHdcClassifier;
 
 /// End-to-end pure-HDC online model: encode, then LOOCV with a prototype
 /// trainer refitted per held-out fold.
@@ -19,20 +19,14 @@ use hyperfex_ml::online::{OnlineHdcClassifier, OnlineTrainerKind};
 pub struct OnlineHdcModel {
     dim: Dim,
     seed: u64,
-    kind: OnlineTrainerKind,
+    rule: UpdateRule,
 }
 
 impl OnlineHdcModel {
     /// Creates the default configuration for one update rule.
     #[must_use]
-    pub fn new(dim: Dim, seed: u64, kind: OnlineTrainerKind) -> Self {
-        Self { dim, seed, kind }
-    }
-
-    /// The update rule this model applies.
-    #[must_use]
-    pub fn kind(&self) -> OnlineTrainerKind {
-        self.kind
+    pub fn new(dim: Dim, seed: u64, rule: UpdateRule) -> Self {
+        Self { dim, seed, rule }
     }
 
     /// Runs the full pipeline: encode every patient, then leave-one-out
@@ -64,7 +58,7 @@ impl OnlineHdcModel {
                 .filter(|&(i, _)| i != held_out)
                 .map(|(_, &l)| l)
                 .collect();
-            let mut clf = OnlineHdcClassifier::new(self.kind);
+            let mut clf = OnlineHdcClassifier::new(self.rule);
             clf.fit_hypervectors(&train_hvs, &train_labels)?;
             let mut p = clf.predict_hypervectors(std::slice::from_ref(&hvs[held_out]))?;
             p.pop()
@@ -114,19 +108,19 @@ mod tests {
     #[test]
     fn every_trainer_beats_the_base_rate_under_loocv() {
         let table = cohort();
-        for kind in OnlineTrainerKind::ALL {
-            let outcome = OnlineHdcModel::new(Dim::new(1_000), 3, kind)
+        for rule in UpdateRule::ALL {
+            let outcome = OnlineHdcModel::new(Dim::new(1_000), 3, rule)
                 .evaluate_loocv(&table)
                 .unwrap();
             assert_eq!(outcome.total, 70);
             // Base rate = 40/70 ≈ 0.57; the Sylhet symptoms separate well.
             assert!(
                 outcome.accuracy() > 0.7,
-                "{kind:?} accuracy {}",
+                "{rule:?} accuracy {}",
                 outcome.accuracy()
             );
             let m = OnlineHdcModel::metrics(&outcome).unwrap();
-            assert!(m.recall > 0.5, "{kind:?} recall {}", m.recall);
+            assert!(m.recall > 0.5, "{rule:?} recall {}", m.recall);
         }
     }
 
@@ -134,7 +128,7 @@ mod tests {
     fn deterministic_per_seed() {
         let table = cohort();
         let run = || {
-            OnlineHdcModel::new(Dim::new(512), 5, OnlineTrainerKind::Perceptron)
+            OnlineHdcModel::new(Dim::new(512), 5, UpdateRule::Perceptron)
                 .evaluate_loocv(&table)
                 .unwrap()
         };
@@ -150,10 +144,8 @@ mod tests {
             vec![table.labels()[0]],
         )
         .unwrap();
-        assert!(
-            OnlineHdcModel::new(Dim::new(256), 0, OnlineTrainerKind::Lvq)
-                .evaluate_loocv(&two)
-                .is_err()
-        );
+        assert!(OnlineHdcModel::new(Dim::new(256), 0, UpdateRule::Lvq)
+            .evaluate_loocv(&two)
+            .is_err());
     }
 }

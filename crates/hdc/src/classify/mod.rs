@@ -9,9 +9,9 @@
 //! * [`ClassAccumulators`] — bundled class prototypes ("associative
 //!   memory", the standard HDC baseline from Kleyko et al. that the paper
 //!   cites as \[39\]): one signed per-bit counter per class.
-//! * [`trainer`] — online mistake-driven trainers (perceptron,
-//!   passive-aggressive, LVQ) sharing the [`OnlineTrainer`] streaming
-//!   `partial_fit`/`update` API over those accumulators, and
+//! * [`trainer`] — [`OnlineTrainer`], one streaming `partial_fit`/`update`
+//!   trainer over those accumulators whose [`UpdateRule`] (perceptron,
+//!   passive-aggressive or LVQ) picks the mistake-driven correction, and
 //!   [`fit_pocketed`], the one multi-epoch pocket loop.
 //!
 //! LOOCV selects neighbours with the shared [`crate::topk::TopK`] under
@@ -22,7 +22,4 @@ mod loocv;
 pub mod trainer;
 
 pub use loocv::{LeaveOneOut, LoocvOutcome};
-pub use trainer::{
-    fit_pocketed, ClassAccumulators, LvqTrainer, OnlineTrainer, PassiveAggressiveTrainer,
-    PerceptronTrainer,
-};
+pub use trainer::{fit_pocketed, ClassAccumulators, OnlineTrainer, UpdateRule};

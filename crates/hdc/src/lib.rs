@@ -21,11 +21,11 @@
 //!   [`bitmatrix::hamming_within`] and stop once the row cannot enter the
 //!   k nearest, with results identical to full-distance scans.
 //! * [`classify`] — the signed per-bit class accumulators behind every
-//!   class prototype, online mistake-driven trainers (perceptron /
-//!   passive-aggressive / LVQ) with streaming `partial_fit`, and the
-//!   Hamming 1-NN / k-NN leave-one-out harness that sweeps each pair of
-//!   records at most once, in parallel, and stops reading a pair that can
-//!   enter neither record's k nearest.
+//!   class prototype, one online mistake-driven trainer with streaming
+//!   `partial_fit` whose update rule is perceptron, passive-aggressive or
+//!   LVQ, and the Hamming 1-NN / k-NN leave-one-out harness that sweeps
+//!   each pair of records at most once, in parallel, and stops reading a
+//!   pair that can enter neither record's k nearest.
 //! * [`distill`] — dimension distillation: rank bit positions by class
 //!   discrimination and gather the top-k columns into a dense pruned space
 //!   for low-latency serving.
@@ -77,10 +77,7 @@ pub mod prelude {
     pub use crate::binary::{BinaryHypervector, Dim};
     pub use crate::bitmatrix::BitMatrix;
     pub use crate::bundle;
-    pub use crate::classify::{
-        fit_pocketed, LeaveOneOut, LoocvOutcome, LvqTrainer, OnlineTrainer,
-        PassiveAggressiveTrainer, PerceptronTrainer,
-    };
+    pub use crate::classify::{fit_pocketed, LeaveOneOut, LoocvOutcome, OnlineTrainer, UpdateRule};
     pub use crate::distill::{discrimination_scores, BitSelection};
     pub use crate::encoding::{
         CategoricalEncoder, FeatureEncoder, LinearEncoder, PrunedLinearEncoder, QuarantineEntry,

@@ -1,6 +1,6 @@
 //! Property tests for the online trainer family.
 //!
-//! The load-bearing property: a full `PerceptronTrainer::partial_fit` pass
+//! The load-bearing property: a full perceptron `partial_fit` pass
 //! is bit-identical to one `reference::centroid_retrain_epoch` on
 //! equivalent state. The oracle builds ±1 class superpositions one bit at
 //! a time; both walk the examples in order, predict with the same
@@ -8,9 +8,13 @@
 //! mistakes, and quantise with the same `s ≥ 0` (tie → 1) rule — so every
 //! intermediate prototype, and therefore every subsequent prediction, must
 //! agree exactly.
+//!
+//! The other trainer properties (label growth, the pocket guarantee and
+//! typed dimension errors) hold under every `UpdateRule`, and run over all
+//! three.
 
 use hyperfex_hdc::binary::{BinaryHypervector, Dim};
-use hyperfex_hdc::classify::{fit_pocketed, ClassAccumulators, OnlineTrainer, PerceptronTrainer};
+use hyperfex_hdc::classify::{fit_pocketed, ClassAccumulators, OnlineTrainer, UpdateRule};
 use hyperfex_hdc::reference;
 use hyperfex_hdc::rng::SplitMix64;
 use hyperfex_hdc::HdcError;
@@ -48,7 +52,7 @@ proptest! {
         let mut sums = reference::centroid_sums(dim, &hvs, &labels);
         let prototypes = reference::centroid_prototypes(dim, &sums);
 
-        let mut trainer = PerceptronTrainer::new(Dim::new(DIM));
+        let mut trainer = OnlineTrainer::new(UpdateRule::Perceptron, Dim::new(DIM));
         for (hv, &label) in hvs.iter().zip(&labels) {
             trainer.absorb(hv, label).unwrap();
         }
@@ -85,11 +89,16 @@ proptest! {
 
     /// Label growth: streaming a cohort record-by-record through `update`
     /// allocates exactly the classes seen, and every allocated class has a
-    /// prototype of the right dimensionality.
+    /// prototype of the right dimensionality, under every update rule.
     #[test]
-    fn update_grows_labels_consistently(seed in any::<u64>(), classes in 1usize..6) {
+    fn update_grows_labels_consistently(
+        seed in any::<u64>(),
+        classes in 1usize..6,
+        rule_index in 0usize..UpdateRule::ALL.len(),
+    ) {
         let (hvs, labels) = cohort(seed, 12, classes);
-        let mut trainer = PerceptronTrainer::new(Dim::new(DIM));
+        let rule = UpdateRule::ALL[rule_index];
+        let mut trainer = OnlineTrainer::new(rule, Dim::new(DIM));
         let mut seen_max = 0usize;
         for (hv, &label) in hvs.iter().zip(&labels) {
             trainer.update(hv, label).unwrap();
@@ -102,17 +111,21 @@ proptest! {
     }
 
     /// Pocketed fitting never scores below the single-pass bundling
-    /// baseline on its own training set.
+    /// baseline on its own training set, under every update rule.
     #[test]
-    fn fit_pocketed_is_at_least_as_good_as_bundling(seed in any::<u64>()) {
+    fn fit_pocketed_is_at_least_as_good_as_bundling(
+        seed in any::<u64>(),
+        rule_index in 0usize..UpdateRule::ALL.len(),
+    ) {
         let (hvs, labels) = cohort(seed, 16, 2);
-        let mut fitted = PerceptronTrainer::new(Dim::new(DIM));
+        let rule = UpdateRule::ALL[rule_index];
+        let mut fitted = OnlineTrainer::new(rule, Dim::new(DIM));
         fit_pocketed(&mut fitted, &hvs, &labels, 10).unwrap();
-        let mut bundled = PerceptronTrainer::new(Dim::new(DIM));
+        let mut bundled = OnlineTrainer::new(rule, Dim::new(DIM));
         for (hv, &label) in hvs.iter().zip(&labels) {
             bundled.absorb(hv, label).unwrap();
         }
-        let correct = |t: &PerceptronTrainer| hvs.iter().zip(&labels)
+        let correct = |t: &OnlineTrainer| hvs.iter().zip(&labels)
             .filter(|(hv, &l)| t.predict(hv).unwrap() == l)
             .count();
         prop_assert!(correct(&fitted) >= correct(&bundled));
@@ -121,28 +134,42 @@ proptest! {
 
 #[test]
 fn dimension_mismatch_surfaces_from_every_entry_point() {
-    let mut trainer = PerceptronTrainer::new(Dim::new(DIM));
-    let wrong = BinaryHypervector::zeros(Dim::new(DIM / 2));
-    assert!(matches!(
-        trainer.update(&wrong, 0),
-        Err(HdcError::DimensionMismatch { .. })
-    ));
-    assert!(matches!(
-        trainer.absorb(&wrong, 0),
-        Err(HdcError::DimensionMismatch { .. })
-    ));
-    assert!(matches!(
-        trainer.partial_fit(std::slice::from_ref(&wrong), &[0]),
-        Err(HdcError::DimensionMismatch { .. })
-    ));
-    // A fitted trainer rejects mismatched queries too.
-    let ok = BinaryHypervector::zeros(Dim::new(DIM));
-    trainer.update(&ok, 0).unwrap();
-    trainer.update(&ok, 1).unwrap();
-    assert!(matches!(
-        trainer.predict(&wrong),
-        Err(HdcError::DimensionMismatch { .. })
-    ));
+    for rule in UpdateRule::ALL {
+        let mut trainer = OnlineTrainer::new(rule, Dim::new(DIM));
+        let wrong = BinaryHypervector::zeros(Dim::new(DIM / 2));
+        assert!(
+            matches!(
+                trainer.update(&wrong, 0),
+                Err(HdcError::DimensionMismatch { .. })
+            ),
+            "{rule:?}"
+        );
+        assert!(
+            matches!(
+                trainer.absorb(&wrong, 0),
+                Err(HdcError::DimensionMismatch { .. })
+            ),
+            "{rule:?}"
+        );
+        assert!(
+            matches!(
+                trainer.partial_fit(std::slice::from_ref(&wrong), &[0]),
+                Err(HdcError::DimensionMismatch { .. })
+            ),
+            "{rule:?}"
+        );
+        // A fitted trainer rejects mismatched queries too.
+        let ok = BinaryHypervector::zeros(Dim::new(DIM));
+        trainer.update(&ok, 0).unwrap();
+        trainer.update(&ok, 1).unwrap();
+        assert!(
+            matches!(
+                trainer.predict(&wrong),
+                Err(HdcError::DimensionMismatch { .. })
+            ),
+            "{rule:?}"
+        );
+    }
 }
 
 /// Dimensionalities across the tail-word classes: one bit, one under, at

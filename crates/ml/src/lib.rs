@@ -61,7 +61,7 @@ pub mod prelude {
         LogisticRegression, LogisticRegressionParams, SgdClassifier, SgdLoss, SgdParams,
     };
     pub use crate::nn::{EarlyStopping, SequentialNn, SequentialNnParams};
-    pub use crate::online::{OnlineHdcClassifier, OnlineTrainerKind};
+    pub use crate::online::OnlineHdcClassifier;
     pub use crate::preprocessing::{MinMaxScaler, StandardScaler};
     pub use crate::svm::{Kernel, SvcClassifier, SvcParams};
     pub use crate::traits::{densify, Estimator, Features, ProbabilisticEstimator};

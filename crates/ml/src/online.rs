@@ -1,13 +1,12 @@
-//! Estimator wrappers for the HDC online trainer family.
+//! Estimator wrapper for the HDC online trainer.
 //!
-//! [`OnlineHdcClassifier`] adapts `hyperfex-hdc`'s
-//! [`OnlineTrainer`] implementations (perceptron, passive-aggressive, LVQ)
-//! to the [`Estimator`] trait so experiment runners can slot them into the
-//! same model zoo as the paper's nine classifiers. Batch `fit` uses
-//! pocketed multi-epoch training; [`Estimator::partial_fit`] streams
-//! records through the trainer's single-update rule, preserving prior
-//! state — including a cold start, where the first mini-batch bootstraps
-//! the model.
+//! [`OnlineHdcClassifier`] adapts `hyperfex-hdc`'s [`OnlineTrainer`] under
+//! any of its [`UpdateRule`]s (perceptron, passive-aggressive, LVQ) to the
+//! [`Estimator`] trait so experiment runners can slot it into the same
+//! model zoo as the paper's nine classifiers. Batch `fit` uses pocketed
+//! multi-epoch training; [`Estimator::partial_fit`] streams records
+//! through the trainer's single-update rule, preserving prior state —
+//! including a cold start, where the first mini-batch bootstraps the model.
 //!
 //! Packed inputs ([`Features::Packed`]) run on the word-level path
 //! directly: each row of the [`BitMatrix`] is lifted back to a
@@ -18,86 +17,8 @@ use crate::error::MlError;
 use crate::linalg::Matrix;
 use crate::traits::{Estimator, Features};
 use hyperfex_hdc::bitmatrix::BitMatrix;
-use hyperfex_hdc::classify::{
-    fit_pocketed, LvqTrainer, OnlineTrainer, PassiveAggressiveTrainer, PerceptronTrainer,
-};
+use hyperfex_hdc::classify::{fit_pocketed, OnlineTrainer, UpdateRule};
 use hyperfex_hdc::{BinaryHypervector, Dim, HdcError};
-
-/// Which online update rule an [`OnlineHdcClassifier`] applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum OnlineTrainerKind {
-    /// Mistake-driven add/subtract (the centroid retrain rule).
-    Perceptron,
-    /// Margin-scaled integer updates on the normalized-Hamming score gap.
-    PassiveAggressive,
-    /// LVQ1 prototype pull/push.
-    Lvq,
-}
-
-impl OnlineTrainerKind {
-    /// All three rules, in reporting order.
-    pub const ALL: [Self; 3] = [Self::Perceptron, Self::PassiveAggressive, Self::Lvq];
-
-    /// Display label used by experiment reports.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Perceptron => "HDC Perceptron",
-            Self::PassiveAggressive => "HDC Passive-Aggressive",
-            Self::Lvq => "HDC LVQ",
-        }
-    }
-}
-
-/// Concrete trainer storage (the trait is object-safe but pocketed fitting
-/// needs `Clone`, so dispatch stays enum-based).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-enum TrainerState {
-    Perceptron(PerceptronTrainer),
-    PassiveAggressive(PassiveAggressiveTrainer),
-    Lvq(LvqTrainer),
-}
-
-impl TrainerState {
-    fn new(kind: OnlineTrainerKind, dim: Dim) -> Self {
-        match kind {
-            OnlineTrainerKind::Perceptron => Self::Perceptron(PerceptronTrainer::new(dim)),
-            OnlineTrainerKind::PassiveAggressive => {
-                Self::PassiveAggressive(PassiveAggressiveTrainer::new(dim))
-            }
-            OnlineTrainerKind::Lvq => Self::Lvq(LvqTrainer::new(dim)),
-        }
-    }
-
-    fn as_dyn(&self) -> &dyn OnlineTrainer {
-        match self {
-            Self::Perceptron(t) => t,
-            Self::PassiveAggressive(t) => t,
-            Self::Lvq(t) => t,
-        }
-    }
-
-    fn as_dyn_mut(&mut self) -> &mut dyn OnlineTrainer {
-        match self {
-            Self::Perceptron(t) => t,
-            Self::PassiveAggressive(t) => t,
-            Self::Lvq(t) => t,
-        }
-    }
-
-    fn fit_pocketed(
-        &mut self,
-        hvs: &[BinaryHypervector],
-        labels: &[usize],
-        epochs: usize,
-    ) -> Result<usize, HdcError> {
-        match self {
-            Self::Perceptron(t) => fit_pocketed(t, hvs, labels, epochs),
-            Self::PassiveAggressive(t) => fit_pocketed(t, hvs, labels, epochs),
-            Self::Lvq(t) => fit_pocketed(t, hvs, labels, epochs),
-        }
-    }
-}
 
 /// Pocketed retraining epochs of every batch `fit`.
 const EPOCHS: usize = 10;
@@ -106,30 +27,24 @@ const EPOCHS: usize = 10;
 /// HDC trainer.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct OnlineHdcClassifier {
-    kind: OnlineTrainerKind,
-    trainer: Option<TrainerState>,
+    rule: UpdateRule,
+    trainer: Option<OnlineTrainer>,
 }
 
 impl OnlineHdcClassifier {
     /// Creates an unfitted classifier.
     #[must_use]
-    pub fn new(kind: OnlineTrainerKind) -> Self {
+    pub fn new(rule: UpdateRule) -> Self {
         Self {
-            kind,
+            rule,
             trainer: None,
         }
-    }
-
-    /// The update rule this classifier applies.
-    #[must_use]
-    pub fn kind(&self) -> OnlineTrainerKind {
-        self.kind
     }
 
     /// Number of classes allocated so far (0 before any fitting).
     #[must_use]
     pub fn n_classes(&self) -> usize {
-        self.trainer.as_ref().map_or(0, |t| t.as_dyn().n_classes())
+        self.trainer.as_ref().map_or(0, OnlineTrainer::n_classes)
     }
 
     /// Streams hypervector records through the trainer's single-record
@@ -145,10 +60,7 @@ impl OnlineHdcClassifier {
             return Err(MlError::EmptyTrainingSet);
         }
         let trainer = self.trainer_for(hvs[0].dim());
-        trainer
-            .as_dyn_mut()
-            .partial_fit(hvs, labels)
-            .map_err(map_hdc)
+        trainer.partial_fit(hvs, labels).map_err(map_hdc)
     }
 
     /// Pocketed batch fit over hypervector records, discarding prior state.
@@ -161,28 +73,25 @@ impl OnlineHdcClassifier {
             return Err(MlError::EmptyTrainingSet);
         }
         let trainer = self.trainer_for(hvs[0].dim());
-        trainer.fit_pocketed(hvs, labels, EPOCHS).map_err(map_hdc)?;
+        fit_pocketed(trainer, hvs, labels, EPOCHS).map_err(map_hdc)?;
         Ok(())
     }
 
     /// Predicts classes for hypervector queries.
     pub fn predict_hypervectors(&self, hvs: &[BinaryHypervector]) -> Result<Vec<usize>, MlError> {
         let trainer = self.trainer.as_ref().ok_or(MlError::NotFitted)?;
-        trainer.as_dyn().predict_batch(hvs).map_err(map_hdc)
+        trainer.predict_batch(hvs).map_err(map_hdc)
     }
 
     /// Returns the trainer, allocating it on first use (or re-allocating
     /// when the dimensionality changed — a fresh problem, fresh state).
-    fn trainer_for(&mut self, dim: Dim) -> &mut TrainerState {
-        let stale = self
-            .trainer
-            .as_ref()
-            .is_some_and(|t| t.as_dyn().dim() != dim);
+    fn trainer_for(&mut self, dim: Dim) -> &mut OnlineTrainer {
+        let stale = self.trainer.as_ref().is_some_and(|t| t.dim() != dim);
         if stale {
             self.trainer = None;
         }
         self.trainer
-            .get_or_insert_with(|| TrainerState::new(self.kind, dim))
+            .get_or_insert_with(|| OnlineTrainer::new(self.rule, dim))
     }
 }
 
@@ -237,7 +146,7 @@ impl Estimator for OnlineHdcClassifier {
     }
 
     fn name(&self) -> &'static str {
-        self.kind.label()
+        self.rule.label()
     }
 
     fn fit_features(&mut self, x: &Features<'_>, y: &[usize]) -> Result<(), MlError> {
@@ -302,8 +211,8 @@ mod tests {
     #[test]
     fn all_kinds_fit_and_predict_dense() {
         let (x, y) = toy_problem(3);
-        for kind in OnlineTrainerKind::ALL {
-            let mut clf = OnlineHdcClassifier::new(kind);
+        for rule in UpdateRule::ALL {
+            let mut clf = OnlineHdcClassifier::new(rule);
             clf.fit(&x, &y).unwrap();
             let acc = clf.accuracy(&x, &y).unwrap();
             assert!(acc >= 0.9, "{}: accuracy {acc}", clf.name());
@@ -315,10 +224,10 @@ mod tests {
         let (x, y) = toy_problem(7);
         let hvs = dense_to_hypervectors(&x).unwrap();
         let bits = BitMatrix::from_hypervectors(&hvs).unwrap();
-        for kind in OnlineTrainerKind::ALL {
-            let mut dense_clf = OnlineHdcClassifier::new(kind);
+        for rule in UpdateRule::ALL {
+            let mut dense_clf = OnlineHdcClassifier::new(rule);
             dense_clf.fit(&x, &y).unwrap();
-            let mut packed_clf = OnlineHdcClassifier::new(kind);
+            let mut packed_clf = OnlineHdcClassifier::new(rule);
             packed_clf
                 .fit_features(&Features::Packed(&bits), &y)
                 .unwrap();
@@ -336,7 +245,7 @@ mod tests {
     #[test]
     fn partial_fit_supports_cold_start_and_preserves_state() {
         let (x, y) = toy_problem(11);
-        let mut clf = OnlineHdcClassifier::new(OnlineTrainerKind::Perceptron);
+        let mut clf = OnlineHdcClassifier::new(UpdateRule::Perceptron);
         // Cold start: no prior fit.
         clf.partial_fit(&x, &y).unwrap();
         assert_eq!(clf.n_classes(), 2);
@@ -359,7 +268,7 @@ mod tests {
 
     #[test]
     fn unfitted_predict_errors() {
-        let clf = OnlineHdcClassifier::new(OnlineTrainerKind::Lvq);
+        let clf = OnlineHdcClassifier::new(UpdateRule::Lvq);
         let x = Matrix::zeros(2, 8);
         assert_eq!(clf.predict(&x), Err(MlError::NotFitted));
     }

@@ -21,7 +21,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use hyperfex::prelude::*;
 use hyperfex_faults::{registry, FaultPlan};
-use hyperfex_hdc::classify::{LeaveOneOut, OnlineTrainer, PerceptronTrainer};
+use hyperfex_hdc::classify::{LeaveOneOut, OnlineTrainer, UpdateRule};
 
 const N_PLANS: u64 = 16;
 const DIM: usize = 256;
@@ -168,7 +168,7 @@ fn run_pipeline(name: &str, base: &Table, plan: &FaultPlan) -> String {
             // Online layer: stream the (possibly bit-flipped) store through
             // a perceptron trainer. The `hdc/trainer_partial_fit` seam is
             // armed by the same rule set as everything above.
-            let mut trainer = PerceptronTrainer::new(Dim::new(DIM));
+            let mut trainer = OnlineTrainer::new(UpdateRule::Perceptron, Dim::new(DIM));
             match trainer.partial_fit(&lenient.hypervectors, &labels) {
                 Ok(corrections) => writeln!(
                     log,
@@ -245,7 +245,7 @@ fn trainer_partial_fit_survives_bit_flip_injection() {
     let mut plan = FaultPlan::none(3);
     plan.flip_rate = 0.25;
     plan.apply_store(&mut hvs).unwrap();
-    let mut trainer = PerceptronTrainer::new(Dim::new(DIM));
+    let mut trainer = OnlineTrainer::new(UpdateRule::Perceptron, Dim::new(DIM));
     for _ in 0..3 {
         trainer.partial_fit(&hvs, treated.labels()).unwrap();
     }
