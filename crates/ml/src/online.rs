@@ -4,9 +4,13 @@
 //! any of its [`UpdateRule`]s (perceptron, passive-aggressive, LVQ) to the
 //! [`Estimator`] trait so experiment runners can slot it into the same
 //! model zoo as the paper's nine classifiers. Batch `fit` uses pocketed
-//! multi-epoch training; [`Estimator::partial_fit`] streams records
-//! through the trainer's single-update rule, preserving prior state —
-//! including a cold start, where the first mini-batch bootstraps the model.
+//! multi-epoch training and starts fresh; [`Estimator::partial_fit`]
+//! streams records through the trainer's single-update rule, preserving
+//! prior state — including a cold start, where the first mini-batch
+//! bootstraps the model. `partial_fit` runs every estimator's mini-batch
+//! checks (a non-finite cell is [`MlError::NonFiniteInput`]), and a
+//! mini-batch whose width differs from the trained model's is
+//! [`MlError::ShapeMismatch`] and leaves the model as it was.
 //!
 //! Packed inputs ([`Features::Packed`]) run on the word-level path
 //! directly: each row of the [`BitMatrix`] is lifted back to a
@@ -50,30 +54,33 @@ impl OnlineHdcClassifier {
     /// Streams hypervector records through the trainer's single-record
     /// update rule, preserving prior state. Cold start is allowed: the
     /// first call allocates the trainer at the records' dimensionality.
-    /// Returns the number of corrective updates applied.
+    /// After that, a record of another dimensionality is a
+    /// [`MlError::ShapeMismatch`], and the records before it stay applied
+    /// (none, for a batch of one width). Returns the number of corrective
+    /// updates applied.
     pub fn partial_fit_hypervectors(
         &mut self,
         hvs: &[BinaryHypervector],
         labels: &[usize],
     ) -> Result<usize, MlError> {
-        if hvs.is_empty() {
-            return Err(MlError::EmptyTrainingSet);
-        }
-        let trainer = self.trainer_for(hvs[0].dim());
-        trainer.partial_fit(hvs, labels).map_err(map_hdc)
+        let dim = hvs.first().ok_or(MlError::EmptyTrainingSet)?.dim();
+        self.trainer
+            .get_or_insert_with(|| OnlineTrainer::new(self.rule, dim))
+            .partial_fit(hvs, labels)
+            .map_err(map_hdc)
     }
 
-    /// Pocketed batch fit over hypervector records, discarding prior state.
+    /// Pocketed batch fit over hypervector records, discarding prior state
+    /// (kept when the fit fails).
     pub fn fit_hypervectors(
         &mut self,
         hvs: &[BinaryHypervector],
         labels: &[usize],
     ) -> Result<(), MlError> {
-        if hvs.is_empty() {
-            return Err(MlError::EmptyTrainingSet);
-        }
-        let trainer = self.trainer_for(hvs[0].dim());
-        fit_pocketed(trainer, hvs, labels, EPOCHS).map_err(map_hdc)?;
+        let dim = hvs.first().ok_or(MlError::EmptyTrainingSet)?.dim();
+        let mut trainer = OnlineTrainer::new(self.rule, dim);
+        fit_pocketed(&mut trainer, hvs, labels, EPOCHS).map_err(map_hdc)?;
+        self.trainer = Some(trainer);
         Ok(())
     }
 
@@ -81,17 +88,6 @@ impl OnlineHdcClassifier {
     pub fn predict_hypervectors(&self, hvs: &[BinaryHypervector]) -> Result<Vec<usize>, MlError> {
         let trainer = self.trainer.as_ref().ok_or(MlError::NotFitted)?;
         trainer.predict_batch(hvs).map_err(map_hdc)
-    }
-
-    /// Returns the trainer, allocating it on first use (or re-allocating
-    /// when the dimensionality changed — a fresh problem, fresh state).
-    fn trainer_for(&mut self, dim: Dim) -> &mut OnlineTrainer {
-        let stale = self.trainer.as_ref().is_some_and(|t| t.dim() != dim);
-        if stale {
-            self.trainer = None;
-        }
-        self.trainer
-            .get_or_insert_with(|| OnlineTrainer::new(self.rule, dim))
     }
 }
 
@@ -166,19 +162,17 @@ impl Estimator for OnlineHdcClassifier {
     }
 
     fn partial_fit(&mut self, x: &Matrix, y: &[usize]) -> Result<(), MlError> {
-        let hvs = dense_to_hypervectors(x)?;
-        self.partial_fit_hypervectors(&hvs, y)?;
-        Ok(())
+        self.partial_fit_features(&Features::Dense(x), y)
     }
 
     fn partial_fit_features(&mut self, x: &Features<'_>, y: &[usize]) -> Result<(), MlError> {
-        match x {
-            Features::Dense(m) => self.partial_fit(m, y),
-            Features::Packed(b) => {
-                self.partial_fit_hypervectors(&packed_to_hypervectors(b), y)?;
-                Ok(())
-            }
-        }
+        crate::traits::validate_partial_fit_inputs(x, y)?;
+        let hvs = match x {
+            Features::Dense(m) => dense_to_hypervectors(m)?,
+            Features::Packed(b) => packed_to_hypervectors(b),
+        };
+        self.partial_fit_hypervectors(&hvs, y)?;
+        Ok(())
     }
 }
 
@@ -254,6 +248,38 @@ mod tests {
             clf.partial_fit(&x, &y).unwrap();
         }
         assert!(clf.accuracy(&x, &y).unwrap() >= 0.9);
+    }
+
+    #[test]
+    fn partial_fit_at_another_width_is_a_shape_error_that_keeps_the_model() {
+        let (x, y) = toy_problem(5);
+        let narrow = Matrix::zeros(2, 128);
+        for rule in UpdateRule::ALL {
+            let mut clf = OnlineHdcClassifier::new(rule);
+            clf.fit(&x, &y).unwrap();
+            let before = clf.predict(&x).unwrap();
+            assert_eq!(clf.n_classes(), 2, "{rule:?}");
+            assert!(
+                matches!(
+                    clf.partial_fit(&narrow, &[0, 0]),
+                    Err(MlError::ShapeMismatch { .. })
+                ),
+                "{rule:?}"
+            );
+            assert_eq!(clf.n_classes(), 2, "{rule:?}");
+            assert_eq!(clf.predict(&x).unwrap(), before, "{rule:?}");
+        }
+    }
+
+    #[test]
+    fn partial_fit_rejects_non_finite_cells_like_fit() {
+        let (mut x, y) = toy_problem(5);
+        x.set(1, 3, f32::NAN);
+        let nan = MlError::NonFiniteInput { row: 1, col: 3 };
+        let mut clf = OnlineHdcClassifier::new(UpdateRule::Perceptron);
+        assert_eq!(clf.fit(&x, &y), Err(nan.clone()));
+        assert_eq!(clf.partial_fit(&x, &y), Err(nan));
+        assert_eq!(clf.n_classes(), 0);
     }
 
     #[test]
