@@ -121,12 +121,6 @@ impl OnlineTrainer {
         }
     }
 
-    /// The hypervector dimensionality this trainer was constructed for.
-    #[must_use]
-    pub fn dim(&self) -> Dim {
-        self.acc.dim()
-    }
-
     /// Number of classes currently allocated.
     #[must_use]
     pub fn n_classes(&self) -> usize {

@@ -13,14 +13,14 @@
 //! [`MlError::ShapeMismatch`] and leaves the model as it was.
 //!
 //! Packed inputs ([`Features::Packed`]) run on the word-level path
-//! directly: each row of the [`BitMatrix`] is lifted back to a
-//! [`BinaryHypervector`] without a dense detour. Dense rows are binarised
-//! at ≥ 0.5 (matching the 0.0/1.0 convention of [`crate::traits::densify`]).
+//! directly: each row of the [`BitMatrix`](hyperfex_hdc::BitMatrix) is
+//! lifted back to a [`BinaryHypervector`] without a dense detour. Dense
+//! rows are binarised at ≥ 0.5 (matching the 0.0/1.0 convention of
+//! [`crate::traits::densify`]).
 
 use crate::error::MlError;
 use crate::linalg::Matrix;
 use crate::traits::{Estimator, Features};
-use hyperfex_hdc::bitmatrix::BitMatrix;
 use hyperfex_hdc::classify::{fit_pocketed, OnlineTrainer, UpdateRule};
 use hyperfex_hdc::{BinaryHypervector, Dim, HdcError};
 
@@ -107,8 +107,12 @@ fn dense_to_hypervectors(x: &Matrix) -> Result<Vec<BinaryHypervector>, MlError> 
         .collect()
 }
 
-fn packed_to_hypervectors(b: &BitMatrix) -> Vec<BinaryHypervector> {
-    (0..b.n_rows()).map(|r| b.row_hypervector(r)).collect()
+/// Lifts either feature representation to one hypervector per row.
+fn to_hypervectors(x: &Features<'_>) -> Result<Vec<BinaryHypervector>, MlError> {
+    match x {
+        Features::Dense(m) => dense_to_hypervectors(m),
+        Features::Packed(b) => Ok((0..b.n_rows()).map(|r| b.row_hypervector(r)).collect()),
+    }
 }
 
 /// Maps substrate errors onto the ML error vocabulary.
@@ -137,8 +141,7 @@ impl Estimator for OnlineHdcClassifier {
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<usize>, MlError> {
-        let hvs = dense_to_hypervectors(x)?;
-        self.predict_hypervectors(&hvs)
+        self.predict_features(&Features::Dense(x))
     }
 
     fn name(&self) -> &'static str {
@@ -147,18 +150,11 @@ impl Estimator for OnlineHdcClassifier {
 
     fn fit_features(&mut self, x: &Features<'_>, y: &[usize]) -> Result<(), MlError> {
         crate::traits::validate_fit_inputs(x, y)?;
-        let hvs = match x {
-            Features::Dense(m) => dense_to_hypervectors(m)?,
-            Features::Packed(b) => packed_to_hypervectors(b),
-        };
-        self.fit_hypervectors(&hvs, y)
+        self.fit_hypervectors(&to_hypervectors(x)?, y)
     }
 
     fn predict_features(&self, x: &Features<'_>) -> Result<Vec<usize>, MlError> {
-        match x {
-            Features::Dense(m) => self.predict(m),
-            Features::Packed(b) => self.predict_hypervectors(&packed_to_hypervectors(b)),
-        }
+        self.predict_hypervectors(&to_hypervectors(x)?)
     }
 
     fn partial_fit(&mut self, x: &Matrix, y: &[usize]) -> Result<(), MlError> {
@@ -167,11 +163,7 @@ impl Estimator for OnlineHdcClassifier {
 
     fn partial_fit_features(&mut self, x: &Features<'_>, y: &[usize]) -> Result<(), MlError> {
         crate::traits::validate_partial_fit_inputs(x, y)?;
-        let hvs = match x {
-            Features::Dense(m) => dense_to_hypervectors(m)?,
-            Features::Packed(b) => packed_to_hypervectors(b),
-        };
-        self.partial_fit_hypervectors(&hvs, y)?;
+        self.partial_fit_hypervectors(&to_hypervectors(x)?, y)?;
         Ok(())
     }
 }
@@ -179,6 +171,7 @@ impl Estimator for OnlineHdcClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyperfex_hdc::bitmatrix::BitMatrix;
     use hyperfex_hdc::rng::SplitMix64;
 
     fn toy_problem(seed: u64) -> (Matrix, Vec<usize>) {
