@@ -1,12 +1,16 @@
-//! Distillation Pareto sweep: accuracy vs predict latency across
+//! Distillation Pareto sweep: accuracy vs the per-query time of the
+//! full-distance Hamming kernel (`hamming_between`) across
 //! `{full/10, full/5, 2·full/5, full}` bits × `{ranked, random}` bit
 //! selections on both cohorts, written to `reports/pareto.{json,txt}`.
 //!
 //! With `--gate` the binary doubles as the CI distillation gate: the
 //! ranked selection at `full/5` bits (2,000 at paper scale) must stay
 //! within 1.0 accuracy point of the full-width LOOCV run, and some
-//! qualifying ranked selection must reach a 5× measured predict-latency
-//! speedup — on *both* cohorts, or the process exits nonzero.
+//! qualifying ranked selection must run that kernel 5× faster than full
+//! width — on *both* cohorts, or the process exits nonzero. The k-NN
+//! scans that serve predictions stop reading a row once it cannot enter
+//! the k nearest, so they do not compute full distances, and this is a
+//! kernel speedup, not a measured serving speedup.
 
 use hyperfex::experiments::distill::{self, GateOutcome, ParetoSweep};
 use hyperfex_experiments::{fail, Cli};
@@ -16,7 +20,7 @@ use std::process::exit;
 
 /// Accuracy budget for the gate width, in percentage points.
 const GATE_MAX_DROP_PTS: f64 = 1.0;
-/// Measured predict-latency speedup floor for the gate.
+/// Full-distance kernel speedup floor for the gate.
 const GATE_MIN_SPEEDUP: f64 = 5.0;
 
 /// The whole artifact written to `reports/pareto.json`.
