@@ -65,10 +65,11 @@ pub enum UpdateRule {
     /// s_r))`. When `ℓ = 0` the trainer is *passive* (no update); otherwise
     /// it is *aggressive*: the example is added to class `t` and subtracted
     /// from class `r` with integer weight `⌈ℓ · AGGRESSIVENESS⌉`, clamped to
-    /// `MAX_WEIGHT` (0.1, 4.0 and 4). Confident mistakes (large negative
-    /// gap) therefore get large corrections, boundary cases small ones, and
-    /// — unlike the perceptron — correct-but-narrow wins still tighten the
-    /// margin. With a single class there is no rival, and no update.
+    /// `MAX_WEIGHT` (the three constants are 0.1, 4.0 and 4). Confident
+    /// mistakes (large negative gap) therefore get large corrections,
+    /// boundary cases small ones, and — unlike the perceptron —
+    /// correct-but-narrow wins still tighten the margin. With a single
+    /// class there is no rival, and no update.
     PassiveAggressive,
     /// Learning vector quantisation. Every record moves the *winning*
     /// prototype (LVQ1 dynamics): a correct win pulls the winner toward the
