@@ -13,10 +13,10 @@
 //!
 //! The timed kernel is not what k-NN serving runs. The serving store and
 //! the packed KNN classifier scan through [`hyperfex_hdc::topk::TopK`],
-//! which stops reading a row once it cannot enter the k nearest; on
-//! perfbench's `query` bank `HvStore::predict_batch` reads about 43% of
-//! the words a full-distance sweep reads. So the speedup is a
-//! full-distance kernel speedup, not a measured serving speedup.
+//! which skips or stops reading a row once it cannot enter the k
+//! nearest; on perfbench's `query` bank `HvStore::predict_batch` reads
+//! about 12% of the words a full-distance sweep reads. So the speedup is
+//! a full-distance kernel speedup, not a measured serving speedup.
 
 use crate::error::HyperfexError;
 use crate::extractor::HdcFeatureExtractor;

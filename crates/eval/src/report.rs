@@ -70,12 +70,18 @@ impl TableReport {
 
     /// Writes the table as pretty JSON.
     pub fn write_json(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let json = serde_json::to_string_pretty(self).map_err(std::io::Error::other)?;
-        std::fs::write(path, json)
+        write_json(path, self)
     }
+}
+
+/// Writes `value` (a table, or several) as pretty JSON to `path`,
+/// creating its parent directories.
+pub fn write_json(path: &Path, value: &(impl Serialize + ?Sized)) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    let json = serde_json::to_string_pretty(value).map_err(std::io::Error::other)?;
+    std::fs::write(path, json)
 }
 
 /// Formats a fraction as the paper prints accuracies: `79.66%`.

@@ -4,7 +4,8 @@
 //!
 //! The tables that carry wall-clock values (the dimensionality sweeps and
 //! the distillation ladders) print on stderr; stdout holds only lines a
-//! fixed seed reproduces byte for byte.
+//! fixed seed reproduces byte for byte. `--json PATH` writes those four
+//! tables to one array.
 
 use hyperfex::experiments::{ablation, distill};
 use hyperfex_experiments::{fail, Cli};
@@ -14,10 +15,11 @@ fn main() {
     let datasets = cli.datasets().unwrap_or_else(|e| fail(e));
     let dims = [1_000, 2_000, 5_000, 10_000, 20_000, 30_000];
 
+    let mut sweeps = Vec::new();
     for (label, table) in [("Pima R", &datasets.pima_r), ("Syhlet", &datasets.sylhet)] {
         let points = ablation::dimensionality_sweep(table, &dims, cli.config.seed)
             .unwrap_or_else(|e| fail(e));
-        cli.emit_timed(&ablation::sweep_report(&points, label));
+        sweeps.push(ablation::sweep_report(&points, label));
     }
 
     // Distilled rows: instead of *encoding* at a smaller width, prune a
@@ -34,8 +36,9 @@ fn main() {
             3,
         )
         .unwrap_or_else(|e| fail(e));
-        eprintln!("{}", distill::pareto_report(&sweep).render());
+        sweeps.push(distill::pareto_report(&sweep));
     }
+    cli.emit_timed(&sweeps);
 
     println!("HDC classifier variants (dim = {}):", cli.config.dim);
     for (label, table) in [("Pima R", &datasets.pima_r), ("Syhlet", &datasets.sylhet)] {

@@ -8,9 +8,9 @@
 //! within 1.0 accuracy point of the full-width LOOCV run, and some
 //! qualifying ranked selection must run that kernel 5× faster than full
 //! width — on *both* cohorts, or the process exits nonzero. The k-NN
-//! scans that serve predictions stop reading a row once it cannot enter
-//! the k nearest, so they do not compute full distances, and this is a
-//! kernel speedup, not a measured serving speedup.
+//! scans that serve predictions skip or stop reading a row once it cannot
+//! enter the k nearest, so they do not compute full distances, and this
+//! is a kernel speedup, not a measured serving speedup.
 
 use hyperfex::experiments::distill::{self, GateOutcome, ParetoSweep};
 use hyperfex_experiments::{fail, Cli};

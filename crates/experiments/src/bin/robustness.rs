@@ -42,21 +42,11 @@ fn main() {
         &[2_000, 10_000]
     };
 
-    let mut reports = Vec::new();
-    for (label, table) in [("Pima R", &datasets.pima_r), ("Syhlet", &datasets.sylhet)] {
-        let report = sweep(label, table, dims, &cli).unwrap_or_else(|e| fail(e));
-        println!("{}", report.render());
-        reports.push(report);
-    }
-    // Both datasets go into one JSON document (Cli::emit would overwrite
-    // the first table with the second).
-    if let Some(path) = &cli.json_out {
-        let json = serde_json::to_string_pretty(&reports).expect("reports serialise");
-        match std::fs::write(path, json) {
-            Ok(()) => println!("(json written to {})", path.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-        }
-    }
+    let reports: Vec<TableReport> = [("Pima R", &datasets.pima_r), ("Syhlet", &datasets.sylhet)]
+        .into_iter()
+        .map(|(label, table)| sweep(label, table, dims, &cli).unwrap_or_else(|e| fail(e)))
+        .collect();
+    cli.emit_all(&reports);
 }
 
 fn sweep(

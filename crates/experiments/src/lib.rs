@@ -5,6 +5,7 @@
 use hyperfex::experiments::{Datasets, ExperimentConfig};
 use hyperfex::prelude::*;
 use hyperfex_eval::TableReport;
+use serde::Serialize;
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -128,16 +129,28 @@ impl Cli {
         self.write_json(report);
     }
 
-    /// [`Cli::emit`] for a report with wall-clock columns: the table goes
-    /// to stderr, so stdout keeps only what a fixed seed reproduces.
-    pub fn emit_timed(&self, report: &TableReport) {
-        eprintln!("{}", report.render());
-        self.write_json(report);
+    /// [`Cli::emit`] for several reports: each is printed, and `--json`
+    /// gets all of them as one array, where one `emit` per report would
+    /// leave only the last in the file.
+    pub fn emit_all(&self, reports: &[TableReport]) {
+        for report in reports {
+            println!("{}", report.render());
+        }
+        self.write_json(reports);
     }
 
-    fn write_json(&self, report: &TableReport) {
+    /// [`Cli::emit_all`] for reports with wall-clock columns: the tables go
+    /// to stderr, so stdout keeps only what a fixed seed reproduces.
+    pub fn emit_timed(&self, reports: &[TableReport]) {
+        for report in reports {
+            eprintln!("{}", report.render());
+        }
+        self.write_json(reports);
+    }
+
+    fn write_json(&self, value: &(impl Serialize + ?Sized)) {
         if let Some(path) = &self.json_out {
-            match report.write_json(path) {
+            match hyperfex_eval::report::write_json(path, value) {
                 Ok(()) => println!("(json written to {})", path.display()),
                 Err(e) => eprintln!("failed to write {}: {e}", path.display()),
             }

@@ -8,7 +8,9 @@
 //! form and run word-level popcount kernels — [`popcount_dot`],
 //! [`masked_weight_sum`], [`pairwise_hamming`] and [`hamming_between`] —
 //! over it. The k-nearest paths use [`hamming_within`], which stops
-//! reading a row once its distance passes a bound. The linear models'
+//! reading a row once its distance passes a bound, and a [`PivotTable`],
+//! which bounds a row's distance from below without reading it. The
+//! linear models'
 //! training loops walk each row relative to the cohort's
 //! [`BitMatrix::majority_row`] instead ([`relative_weight_sum`],
 //! [`relative_scatter_add`]): a level-encoded record differs from that
@@ -408,6 +410,262 @@ pub fn hamming_within(a: &[u64], b: &[u64], bound: usize) -> Option<usize> {
     }
     distance += hamming_words(blocks_a.remainder(), blocks_b.remainder());
     (distance <= bound).then_some(distance)
+}
+
+/// Most pivots [`PivotTable::choose_pivots`] keeps. On perfbench's
+/// `query` bank (20,000 level-encoded Pima-shaped records at 10,000 bits,
+/// 5-nearest, on a 2-vCPU Xeon VM), 8, 16 and 32 pivots served 1,502,
+/// 1,835 and 2,184 records/s (medians of three 10 s runs, seeds
+/// 9501–9503). 16 costs 32 bytes a row, 640 KB for that bank, and half the
+/// bound pass of 32.
+pub const MAX_PIVOTS: usize = 16;
+
+/// Most rows [`PivotTable::choose_pivots`] should be given: a bank passes
+/// an evenly spaced sample of at most this many of its rows. On the
+/// `query` bank, samples of 256, 1,024 and 4,096 rows served 2,016, 1,835
+/// and 1,912 records/s (the runs [`MAX_PIVOTS`] cites), within run-to-run
+/// noise. At 1,024 rows the choice costs about 50,000 distances, some
+/// 10 ms at 10,000 bits, once per store.
+pub const PIVOT_SAMPLE_ROWS: usize = 1_024;
+
+/// Sample rows [`PivotTable::choose_pivots`] takes as queries when it
+/// estimates how many pairs its pivots would skip: 32 probes of a
+/// 1,024-row sample cost 32,768 distances, about what the table of a
+/// 2,048-row bank costs.
+const PIVOT_PROBES: usize = 32;
+
+/// Fewest pairs, per 1,000, that the pivot bound must skip in
+/// [`PivotTable::choose_pivots`]'s estimate for the pivots to be kept. The
+/// estimate reads 84.5% on the `query` bank, whose scan then skips 81% of
+/// pairs unread, and 0% on `serve_bench`'s synthetic cohort (class
+/// prototypes with a quarter of their bits flipped), where every row sits
+/// at nearly one distance from every pivot. Scanned with 16 pivots anyway,
+/// that cohort's 1-query and 256-query predicts at 2,048 bits ran 13% and
+/// 18% slower than a scan without them.
+const MIN_SKIPPED_PER_MILLE: usize = 50;
+
+/// The Hamming distance `d` as a pivot table stores it: `min(d, u16::MAX)`.
+fn saturated(d: usize) -> u16 {
+    u16::try_from(d).unwrap_or(u16::MAX)
+}
+
+/// Each row of a bank's Hamming distance to a few pivot rows: the second
+/// exact pruning rule of the k-nearest scans, beside [`hamming_within`].
+///
+/// Hamming distance is a metric, so for any pivot `p` the triangle
+/// inequality gives `d(q, x) >= |d(q, p) - d(x, p)|`. The largest of these
+/// differences over the pivots is a lower bound on a query's distance to a
+/// row that needs the query's own pivot distances and this table, never
+/// the row. [`crate::topk::TopK::scan`] skips a row without reading a word
+/// of it when that bound is strictly greater than the query's current k-th
+/// distance, so a row at exactly that distance is still read and offered.
+/// Distances are stored as `u16`, saturating at `u16::MAX`; clamping two
+/// distances never increases their difference, so the bound holds at any
+/// width. Each pivot's distances form one contiguous column, so a scan
+/// bounds a block of rows in one pass per pivot.
+///
+/// Any pivots give exact results; good ones (see
+/// [`PivotTable::choose_pivots`]) skip more rows. A table with no pivots
+/// bounds every distance by 0 and skips nothing. The table must describe
+/// the bank it is scanned with: build it over that bank with
+/// [`PivotTable::new`] and follow appends with [`PivotTable::extend`].
+#[derive(Clone, PartialEq, Eq)]
+pub struct PivotTable {
+    pivots: BitMatrix,
+    /// `columns[p][row]` is `row`'s saturated distance to pivot `p`.
+    columns: Vec<Vec<u16>>,
+    /// Bank rows the columns cover.
+    n_rows: usize,
+}
+
+impl PivotTable {
+    /// A table with no pivots for rows of `dim` bits: its bound is 0, so it
+    /// skips nothing and fits every bank of that width.
+    #[must_use]
+    pub fn none(dim: Dim) -> Self {
+        Self {
+            pivots: BitMatrix::zeros(0, dim),
+            columns: Vec::new(),
+            n_rows: 0,
+        }
+    }
+
+    /// The distances of every row of `bank` to every row of `pivots`.
+    ///
+    /// Returns [`HdcError::DimensionMismatch`] when the pivots and the bank
+    /// differ in width.
+    pub fn new(pivots: BitMatrix, bank: &BitMatrix) -> Result<Self, HdcError> {
+        let mut table = Self {
+            columns: vec![Vec::new(); pivots.n_rows()],
+            pivots,
+            n_rows: 0,
+        };
+        table.extend(bank)?;
+        Ok(table)
+    }
+
+    /// Adds the distances of `bank`'s rows past [`PivotTable::n_rows`]:
+    /// after rows are appended to the bank the table was built over, it
+    /// covers them too, at the cost of a distance per new row and pivot.
+    ///
+    /// Returns [`HdcError::DimensionMismatch`] when the pivots and the bank
+    /// differ in width, and [`HdcError::InvalidConfig`] when the bank holds
+    /// fewer rows than the table covers.
+    pub fn extend(&mut self, bank: &BitMatrix) -> Result<(), HdcError> {
+        if bank.dim() != self.pivots.dim() {
+            return Err(HdcError::DimensionMismatch {
+                left: self.pivots.dim().get(),
+                right: bank.dim().get(),
+            });
+        }
+        if bank.n_rows() < self.n_rows {
+            return Err(HdcError::InvalidConfig(format!(
+                "a pivot table over {} rows cannot extend to a bank of {}",
+                self.n_rows,
+                bank.n_rows()
+            )));
+        }
+        let new_rows = self.n_rows..bank.n_rows();
+        for (p, column) in self.columns.iter_mut().enumerate() {
+            let pivot = self.pivots.row_words(p);
+            column.reserve_exact(new_rows.len());
+            column.extend(
+                new_rows
+                    .clone()
+                    .map(|row| saturated(hamming_words(pivot, bank.row_words(row)))),
+            );
+        }
+        self.n_rows = bank.n_rows();
+        Ok(())
+    }
+
+    /// The pivot rows.
+    #[must_use]
+    pub fn pivots(&self) -> &BitMatrix {
+        &self.pivots
+    }
+
+    /// Bank rows the table covers.
+    #[must_use]
+    pub fn n_rows(&self) -> usize {
+        self.n_rows
+    }
+
+    /// `query`'s saturated distance to each pivot, in pivot order.
+    pub(crate) fn query_distances(&self, query: &[u64]) -> Vec<u16> {
+        (0..self.pivots.n_rows())
+            .map(|p| saturated(hamming_words(query, self.pivots.row_words(p))))
+            .collect()
+    }
+
+    /// Writes into `lower` the bound of each row of `rows`, in order:
+    /// `max_p |query[p] - column_p[row]|` for a query's
+    /// [`PivotTable::query_distances`] `query`. One contiguous pass per
+    /// pivot over the block's slice of its column, which vectorises.
+    /// `lower` must be `rows.len()` long and `rows` inside the table.
+    pub(crate) fn lower_bounds(&self, query: &[u16], rows: Range<usize>, lower: &mut [u16]) {
+        lower.fill(0);
+        for (&to_pivot, column) in query.iter().zip(&self.columns) {
+            let Some(column) = column.get(rows.clone()) else {
+                continue;
+            };
+            for (bound, &row_to_pivot) in lower.iter_mut().zip(column) {
+                *bound = (*bound).max(to_pivot.abs_diff(row_to_pivot));
+            }
+        }
+    }
+
+    /// Picks up to [`MAX_PIVOTS`] pivots from `sample`, a sample of a
+    /// bank's rows, by farthest-first traversal: the first row, then each
+    /// time the row farthest from the pivots picked so far, ties going to
+    /// the lower row, stopping early once every row equals a pivot.
+    ///
+    /// Returns no pivots instead when the sample predicts they would skip
+    /// fewer than 5% of pairs, too few to pay for their bound. The
+    /// estimate leaves the pivots out, takes 32 evenly spaced rows of the
+    /// rest as queries, each with its nearest other row as its k-th
+    /// distance, and counts the other rows whose bound exceeds it. A bank
+    /// much larger than its sample has nearer k-th distances, so there the
+    /// estimate errs low.
+    #[must_use]
+    pub fn choose_pivots(sample: &BitMatrix) -> BitMatrix {
+        let n = sample.n_rows();
+        let distances_to = |row: usize| -> Vec<usize> {
+            let words = sample.row_words(row);
+            (0..n)
+                .map(|other| hamming_words(words, sample.row_words(other)))
+                .collect()
+        };
+        let mut picked: Vec<usize> = Vec::new();
+        // The sample's pivot table, and each row's distance to its nearest
+        // pivot.
+        let mut columns: Vec<Vec<u16>> = Vec::new();
+        let mut nearest = vec![usize::MAX; n];
+        let mut next = (n > 0).then_some(0);
+        while let Some(pivot) = next.filter(|_| picked.len() < MAX_PIVOTS) {
+            let column = distances_to(pivot);
+            for (near, &d) in nearest.iter_mut().zip(&column) {
+                *near = (*near).min(d);
+            }
+            columns.push(column.into_iter().map(saturated).collect());
+            picked.push(pivot);
+            // The first strictly farthest row: ties go to the lower row.
+            next = nearest
+                .iter()
+                .enumerate()
+                .fold(None, |best: Option<(usize, usize)>, (row, &d)| match best {
+                    Some((_, far)) if far >= d => best,
+                    _ => Some((row, d)),
+                })
+                .filter(|&(_, far)| far > 0)
+                .map(|(row, _)| row);
+        }
+        let table = Self {
+            pivots: sample.select_rows(&picked),
+            columns,
+            n_rows: n,
+        };
+        // A query equal to a pivot is bounded exactly, and a pivot row is
+        // bounded by a query's whole distance to it. A bank holds far
+        // fewer of both than its sample, so pivots are neither probes nor
+        // probed rows.
+        let rows: Vec<usize> = (0..n).filter(|row| !picked.contains(row)).collect();
+        let mut skipped = 0;
+        let mut pairs = 0;
+        let mut bounds = vec![0u16; n];
+        for &probe in rows
+            .iter()
+            .step_by(rows.len().div_ceil(PIVOT_PROBES).max(1))
+        {
+            let distances = distances_to(probe);
+            let others = || rows.iter().filter(move |&&row| row != probe);
+            let Some(kth) = others().filter_map(|&row| distances.get(row)).min() else {
+                continue;
+            };
+            let to_pivots = table.query_distances(sample.row_words(probe));
+            table.lower_bounds(&to_pivots, 0..n, &mut bounds);
+            skipped += others()
+                .filter(|&&row| bounds.get(row).is_some_and(|&b| usize::from(b) > *kth))
+                .count();
+            pairs += rows.len() - 1;
+        }
+        if skipped * 1_000 < pairs * MIN_SKIPPED_PER_MILLE || pairs == 0 {
+            return BitMatrix::zeros(0, sample.dim());
+        }
+        table.pivots
+    }
+}
+
+impl fmt::Debug for PivotTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "PivotTable {{ pivots: {}, rows: {}, dim: {} }}",
+            self.pivots.n_rows(),
+            self.n_rows,
+            self.pivots.dim()
+        )
+    }
 }
 
 /// Weighted sum of a binary row: `Σⱼ wⱼ·xⱼ` summing `weights[j]` over the

@@ -17,9 +17,11 @@
 //!   features, the categorical encoder for binary features, and the record
 //!   encoder that bundles one hypervector per patient.
 //! * [`topk`] — the bounded k-nearest selection every Hamming k-NN path
-//!   shares. Its scans read each row through
-//!   [`bitmatrix::hamming_within`] and stop once the row cannot enter the
-//!   k nearest, with results identical to full-distance scans.
+//!   shares. Its scans skip a row unread when a
+//!   [`bitmatrix::PivotTable`]'s triangle-inequality bound puts it past
+//!   the k nearest, read every other row through
+//!   [`bitmatrix::hamming_within`] and stop once it cannot enter, with
+//!   results identical to full-distance scans.
 //! * [`classify`] — the signed per-bit class accumulators behind every
 //!   class prototype, one online mistake-driven trainer with streaming
 //!   `partial_fit` whose update rule is perceptron, passive-aggressive or

@@ -1,14 +1,17 @@
 //! With the `obs` feature, each k-NN scan and leave-one-out sweep counts
-//! the pairs it compared (`hdc/knn_pairs`) and the pairs it stopped
+//! the pairs it compared (`hdc/knn_pairs`), the pairs a scan's pivot bound
+//! skipped unread (`hdc/knn_pairs_skipped`) and the pairs it stopped
 //! reading once they could not enter a top-k list
-//! (`hdc/knn_pairs_abandoned`). Without the feature the counters compile
-//! to nothing and this file is empty.
+//! (`hdc/knn_pairs_abandoned`); every other pair was read in full. Without
+//! the feature the counters compile to nothing and this file is empty.
 
 #![cfg(feature = "obs")]
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use hyperfex_hdc::bitmatrix::{hamming_words, PivotTable};
 use hyperfex_hdc::classify::LeaveOneOut;
+use hyperfex_hdc::encoding::LinearEncoder;
 use hyperfex_hdc::rng::SplitMix64;
 use hyperfex_hdc::topk::TopK;
 use hyperfex_hdc::{BinaryHypervector, BitMatrix, Dim};
@@ -20,16 +23,26 @@ fn registry_lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The value of counter `name` so far.
+fn counter(name: &str) -> u64 {
+    hyperfex_obs::snapshot()
+        .counters
+        .iter()
+        .find(|c| c.name == name)
+        .map_or(0, |c| c.value)
+}
+
 /// `(compared, abandoned)` pairs counted so far.
 fn counts() -> (u64, u64) {
-    let counters = hyperfex_obs::snapshot().counters;
-    let value = |name: &str| {
-        counters
-            .iter()
-            .find(|c| c.name == name)
-            .map_or(0, |c| c.value)
-    };
-    (value("hdc/knn_pairs"), value("hdc/knn_pairs_abandoned"))
+    (counter("hdc/knn_pairs"), counter("hdc/knn_pairs_abandoned"))
+}
+
+/// The change in `(compared, skipped, abandoned)` that `run` makes.
+fn counted_with_skips(run: impl FnOnce()) -> (u64, u64, u64) {
+    let skipped_before = counter("hdc/knn_pairs_skipped");
+    let (compared, abandoned) = counted(run);
+    let skipped = counter("hdc/knn_pairs_skipped") - skipped_before;
+    (compared, skipped, abandoned)
 }
 
 /// The change in `(compared, abandoned)` that `run` makes.
@@ -63,9 +76,11 @@ fn scans_count_rows_times_queries_and_abandon_only_when_a_list_is_full() {
     let bank = BitMatrix::from_hypervectors(&rows).unwrap();
     let queries = bank.select_rows(&[0, 7, 12]);
 
+    let none = PivotTable::none(bank.dim());
+
     let (compared, abandoned) = counted(|| {
         let mut tops = TopK::new(3, 1);
-        tops.scan(&queries, &bank, 0..40, |row| row).unwrap();
+        tops.scan(&queries, &bank, &none, 0..40, |row| row).unwrap();
     });
     assert_eq!(compared, 40 * 3);
     assert!(
@@ -75,15 +90,22 @@ fn scans_count_rows_times_queries_and_abandon_only_when_a_list_is_full() {
 
     let (compared, abandoned) = counted(|| {
         let mut tops = TopK::new(3, 40);
-        tops.scan(&queries, &bank, 0..40, |row| row).unwrap();
+        tops.scan(&queries, &bank, &none, 0..40, |row| row).unwrap();
     });
     assert_eq!((compared, abandoned), (40 * 3, 0), "k = rows");
 
     let (compared, abandoned) = counted(|| {
         let mut tops = TopK::new(3, 64);
-        tops.scan(&queries, &bank, 10..25, |row| row).unwrap();
+        tops.scan(&queries, &bank, &none, 10..25, |row| row)
+            .unwrap();
     });
     assert_eq!((compared, abandoned), (15 * 3, 0), "k > rows");
+
+    let (_, skipped, _) = counted_with_skips(|| {
+        let mut tops = TopK::new(3, 1);
+        tops.scan(&queries, &bank, &none, 0..40, |row| row).unwrap();
+    });
+    assert_eq!(skipped, 0, "no pivots skip nothing");
 }
 
 #[test]
@@ -109,4 +131,77 @@ fn sweeps_count_each_unordered_pair_once() {
             .unwrap();
     });
     assert_eq!((compared, abandoned), (pairs, 0), "k = rows - 1");
+}
+
+/// With each query among the pivots, a query's bound on a row is its
+/// distance, so a 1-nearest scan never abandons a row: it reads in full
+/// exactly the rows at or below the running nearest distance and skips
+/// the rest.
+#[test]
+fn pairs_are_skipped_abandoned_or_read_in_full() {
+    let _lock = registry_lock();
+    let rows = bank_with_a_near_neighbour();
+    let bank = BitMatrix::from_hypervectors(&rows).unwrap();
+    let queries = bank.select_rows(&[0, 7, 12]);
+    let pivots = PivotTable::new(queries.clone(), &bank).unwrap();
+
+    let (compared, skipped, abandoned) = counted_with_skips(|| {
+        let mut tops = TopK::new(3, 1);
+        tops.scan(&queries, &bank, &pivots, 0..40, |row| row)
+            .unwrap();
+    });
+    let read_in_full: u64 = (0..queries.n_rows())
+        .map(|q| {
+            let mut nearest = usize::MAX;
+            let mut read = 0;
+            for row in 0..bank.n_rows() {
+                let d = hamming_words(queries.row_words(q), bank.row_words(row));
+                if d <= nearest {
+                    nearest = d;
+                    read += 1;
+                }
+            }
+            read
+        })
+        .sum();
+    assert_eq!(abandoned, 0);
+    assert_eq!(compared, 40 * 3);
+    assert_eq!(compared, skipped + abandoned + read_in_full);
+
+    let (compared, skipped, abandoned) = counted_with_skips(|| {
+        let mut tops = TopK::new(3, 40);
+        tops.scan(&queries, &bank, &pivots, 0..40, |row| row)
+            .unwrap();
+    });
+    assert_eq!((compared, skipped, abandoned), (40 * 3, 0, 0), "k = rows");
+}
+
+/// On a level-encoded bank a value's nearest rows hold nearby values, and
+/// the chosen pivots bound most rows past them, including rows the table
+/// took through `extend` after it was built.
+#[test]
+fn chosen_pivots_skip_pairs_of_a_level_encoded_bank() {
+    let _lock = registry_lock();
+    let encoder = LinearEncoder::new(Dim::new(10_000), 0.0, 1.0, 5).unwrap();
+    let mut rng = SplitMix64::new(8);
+    let rows: Vec<BinaryHypervector> = (0..400).map(|_| encoder.encode(rng.next_f64())).collect();
+    let first_half = BitMatrix::from_hypervectors(&rows[..200]).unwrap();
+    let bank = BitMatrix::from_hypervectors(&rows).unwrap();
+    let mut pivots = PivotTable::new(PivotTable::choose_pivots(&first_half), &first_half).unwrap();
+    assert!(pivots.pivots().n_rows() > 0);
+    pivots.extend(&bank).unwrap();
+    let queries =
+        BitMatrix::from_hypervectors(&[encoder.encode(0.3), encoder.encode(0.71)]).unwrap();
+
+    let (compared, skipped, abandoned) = counted_with_skips(|| {
+        let mut tops = TopK::new(2, 5);
+        tops.scan(&queries, &bank, &pivots, 200..400, |row| row)
+            .unwrap();
+    });
+    assert_eq!(compared, 200 * 2);
+    assert!(skipped > 0, "the extended rows are skipped too");
+    assert!(
+        compared >= skipped + abandoned + 2 * 5,
+        "each list read its 5 rows in full"
+    );
 }

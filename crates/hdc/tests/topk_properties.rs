@@ -1,9 +1,12 @@
 //! The shared top-k against sort-and-truncate: offered one by one, split
 //! into per-chunk lists merged in any order, and scanned from a packed
 //! bank. Distances and keys come from small ranges, so ties — and repeated
-//! `(distance, key)` candidates — are common.
+//! `(distance, key)` candidates — are common. Scans run with pivot tables
+//! of every kind — none, chosen, and adversarial — and must keep the lists
+//! a full-distance scan keeps.
 
-use hyperfex_hdc::bitmatrix::hamming_words;
+use hyperfex_hdc::bitmatrix::{hamming_words, PivotTable};
+use hyperfex_hdc::encoding::LinearEncoder;
 use hyperfex_hdc::rng::SplitMix64;
 use hyperfex_hdc::topk::TopK;
 use hyperfex_hdc::{BinaryHypervector, BitMatrix, Dim};
@@ -11,6 +14,51 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 const LISTS: usize = 3;
+
+/// Kinds of pivot set [`pivot_table`] builds.
+const PIVOT_KINDS: usize = 6;
+
+/// A pivot table over `bank`, by `kind`: no pivots, the pivots
+/// [`PivotTable::choose_pivots`] picks from the bank, a pivot equal to a
+/// query, all-zero and all-ones pivots, duplicate pivots, or random rows.
+fn pivot_table(
+    kind: usize,
+    bank: &BitMatrix,
+    queries: &BitMatrix,
+    rng: &mut SplitMix64,
+) -> PivotTable {
+    let dim = bank.dim();
+    let last_query = queries.row_hypervector(queries.n_rows() - 1);
+    let rows = match kind {
+        0 => Vec::new(),
+        1 => {
+            let chosen = PivotTable::choose_pivots(bank);
+            (0..chosen.n_rows())
+                .map(|p| chosen.row_hypervector(p))
+                .collect()
+        }
+        2 => vec![
+            queries.row_hypervector(0),
+            bank.row_hypervector(bank.n_rows() / 2),
+        ],
+        3 => vec![BinaryHypervector::zeros(dim), BinaryHypervector::ones(dim)],
+        4 => vec![
+            bank.row_hypervector(0),
+            last_query.clone(),
+            bank.row_hypervector(0),
+            last_query,
+        ],
+        _ => (0..3)
+            .map(|_| BinaryHypervector::random(dim, rng))
+            .collect(),
+    };
+    let pivots = if rows.is_empty() {
+        BitMatrix::zeros(0, dim)
+    } else {
+        BitMatrix::from_hypervectors(&rows).unwrap()
+    };
+    PivotTable::new(pivots, bank).unwrap()
+}
 
 /// Widths at which a scan's 16-word blocks can abandon a row before its
 /// end: 2,050 bits is 33 words (blocks of 16, 16 and 1) and 10,050 bits
@@ -111,6 +159,7 @@ proptest! {
         k in 1usize..44,
         cuts in vec(0usize..40, 0..4),
         seed in any::<u64>(),
+        pivot_kind in 0usize..PIVOT_KINDS,
     ) {
         let mut rng = SplitMix64::new(seed);
         let pool: Vec<BinaryHypervector> = (0..5)
@@ -121,11 +170,12 @@ proptest! {
             query_picks.iter().map(|&p| pool[p].clone()).collect();
         let bank = BitMatrix::from_hypervectors(&rows).unwrap();
         let query_matrix = BitMatrix::from_hypervectors(&queries).unwrap();
+        let pivots = pivot_table(pivot_kind, &bank, &query_matrix, &mut rng);
 
         let mut merged = TopK::new(queries.len(), k);
         for range in pieces(rows.len(), &cuts) {
             let mut tops = TopK::new(queries.len(), k);
-            tops.scan(&query_matrix, &bank, range, |row| row).unwrap();
+            tops.scan(&query_matrix, &bank, &pivots, range, |row| row).unwrap();
             merged.merge(&tops);
         }
         for (q, query) in queries.iter().enumerate() {
@@ -170,6 +220,7 @@ proptest! {
         far in 0usize..12,
         cuts in vec(0usize..48, 0..3),
         seed in any::<u64>(),
+        pivot_kind in 0usize..PIVOT_KINDS,
     ) {
         let dim = Dim::new(PRUNED_DIMS[dim_index]);
         let mut rng = SplitMix64::new(seed);
@@ -190,14 +241,15 @@ proptest! {
         let bank = BitMatrix::from_hypervectors(&rows).unwrap();
         let query_matrix = BitMatrix::from_hypervectors(&queries).unwrap();
         let key = |row: usize| n - row;
+        let pivots = pivot_table(pivot_kind, &bank, &query_matrix, &mut rng);
 
         let mut whole = TopK::new(n_queries, k);
-        whole.scan(&query_matrix, &bank, 0..n, key).unwrap();
+        whole.scan(&query_matrix, &bank, &pivots, 0..n, key).unwrap();
         let mut merged = TopK::new(n_queries, k);
         let ranges = pieces(n, &cuts);
         for i in shuffled(ranges.len(), seed) {
             let mut tops = TopK::new(n_queries, k);
-            tops.scan(&query_matrix, &bank, ranges[i].clone(), key).unwrap();
+            tops.scan(&query_matrix, &bank, &pivots, ranges[i].clone(), key).unwrap();
             merged.merge(&tops);
         }
         for (q, query) in queries.iter().enumerate() {
@@ -222,7 +274,9 @@ fn a_k_zero_scan_keeps_nothing() {
     let bank = BitMatrix::from_hypervectors(&rows).unwrap();
     let queries = bank.select_rows(&[0, 39]);
     let mut tops: TopK<usize> = TopK::new(2, 0);
-    tops.scan(&queries, &bank, 0..40, |row| row).unwrap();
+    let pivots = PivotTable::new(queries.clone(), &bank).unwrap();
+    tops.scan(&queries, &bank, &pivots, 0..40, |row| row)
+        .unwrap();
     assert!(tops.list(0).is_empty());
     assert!(tops.list(1).is_empty());
 }
@@ -232,6 +286,142 @@ fn scan_rejects_a_bank_of_another_width() {
     let queries = BitMatrix::zeros(1, Dim::new(64));
     let bank = BitMatrix::zeros(2, Dim::new(65));
     let mut tops: TopK<usize> = TopK::new(1, 1);
-    assert!(tops.scan(&queries, &bank, 0..2, |row| row).is_err());
+    let pivots = PivotTable::none(Dim::new(65));
+    assert!(tops
+        .scan(&queries, &bank, &pivots, 0..2, |row| row)
+        .is_err());
     assert!(tops.list(0).is_empty());
+}
+
+/// The triangle-inequality bound a pivot table gives on `d(query, row)`,
+/// computed from full distances: `max_p |min(d(q, p), 65,535) -
+/// min(d(x, p), 65,535)|`.
+fn pivot_bound(pivots: &BitMatrix, query: &[u64], row: &[u64]) -> usize {
+    let saturated = |d: usize| d.min(usize::from(u16::MAX));
+    (0..pivots.n_rows())
+        .map(|p| {
+            let pivot = pivots.row_words(p);
+            saturated(hamming_words(query, pivot)).abs_diff(saturated(hamming_words(row, pivot)))
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// Each query's `k` nearest `(distance, key)` pairs by sort-and-truncate.
+fn brute_force(
+    queries: &BitMatrix,
+    bank: &BitMatrix,
+    k: usize,
+    key: impl Fn(usize) -> usize,
+) -> Vec<Vec<(usize, usize)>> {
+    (0..queries.n_rows())
+        .map(|q| {
+            let all: Vec<(usize, usize)> = (0..bank.n_rows())
+                .map(|row| {
+                    (
+                        hamming_words(queries.row_words(q), bank.row_words(row)),
+                        key(row),
+                    )
+                })
+                .collect();
+            sort_and_truncate(&all, k)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Level-encoded banks at the paper's width: values on a coarse grid,
+    /// so equal rows and ties at the k-th distance are common, and a row's
+    /// distance tracks its value's, so the chosen pivots bound rows past
+    /// each query's k-th distance and the scan skips them. Whole and split
+    /// scans keep the brute-force lists.
+    #[test]
+    fn pivot_scans_of_level_encoded_banks_match_brute_force(
+        n in 40usize..160,
+        n_queries in 1usize..5,
+        k in 1usize..6,
+        cuts in vec(0usize..160, 0..3),
+        seed in any::<u64>(),
+    ) {
+        let encoder = LinearEncoder::new(Dim::new(10_000), 0.0, 1.0, seed).unwrap();
+        let mut rng = SplitMix64::new(seed);
+        let mut level = || encoder.encode(rng.next_bounded(64) as f64 / 63.0);
+        let rows: Vec<BinaryHypervector> = (0..n).map(|_| level()).collect();
+        let queries: Vec<BinaryHypervector> = (0..n_queries).map(|_| level()).collect();
+        let bank = BitMatrix::from_hypervectors(&rows).unwrap();
+        let query_matrix = BitMatrix::from_hypervectors(&queries).unwrap();
+        let pivots = PivotTable::new(PivotTable::choose_pivots(&bank), &bank).unwrap();
+        prop_assert!(pivots.pivots().n_rows() > 0);
+        let key = |row: usize| row;
+        let want = brute_force(&query_matrix, &bank, k, key);
+        let skippable = want.iter().enumerate().any(|(q, list)| {
+            let kth = list.last().map_or(usize::MAX, |&(d, _)| d);
+            (0..n).any(|row| {
+                pivot_bound(pivots.pivots(), query_matrix.row_words(q), bank.row_words(row)) > kth
+            })
+        });
+        prop_assert!(skippable, "the bound passes some k-th distance");
+
+        let mut whole = TopK::new(n_queries, k);
+        whole.scan(&query_matrix, &bank, &pivots, 0..n, key).unwrap();
+        let mut merged = TopK::new(n_queries, k);
+        for range in pieces(n, &cuts) {
+            let mut tops = TopK::new(n_queries, k);
+            tops.scan(&query_matrix, &bank, &pivots, range, key).unwrap();
+            merged.merge(&tops);
+        }
+        for (q, list) in want.iter().enumerate() {
+            prop_assert_eq!(whole.list(q), list.as_slice(), "whole scan, query {}", q);
+            prop_assert_eq!(merged.list(q), list.as_slice(), "split scan, query {}", q);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Past 65,535 bits a pivot distance saturates at `u16::MAX`. Rows
+    /// here are all ones but for up to 12,000 cleared bits of 70,001, so
+    /// their distances to an all-zero pivot straddle 65,535: where both a
+    /// query's and a row's saturate, that pivot bounds the pair by 0. The
+    /// lists still equal brute force under every kind of pivot set.
+    #[test]
+    fn saturated_pivot_distances_keep_scans_exact(
+        n in 8usize..32,
+        n_queries in 1usize..4,
+        k in 1usize..6,
+        pivot_kind in 0usize..PIVOT_KINDS,
+        seed in any::<u64>(),
+    ) {
+        let dim = Dim::new(70_001);
+        let ones = BinaryHypervector::ones(dim);
+        let mut rng = SplitMix64::new(seed);
+        let dense = |rng: &mut SplitMix64| {
+            let cleared = usize::try_from(rng.next_bounded(12_000)).unwrap();
+            at_distance(&ones, cleared, rng)
+        };
+        let rows: Vec<BinaryHypervector> = (0..n).map(|_| dense(&mut rng)).collect();
+        let queries: Vec<BinaryHypervector> = (0..n_queries).map(|_| dense(&mut rng)).collect();
+        let bank = BitMatrix::from_hypervectors(&rows).unwrap();
+        let query_matrix = BitMatrix::from_hypervectors(&queries).unwrap();
+        let zeros = BinaryHypervector::zeros(dim);
+        prop_assert!(
+            rows.iter().any(|row| row.try_hamming(&zeros).unwrap() > usize::from(u16::MAX)),
+            "some distance to the all-zero pivot saturates"
+        );
+        let key = |row: usize| n - row;
+        let want = brute_force(&query_matrix, &bank, k, key);
+        let mut tables = vec![pivot_table(pivot_kind, &bank, &query_matrix, &mut rng)];
+        let zeros_and_ones = BitMatrix::from_hypervectors(&[zeros, ones.clone()]).unwrap();
+        tables.push(PivotTable::new(zeros_and_ones, &bank).unwrap());
+        for pivots in &tables {
+            let mut tops = TopK::new(n_queries, k);
+            tops.scan(&query_matrix, &bank, pivots, 0..n, key).unwrap();
+            for (q, list) in want.iter().enumerate() {
+                prop_assert_eq!(tops.list(q), list.as_slice(), "query {}", q);
+            }
+        }
+    }
 }

@@ -4,7 +4,7 @@
 use crate::error::MlError;
 use crate::linalg::Matrix;
 use crate::traits::{validate_fit_inputs, Estimator, Features, ProbabilisticEstimator};
-use hyperfex_hdc::bitmatrix::BitMatrix;
+use hyperfex_hdc::bitmatrix::{BitMatrix, PivotTable};
 use hyperfex_hdc::topk::TopK;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -218,10 +218,11 @@ impl Estimator for KnnClassifier {
                 }
                 let n = train.n_rows();
                 let k = self.params.k.min(n);
+                let no_pivots = PivotTable::none(train.dim());
                 Self::map_chunks(q.n_rows(), |rows| {
                     let chunk = q.select_rows(&rows.collect::<Vec<_>>());
                     let mut tops = TopK::new(chunk.n_rows(), k);
-                    tops.scan(&chunk, train, 0..n, |j| j)
+                    tops.scan(&chunk, train, &no_pivots, 0..n, |j| j)
                         .map_err(|_| shape_mismatch())?;
                     Ok((0..chunk.n_rows())
                         .map(|qi| {

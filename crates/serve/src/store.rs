@@ -19,9 +19,10 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use hyperfex_hdc::binary::Dim;
-use hyperfex_hdc::bitmatrix::BitMatrix;
+use hyperfex_hdc::bitmatrix::{BitMatrix, PivotTable, PIVOT_SAMPLE_ROWS};
 use hyperfex_hdc::classify::ClassAccumulators;
 use hyperfex_hdc::distill::BitSelection;
 use hyperfex_hdc::topk::TopK;
@@ -38,8 +39,9 @@ use crate::snapshot::{self, Commit, Manifest, ShardEntry, ShardRecord, SidecarPi
 type Candidate = (u32, u32, u32, u32);
 
 /// Fewest store rows a parallel chunk of [`HvStore::predict_batch`] scans:
-/// about 50 µs of distances for one 10,000-bit query, enough to outweigh
-/// the thread a chunk costs.
+/// for one 10,000-bit query, about 35 µs of scanning on perfbench's
+/// `query` bank with its pivot tables (110–126 µs without them; one
+/// thread, 2-vCPU Xeon VM), enough to outweigh the thread a chunk costs.
 const MIN_CHUNK_ROWS: usize = 1024;
 
 /// One shard that failed recovery and was quarantined instead of served.
@@ -115,9 +117,10 @@ pub struct AppendReport {
 ///
 /// Equality compares the *serving state* — dimensionality, shards and
 /// accumulators — not the incremental-ingest bookkeeping (shard capacity,
-/// what is committed where, what recovery could not read) or the optional
-/// distillation selection, so a rebuilt store equals a recovered one
-/// whenever they would answer identically.
+/// what is committed where, what recovery could not read), the optional
+/// distillation selection or the k-NN pivot tables derived from the rows,
+/// so a rebuilt store equals a recovered one whenever they would answer
+/// identically.
 #[derive(Debug, Clone)]
 pub struct HvStore {
     dim: Dim,
@@ -146,6 +149,69 @@ pub struct HvStore {
     /// The manifest this store last committed to a directory, or opened
     /// from it: the committed lengths [`HvStore::save_dirty`] appends past.
     committed: Option<(PathBuf, Manifest)>,
+    /// The k-NN scan's pivots and their tables: derived from the rows at
+    /// the first [`HvStore::predict_batch`], extended by
+    /// [`HvStore::append_batch`] once built (so ingest alone never pays
+    /// for them), and never persisted.
+    pivots: OnceLock<ShardPivots>,
+}
+
+/// One [`PivotTable`] per serving shard, in shard order, all over the same
+/// pivots.
+#[derive(Debug, Clone)]
+struct ShardPivots {
+    pivots: BitMatrix,
+    tables: Vec<PivotTable>,
+}
+
+impl ShardPivots {
+    /// Chooses the pivots from every `⌈n / 1,024⌉`-th row of the shards,
+    /// rows numbered shard after shard (see
+    /// [`PivotTable::choose_pivots`]; it may choose none), then tabulates
+    /// every shard, shards in parallel.
+    fn build(dim: Dim, shards: &[ShardRecord]) -> Result<Self, ServeError> {
+        let n_rows: usize = shards.iter().map(|s| s.bank.n_rows()).sum();
+        let mut words = Vec::new();
+        let mut sampled = 0;
+        let rows = shards
+            .iter()
+            .flat_map(|s| (0..s.bank.n_rows()).map(|row| s.bank.row_words(row)));
+        for row in rows.step_by(n_rows.div_ceil(PIVOT_SAMPLE_ROWS).max(1)) {
+            words.extend_from_slice(row);
+            sampled += 1;
+        }
+        let sample = BitMatrix::from_words(sampled, dim, words)?;
+        let pivots = PivotTable::choose_pivots(&sample);
+        let tables = rayon::map_chunks(shards, 1, |_, chunk| {
+            chunk
+                .iter()
+                .map(|shard| PivotTable::new(pivots.clone(), &shard.bank))
+                .collect::<Result<Vec<_>, _>>()
+        });
+        let mut built = Self {
+            pivots,
+            tables: Vec::with_capacity(shards.len()),
+        };
+        for chunk in tables {
+            built.tables.extend(chunk?);
+        }
+        Ok(built)
+    }
+
+    /// Covers the rows appended since the tables were last built or
+    /// extended: each shard's table takes its new rows, and each new shard
+    /// gets a table.
+    fn extend(&mut self, shards: &[ShardRecord]) -> Result<(), ServeError> {
+        for (i, shard) in shards.iter().enumerate() {
+            match self.tables.get_mut(i) {
+                Some(table) => table.extend(&shard.bank)?,
+                None => self
+                    .tables
+                    .push(PivotTable::new(self.pivots.clone(), &shard.bank)?),
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Pins of the accumulator and selection files.
@@ -224,6 +290,7 @@ impl HvStore {
             unserved: Vec::new(),
             unread: Sidecars::default(),
             committed: None,
+            pivots: OnceLock::new(),
         })
     }
 
@@ -408,6 +475,13 @@ impl HvStore {
         }
         if let Some(accums) = &mut self.accums {
             accums.add_batch(&rows, labels)?;
+        }
+        // Pivot tables, once a predict has built them, follow the rows. A
+        // table that cannot is dropped, and the next predict rebuilds it.
+        if let Some(pivots) = self.pivots.get_mut() {
+            if pivots.extend(&self.shards).is_err() {
+                self.pivots = OnceLock::new();
+            }
         }
         obs::counter_add("serve/rows_appended", rows.len() as u64);
         let report = AppendReport {
@@ -795,6 +869,7 @@ impl HvStore {
                 unserved,
                 unread,
                 committed: committed.map(|m| (dir.to_path_buf(), m)),
+                pivots: OnceLock::new(),
             },
             report,
         ))
@@ -1167,8 +1242,9 @@ impl HvStore {
         // result. A query has at most `n_rows` candidates, so a larger k
         // is moot.
         let k = k.min(self.n_rows());
+        let tables = self.pivot_tables()?;
         let chunk_tops = rayon::map_ranges(self.n_rows(), MIN_CHUNK_ROWS, |rows| {
-            self.range_candidates(&query_matrix, rows, k)
+            self.range_candidates(&query_matrix, tables, rows, k)
         });
         let mut best = TopK::new(queries.len(), k);
         for tops in chunk_tops {
@@ -1188,23 +1264,37 @@ impl HvStore {
             .collect())
     }
 
+    /// The pivot table of each serving shard, built at the first call.
+    fn pivot_tables(&self) -> Result<&[PivotTable], ServeError> {
+        if let Some(pivots) = self.pivots.get() {
+            return Ok(&pivots.tables);
+        }
+        let built = ShardPivots::build(self.dim, &self.shards)?;
+        Ok(&self.pivots.get_or_init(|| built).tables)
+    }
+
     /// The per-query top-k among the global rows `rows` (rows numbered
     /// shard after shard), keyed `(shard, row, label)` — the unit of work
-    /// one chunk of [`HvStore::predict_batch`] computes.
+    /// one chunk of [`HvStore::predict_batch`] computes. `tables` holds
+    /// each shard's pivot table.
     fn range_candidates(
         &self,
         queries: &BitMatrix,
+        tables: &[PivotTable],
         rows: Range<usize>,
         k: usize,
     ) -> Result<TopK<(u32, u32, u32)>, ServeError> {
         let mut tops = TopK::new(queries.n_rows(), k);
         let mut shard_start = 0;
-        for shard in &self.shards {
+        for (i, shard) in self.shards.iter().enumerate() {
+            let table = tables.get(i).ok_or_else(|| ServeError::ShardConflict {
+                detail: format!("no pivot table for serving shard {}", shard.shard_index),
+            })?;
             let shard_end = shard_start + shard.bank.n_rows();
             let lo = rows.start.clamp(shard_start, shard_end) - shard_start;
             let hi = rows.end.clamp(shard_start, shard_end) - shard_start;
             shard_start = shard_end;
-            tops.scan(queries, &shard.bank, lo..hi, |row| {
+            tops.scan(queries, &shard.bank, table, lo..hi, |row| {
                 let row_u32 = u32::try_from(row).unwrap_or(u32::MAX);
                 let label = shard.labels.get(row).copied().unwrap_or(0);
                 (shard.shard_index, row_u32, label)
