@@ -5,8 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hyperfex_hdc::binary::Dim;
 use hyperfex_hdc::bitmatrix::{
-    hamming_between, masked_weight_sum, pairwise_hamming, popcount_dot, relative_scatter_add,
-    relative_weight_sum, BitMatrix,
+    hamming_between, masked_weight_sum, pairwise_hamming, popcount_dot, BitMatrix, RelativeRows,
 };
 use hyperfex_hdc::prelude::*;
 use std::hint::black_box;
@@ -57,15 +56,20 @@ fn bench_bitmatrix(c: &mut Criterion) {
     let m = BitMatrix::from_hypervectors(&rows).unwrap();
     let queries = BitMatrix::from_hypervectors(&rows[..16]).unwrap();
     let weights: Vec<f64> = (0..dim.get()).map(|i| (i % 17) as f64 * 0.25).collect();
-    // A row that differs from its reference in one bit in eight, about a
-    // level-encoded record's distance from its cohort's majority row.
-    let reference = m.row_words(1);
-    let near: Vec<u64> = reference
-        .iter()
-        .zip(m.row_words(2).iter().zip(m.row_words(3)))
-        .zip(m.row_words(4))
-        .map(|((&r, (&a, &b)), &c)| r ^ (a & b & c))
+    // Rows that differ from a reference in one bit in eight, about a
+    // level-encoded record's distance from its cohort's majority row: row
+    // k flips the reference's bits where rows k + 2, k + 3 and k + 4 of
+    // `m` (mod 64) are all set.
+    let reference = m.row_hypervector(1);
+    let near_words: Vec<u64> = (0..64)
+        .flat_map(|k| {
+            let [a, b, c] = [2, 3, 4].map(|o| m.row_words((k + o) % 64));
+            let r = reference.words();
+            (0..r.len()).map(move |w| r[w] ^ (a[w] & b[w] & c[w]))
+        })
         .collect();
+    let near = BitMatrix::from_words(64, dim, near_words).unwrap();
+    let lists = RelativeRows::new(&near, &reference);
 
     let mut g = c.benchmark_group("bitmatrix_10k");
     g.bench_function("popcount_dot", |bch| {
@@ -84,24 +88,20 @@ fn bench_bitmatrix(c: &mut Criterion) {
             ))
         });
     });
+    // The two list walks time row 0.
     g.bench_function("relative_weight_sum", |bch| {
-        bch.iter(|| {
-            black_box(relative_weight_sum(
-                black_box(&near),
-                black_box(reference),
-                black_box(&weights),
-            ))
-        });
+        bch.iter(|| black_box(lists.weight_sum(black_box(0), black_box(&weights))));
     });
     // One weight vector across iterations, cache-resident as in a training
     // loop; a fresh 80 KB vector per call would time cache misses instead.
     let mut out = vec![0.0f64; dim.get()];
     g.bench_function("relative_scatter_add", |bch| {
-        bch.iter(|| {
-            relative_scatter_add(black_box(&near), black_box(reference), 0.5, &mut out);
-        });
+        bch.iter(|| lists.scatter_add(black_box(0), 0.5, &mut out));
     });
     black_box(&out);
+    g.bench_function("relative_rows_build_64", |bch| {
+        bch.iter(|| black_box(RelativeRows::new(black_box(&near), black_box(&reference))));
+    });
     g.bench_function("pairwise_hamming_64", |bch| {
         bch.iter(|| black_box(pairwise_hamming(black_box(&m))));
     });

@@ -10,11 +10,11 @@
 //! over it. The k-nearest paths use [`hamming_within`], which stops
 //! reading a row once its distance passes a bound, and a [`PivotTable`],
 //! which bounds a row's distance from below without reading it. The
-//! linear models'
-//! training loops walk each row relative to the cohort's
-//! [`BitMatrix::majority_row`] instead ([`relative_weight_sum`],
-//! [`relative_scatter_add`]): a level-encoded record differs from that
-//! row in far fewer bits than it sets.
+//! linear models' training loops walk each row relative to the cohort's
+//! [`BitMatrix::majority_row`] instead, over [`RelativeRows`]: lists of
+//! each row's differing bits, one byte per bit, built once per fit. A
+//! level-encoded record differs from that row in far fewer bits than it
+//! sets.
 //!
 //! Every row maintains the tail invariant: bits at or above `d` in the
 //! final word of a row are zero, so popcounts over whole words are exact.
@@ -322,8 +322,8 @@ impl BitMatrix {
     /// The bitwise majority of the rows, ties to 1 (the paper's bundling
     /// rule, as [`crate::bundle::try_majority`] applies it to the rows as
     /// hypervectors): bit `c` is set iff at least half the rows set it.
-    /// It is the reference row of [`relative_weight_sum`] and
-    /// [`relative_scatter_add`].
+    /// The linear models list their training rows against it
+    /// ([`RelativeRows`]).
     ///
     /// Returns [`HdcError::EmptyInput`] for a matrix with no rows.
     pub fn majority_row(&self) -> Result<BinaryHypervector, HdcError> {
@@ -698,73 +698,210 @@ pub fn masked_weight_sum(row: &[u64], weights: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
-/// Signed weighted sum of a row relative to a reference row:
-/// `Σ_{j ∈ row∖reference} wⱼ − Σ_{j ∈ reference∖row} wⱼ`, walking only the
-/// bits of `row ^ reference`.
+/// Longest gap one step of a [`RelativeRows`] list spans: the seven bits
+/// beside the reference bit.
+const MAX_GAP: usize = 127;
+
+/// The step that advances [`MAX_GAP`] bits without a differing bit.
+const SKIP: u8 = 0;
+
+/// The rows of a matrix as lists of the bits where each differs from a
+/// reference row `r`, built once so that a training loop walks `x ⊕ r`
+/// without extracting its bits again. The linear models list their
+/// training rows against the rows' [`BitMatrix::majority_row`].
 ///
-/// With weights split as `w = α·reference + u`, a row's dot product is
-/// `α·|row ∧ reference| + u·reference + relative_weight_sum(row,
-/// reference, u)`, so a row near the reference (a level-encoded record
-/// near its cohort's [`BitMatrix::majority_row`]) costs its distance from
-/// the reference rather than its popcount. Each word is one walk over its
-/// differing bits; a weight whose reference bit is set is negated by
-/// flipping its f64 sign bit (an exact negation), and the terms go
-/// round-robin into four accumulator lanes as in [`masked_weight_sum`], so
-/// parity with [`crate::reference::relative_weight_sum`] holds to a
-/// relative tolerance, not bit equality. With an all-zero reference it is
-/// [`masked_weight_sum`] term for term.
+/// With weights split as `w = α·r + u`, a row's dot product is
+/// `α·|x ∧ r| + u·r + weight_sum(i, u)`, and the step `w += δ·x` is
+/// `α += δ` plus `scatter_add(i, δ, u)`, so a row near `r` (a
+/// level-encoded record near its cohort's majority) costs its distance
+/// from `r` rather than its popcount.
 ///
-/// `reference` must have as many words as `row`, and `weights.len()` must
-/// equal their bit width; the tail invariant of both guarantees no
-/// differing bit indexes past it.
-#[must_use]
-// lint: index-ok (tail invariant bounds tz below chunk.len(); lane & 3 is always < 4)
-pub fn relative_weight_sum(row: &[u64], reference: &[u64], weights: &[f64]) -> f64 {
-    debug_assert_eq!(row.len(), reference.len(), "word-count mismatch");
-    debug_assert!(
-        weights.len() <= row.len() * WORD_BITS,
-        "weight vector longer than the packed row"
-    );
-    let mut acc = [0.0f64; 4];
-    let mut lane = 0usize;
-    for ((&x, &r), chunk) in row.iter().zip(reference).zip(weights.chunks(WORD_BITS)) {
-        let mut bits = x ^ r;
-        while bits != 0 {
-            let tz = bits.trailing_zeros() as usize;
-            // The reference bit, moved to the f64 sign position.
-            let sign = (r >> tz) << 63;
-            acc[lane & 3] += f64::from_bits(chunk[tz].to_bits() ^ sign);
-            lane += 1;
-            bits &= bits - 1;
-        }
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
+/// Each differing bit `j` is one byte `gap << 1 | r_j`, where `gap`
+/// (1..=127) runs from the row's previous differing bit, the first from
+/// bit −1. A longer gap is preceded by zero bytes, each advancing 127
+/// bits and adding nothing, so a list holds at most one byte per
+/// differing bit plus one per 127 bits of a gap; the lists of all rows
+/// share one buffer, counted before it is allocated.
+#[derive(Clone)]
+pub struct RelativeRows {
+    /// Row `i`'s steps are `steps[bounds[i]..bounds[i + 1]]`.
+    bounds: Vec<usize>,
+    /// Whether row `i`'s list holds a [`SKIP`] step.
+    skips: Vec<bool>,
+    steps: Vec<u8>,
 }
 
-/// Signed scatter of a scalar relative to a reference row: `out[j] += δ`
-/// for every `j ∈ row∖reference` and `out[j] −= δ` for every
-/// `j ∈ reference∖row`, one walk over the bits of `row ^ reference` (the
-/// gradient-update dual of [`relative_weight_sum`]). Every differing bit
-/// makes one add to a distinct element, and the sign flip is an exact
-/// negation, so the result equals
-/// [`crate::reference::relative_scatter_add`] bit for bit.
-///
-/// `reference` must have as many words as `row`, and `out.len()` must
-/// equal their bit width; the tail invariant of both guarantees no
-/// differing bit indexes past it.
-// lint: index-ok (tail invariant bounds tz below chunk.len())
-pub fn relative_scatter_add(row: &[u64], reference: &[u64], delta: f64, out: &mut [f64]) {
-    debug_assert_eq!(row.len(), reference.len(), "word-count mismatch");
-    debug_assert!(
-        out.len() <= row.len() * WORD_BITS,
-        "output vector longer than the packed row"
-    );
-    let delta = delta.to_bits();
-    for ((&x, &r), chunk) in row.iter().zip(reference).zip(out.chunks_mut(WORD_BITS)) {
+impl RelativeRows {
+    /// Lists each row of `rows` against `reference`, which must have the
+    /// rows' width.
+    #[must_use]
+    pub fn new(rows: &BitMatrix, reference: &BinaryHypervector) -> Self {
+        debug_assert_eq!(reference.dim(), rows.dim(), "reference width mismatch");
+        let r = reference.words();
+        let mut bounds = Vec::with_capacity(rows.n_rows() + 1);
+        let mut skips = Vec::with_capacity(rows.n_rows());
+        bounds.push(0);
+        let mut total = 0;
+        for i in 0..rows.n_rows() {
+            let row = rows.row_words(i);
+            // A gap past MAX_GAP spans a whole word of `row ^ r` with no
+            // differing bit, so with none such the list is one step per
+            // differing bit.
+            let mut skipped = false;
+            if row.iter().zip(r).all(|(x, r)| x != r) {
+                total += hamming_words(row, r);
+            } else {
+                for_each_step(row, r, |step| {
+                    total += 1;
+                    skipped |= step == SKIP;
+                });
+            }
+            bounds.push(total);
+            skips.push(skipped);
+        }
+        let mut steps = vec![SKIP; total];
+        let mut slots = steps.iter_mut();
+        for i in 0..rows.n_rows() {
+            for_each_step(rows.row_words(i), r, |step| {
+                if let Some(slot) = slots.next() {
+                    *slot = step;
+                }
+            });
+        }
+        debug_assert_eq!(slots.len(), 0, "fewer steps than counted");
+        Self {
+            bounds,
+            skips,
+            steps,
+        }
+    }
+
+    /// Number of listed rows.
+    #[must_use]
+    pub fn n_rows(&self) -> usize {
+        self.skips.len()
+    }
+
+    /// Bytes held by the lists.
+    #[must_use]
+    pub fn list_bytes(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// Row `i`'s steps.
+    // lint: index-ok (bounds holds n_rows + 1 ascending ends into steps; i < n_rows is the caller's contract)
+    fn row_steps(&self, i: usize) -> &[u8] {
+        &self.steps[self.bounds[i]..self.bounds[i + 1]]
+    }
+
+    /// Calls `f(j, step)` for each differing bit `j` of row `i`, in bit
+    /// order.
+    #[inline]
+    fn for_each_bit(&self, i: usize, mut f: impl FnMut(usize, u8)) {
+        let mut bit = usize::MAX;
+        for &step in self.row_steps(i) {
+            let gap = usize::from(step >> 1);
+            if gap == 0 {
+                bit = bit.wrapping_add(MAX_GAP);
+            } else {
+                bit = bit.wrapping_add(gap);
+                f(bit, step);
+            }
+        }
+    }
+
+    /// Signed weighted sum of row `i` against the reference:
+    /// `Σ_{x∖r} wⱼ − Σ_{r∖x} wⱼ`. A weight whose reference bit is set is
+    /// negated by flipping its f64 sign bit (an exact negation), and the
+    /// n-th differing bit's term goes into accumulator lane `n mod 4`;
+    /// the lanes are summed `(0 + 1) + (2 + 3)`, as in
+    /// [`masked_weight_sum`], so parity with
+    /// [`crate::reference::relative_weight_sum`] holds to a relative
+    /// tolerance, not bit equality. With an all-zero reference it is
+    /// [`masked_weight_sum`] term for term.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.n_rows()` or `weights` is narrower than the
+    /// rows.
+    #[must_use]
+    // lint: index-ok (every listed bit is below the rows' width, which weights covers; lane & 3 is always < 4)
+    pub fn weight_sum(&self, i: usize, weights: &[f64]) -> f64 {
+        let mut acc = [0.0f64; 4];
+        if self.skips[i] {
+            let mut lane = 0usize;
+            self.for_each_bit(i, |bit, step| {
+                acc[lane & 3] += signed(weights[bit], step);
+                lane += 1;
+            });
+        } else {
+            // Every step is a differing bit, so lane n mod 4 is the n-th
+            // byte's position in its group of four.
+            let mut bit = usize::MAX;
+            let mut quads = self.row_steps(i).chunks_exact(4);
+            for quad in &mut quads {
+                for (a, &step) in acc.iter_mut().zip(quad) {
+                    bit = bit.wrapping_add(usize::from(step >> 1));
+                    *a += signed(weights[bit], step);
+                }
+            }
+            for (a, &step) in acc.iter_mut().zip(quads.remainder()) {
+                bit = bit.wrapping_add(usize::from(step >> 1));
+                *a += signed(weights[bit], step);
+            }
+        }
+        (acc[0] + acc[1]) + (acc[2] + acc[3])
+    }
+
+    /// Signed scatter of a scalar on row `i`: `out[j] += δ` for every
+    /// `j ∈ x∖r` and `out[j] −= δ` for every `j ∈ r∖x` (the update dual
+    /// of [`RelativeRows::weight_sum`]). Every differing bit makes one add
+    /// to a distinct element, and the sign flip is an exact negation, so
+    /// the result equals [`crate::reference::relative_scatter_add`] bit
+    /// for bit.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.n_rows()` or `out` is narrower than the rows.
+    // lint: index-ok (every listed bit is below the rows' width, which out covers)
+    pub fn scatter_add(&self, i: usize, delta: f64, out: &mut [f64]) {
+        self.for_each_bit(i, |bit, step| out[bit] += signed(delta, step));
+    }
+}
+
+impl fmt::Debug for RelativeRows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "RelativeRows {{ rows: {}, list_bytes: {} }}",
+            self.n_rows(),
+            self.steps.len()
+        )
+    }
+}
+
+/// `w`, negated by flipping its f64 sign bit when the step's reference
+/// bit (its low bit) is set.
+#[inline]
+fn signed(w: f64, step: u8) -> f64 {
+    f64::from_bits(w.to_bits() ^ (u64::from(step) << 63))
+}
+
+/// Calls `emit` with each step of `row`'s list against `reference`, in bit
+/// order.
+// lint: cast-ok (gap <= MAX_GAP after the skips, so gap << 1 | r_j fits a byte)
+fn for_each_step(row: &[u64], reference: &[u64], mut emit: impl FnMut(u8)) {
+    let mut last = usize::MAX;
+    for (w, (&x, &r)) in row.iter().zip(reference).enumerate() {
         let mut bits = x ^ r;
         while bits != 0 {
             let tz = bits.trailing_zeros() as usize;
-            chunk[tz] += f64::from_bits(delta ^ ((r >> tz) << 63));
+            let bit = w * WORD_BITS + tz;
+            let mut gap = bit.wrapping_sub(last);
+            while gap > MAX_GAP {
+                emit(SKIP);
+                gap -= MAX_GAP;
+            }
+            emit((gap << 1 | (r >> tz & 1) as usize) as u8);
+            last = bit;
             bits &= bits - 1;
         }
     }
@@ -977,13 +1114,18 @@ mod tests {
     fn relative_scatter_add_hits_exactly_the_differing_bits() {
         let hvs = random_stack(2, 130, 12);
         let m = BitMatrix::from_hypervectors(&hvs[..1]).unwrap();
+        let lists = RelativeRows::new(&m, &hvs[1]);
         let mut fast = vec![1.5f64; 130];
-        relative_scatter_add(m.row_words(0), hvs[1].words(), -0.25, &mut fast);
+        lists.scatter_add(0, -0.25, &mut fast);
         let mut naive = vec![1.5f64; 130];
         crate::reference::relative_scatter_add(&m, 0, &hvs[1], -0.25, &mut naive);
         for (c, (a, b)) in fast.iter().zip(&naive).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "column {c}");
         }
+        assert_eq!(
+            lists.list_bytes(),
+            hamming_words(m.row_words(0), hvs[1].words())
+        );
     }
 
     #[test]

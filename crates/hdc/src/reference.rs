@@ -195,9 +195,9 @@ pub fn masked_weight_sum(m: &BitMatrix, row: usize, weights: &[f64]) -> f64 {
 /// Per-bit signed sum of a [`BitMatrix`] row relative to a reference
 /// row: `+wⱼ` for every bit set in the row but not the reference, `−wⱼ`
 /// for every bit set in the reference but not the row, accumulated in
-/// naive left-to-right order. The word-level kernel uses four accumulator
-/// lanes, so parity tests against this oracle must allow a relative
-/// floating-point tolerance.
+/// naive left-to-right order. [`crate::bitmatrix::RelativeRows::weight_sum`]
+/// uses four accumulator lanes, so parity tests against this oracle must
+/// allow a relative floating-point tolerance.
 #[must_use]
 pub fn relative_weight_sum(
     m: &BitMatrix,
@@ -219,8 +219,8 @@ pub fn relative_weight_sum(
 /// Per-bit signed scatter oracle: `out[c] += delta` for every bit set in
 /// the [`BitMatrix`] row but not the reference, `out[c] -= delta` for
 /// every bit set in the reference but not the row. Each element takes at
-/// most one add in the kernel and the oracle alike, so parity tests may
-/// use bit equality.
+/// most one add in [`crate::bitmatrix::RelativeRows::scatter_add`] and the
+/// oracle alike, so parity tests may use bit equality.
 pub fn relative_scatter_add(
     m: &BitMatrix,
     row: usize,

@@ -2,8 +2,7 @@
 
 use hyperfex_hdc::binary::{BinaryHypervector, Dim};
 use hyperfex_hdc::bitmatrix::{
-    hamming_within, hamming_words, masked_weight_sum, popcount_dot, relative_scatter_add,
-    relative_weight_sum, BitMatrix,
+    hamming_within, hamming_words, masked_weight_sum, popcount_dot, BitMatrix, RelativeRows,
 };
 use hyperfex_hdc::bundle;
 use hyperfex_hdc::encoding::{CategoricalEncoder, LinearEncoder};
@@ -34,6 +33,44 @@ fn near_pair(dim: usize, flip_rate: u64, seed: u64) -> BitMatrix {
         }
     }
     BitMatrix::from_hypervectors(&[row, near]).unwrap()
+}
+
+/// The per-bit oracle's signed terms of a row against a reference, in bit
+/// order, folded the way `RelativeRows::weight_sum` folds them: the n-th
+/// term into lane `n mod 4`, the lanes summed `(0 + 1) + (2 + 3)`.
+fn lane_ordered_sum(
+    m: &BitMatrix,
+    row: usize,
+    reference: &BinaryHypervector,
+    weights: &[f64],
+) -> f64 {
+    let mut acc = [0.0f64; 4];
+    let mut n = 0;
+    for (c, &w) in weights.iter().enumerate() {
+        let term = match (m.get(row, c), reference.get(c)) {
+            (true, false) => w,
+            (false, true) => -w,
+            _ => continue,
+        };
+        acc[n % 4] += term;
+        n += 1;
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
+
+/// One list byte per differing bit, plus one skip byte per 127 bits of
+/// each gap past 127 (the first gap runs from bit −1).
+fn expected_list_bytes(m: &BitMatrix, row: usize, reference: &BinaryHypervector) -> usize {
+    let mut last: isize = -1;
+    let mut bytes = 0;
+    for c in 0..m.dim().get() {
+        if m.get(row, c) != reference.get(c) {
+            let gap = (c as isize - last) as usize;
+            bytes += 1 + (gap - 1) / 127;
+            last = c as isize;
+        }
+    }
+    bytes
 }
 
 proptest! {
@@ -201,10 +238,12 @@ proptest! {
         prop_assert_eq!(&grown, &packed);
     }
 
-    /// The reference-relative pair against its per-bit oracles: the signed
-    /// sum to a relative tolerance (four lanes reorder it), the signed
-    /// scatter bit for bit (one add per differing bit). The rows are a
-    /// random reference with about one bit in `flip_rate` flipped, the
+    /// Relative lists against their per-bit oracles: the signed sum bit
+    /// for bit against the oracle's terms folded in the kernel's lane order
+    /// (every packed SGD and logistic trajectory depends on that order),
+    /// and to a relative tolerance against the oracle's left-to-right sum;
+    /// the signed scatter bit for bit (one add per differing bit). The row
+    /// is a random reference with about one bit in `flip_rate` flipped, the
     /// shape of a level-encoded record near its cohort's majority row.
     #[test]
     fn relative_kernels_match_per_bit_oracles(
@@ -223,9 +262,14 @@ proptest! {
             }
         }
         let m = BitMatrix::from_hypervectors(&[near]).unwrap();
+        let lists = RelativeRows::new(&m, &reference_hv);
         let weights: Vec<f64> = (0..dim).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
 
-        let fast = relative_weight_sum(m.row_words(0), reference_hv.words(), &weights);
+        let fast = lists.weight_sum(0, &weights);
+        prop_assert_eq!(
+            fast.to_bits(),
+            lane_ordered_sum(&m, 0, &reference_hv, &weights).to_bits()
+        );
         let naive = reference::relative_weight_sum(&m, 0, &reference_hv, &weights);
         let magnitude: f64 = weights.iter().map(|w| w.abs()).sum();
         prop_assert!(
@@ -235,12 +279,76 @@ proptest! {
 
         let delta = rng.next_f64() - 0.5;
         let mut fast = weights.clone();
-        relative_scatter_add(m.row_words(0), reference_hv.words(), delta, &mut fast);
+        lists.scatter_add(0, delta, &mut fast);
         let mut naive = weights;
         reference::relative_scatter_add(&m, 0, &reference_hv, delta, &mut naive);
         for (c, (a, b)) in fast.iter().zip(&naive).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "column {}", c);
         }
+    }
+
+    /// Rows at the edges of the list format, at every tail width, listed
+    /// together so each row's list must start where the previous one
+    /// ends: a row equal to its reference (an empty list), its complement
+    /// (every bit differs), and sparse rows whose gaps run past the 127
+    /// bits one byte spans: random gaps, gaps of 130 bits down from the
+    /// last bit, and the last bit alone (a first differing bit past bit
+    /// 127 from 130 bits up).
+    /// Sums match the lane-ordered oracle bit for bit, scatters match the
+    /// oracle bit for bit, and each list holds one byte per differing bit
+    /// plus one per 127 bits of a gap.
+    #[test]
+    fn relative_lists_cover_empty_full_and_long_gap_rows(
+        seed in any::<u64>(),
+        dim_index in 0usize..TAIL_DIMS.len(),
+        max_gap in 1usize..400,
+    ) {
+        let dim = TAIL_DIMS[dim_index];
+        let d = Dim::new(dim);
+        let mut rng = SplitMix64::new(seed);
+        let reference_hv = BinaryHypervector::random(d, &mut rng);
+        let mut sparse = reference_hv.clone();
+        let mut bit = rng.next_bounded(max_gap as u64) as usize;
+        while bit < dim {
+            sparse.flip(bit);
+            bit += 1 + rng.next_bounded(max_gap as u64) as usize;
+        }
+        let mut strided = reference_hv.clone();
+        for bit in (0..dim).rev().step_by(130) {
+            strided.flip(bit);
+        }
+        let mut last = reference_hv.clone();
+        last.flip(dim - 1);
+        let rows = [
+            reference_hv.clone(),
+            reference_hv.complement(),
+            sparse,
+            strided,
+            last,
+        ];
+        let m = BitMatrix::from_hypervectors(&rows).unwrap();
+        let lists = RelativeRows::new(&m, &reference_hv);
+        prop_assert_eq!(lists.n_rows(), rows.len());
+        let weights: Vec<f64> = (0..dim).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
+        let delta = rng.next_f64() - 0.5;
+        let mut total = 0;
+        for i in 0..rows.len() {
+            prop_assert_eq!(
+                lists.weight_sum(i, &weights).to_bits(),
+                lane_ordered_sum(&m, i, &reference_hv, &weights).to_bits(),
+                "row {}", i
+            );
+            let mut fast = weights.clone();
+            lists.scatter_add(i, delta, &mut fast);
+            let mut naive = weights.clone();
+            reference::relative_scatter_add(&m, i, &reference_hv, delta, &mut naive);
+            for (c, (a, b)) in fast.iter().zip(&naive).enumerate() {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "row {} column {}", i, c);
+            }
+            total += expected_list_bytes(&m, i, &reference_hv);
+        }
+        prop_assert_eq!(lists.weight_sum(0, &weights).to_bits(), 0.0f64.to_bits());
+        prop_assert_eq!(lists.list_bytes(), total);
     }
 
     /// Against an all-zero reference the signed sum is the set-bit sum, in
@@ -256,18 +364,20 @@ proptest! {
         let row = BinaryHypervector::random(d, &mut rng);
         let weights: Vec<f64> = (0..d.get()).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
         let zero = BinaryHypervector::zeros(d);
+        let m = BitMatrix::from_hypervectors(std::slice::from_ref(&row)).unwrap();
         let set_bits = masked_weight_sum(row.words(), &weights);
         prop_assert_eq!(
-            relative_weight_sum(row.words(), zero.words(), &weights).to_bits(),
+            RelativeRows::new(&m, &zero).weight_sum(0, &weights).to_bits(),
             set_bits.to_bits()
         );
-        let m = BitMatrix::from_hypervectors(std::slice::from_ref(&row)).unwrap();
         let naive = reference::masked_weight_sum(&m, 0, &weights);
         let magnitude: f64 = weights.iter().map(|w| w.abs()).sum();
         prop_assert!((set_bits - naive).abs() <= 1e-10 * magnitude.max(1.0));
-        prop_assert_eq!(relative_weight_sum(row.words(), row.words(), &weights), 0.0);
+        let itself = RelativeRows::new(&m, &row);
+        prop_assert_eq!(itself.list_bytes(), 0);
+        prop_assert_eq!(itself.weight_sum(0, &weights), 0.0);
         let mut out = weights.clone();
-        relative_scatter_add(row.words(), row.words(), 0.5, &mut out);
+        itself.scatter_add(0, 0.5, &mut out);
         prop_assert_eq!(out, weights);
     }
 

@@ -12,7 +12,7 @@ use crate::linalg::Matrix;
 use crate::linear::{log_loss, sigmoid};
 use crate::preprocessing::StandardScaler;
 use crate::traits::{validate_fit_inputs, Estimator, Features, ProbabilisticEstimator};
-use hyperfex_hdc::bitmatrix::{masked_weight_sum, relative_weight_sum, BitMatrix};
+use hyperfex_hdc::bitmatrix::{masked_weight_sum, BitMatrix, RelativeRows};
 use hyperfex_hdc::BinaryHypervector;
 use serde::{Deserialize, Serialize};
 
@@ -184,18 +184,20 @@ fn dense_gradient(xs: &Matrix, y: &[usize], look: &[f64], bias: f64, grad: &mut 
 ///
 /// Both sums walk each row relative to the training rows' bitwise
 /// majority `r` (a level-encoded record differs from it in far fewer bits
-/// than it sets): `Σ_{set bits} vⱼ = v·r + relative_weight_sum(xᵢ, r, v)`
-/// with `v·r` formed once per iteration, and
-/// `Σᵢ errᵢ·xᵢⱼ = rⱼ·Σᵢ errᵢ ± Σ_{i: xᵢⱼ ≠ rⱼ} errᵢ` (minus where `rⱼ`
-/// is set), one gather over each feature's column of a one-time
-/// transpose of `X ⊕ r` (the bits never change across iterations). These
-/// sums round differently from the dense ones, so parity with the dense
-/// fit is close (≤1e-5 on logits) rather than bit-exact; the scaler
-/// statistics themselves are bit-identical.
-struct PackedGradient<'a> {
-    bits: &'a BitMatrix,
+/// than it sets), over structures built once per fit since the bits never
+/// change across iterations: `Σ_{set bits} vⱼ = v·r + Σ_{xᵢ∖r} vⱼ −
+/// Σ_{r∖xᵢ} vⱼ`, with `v·r` formed once per iteration and the rest walked
+/// over each row's list of differing bits ([`RelativeRows::weight_sum`]),
+/// and `Σᵢ errᵢ·xᵢⱼ = rⱼ·Σᵢ errᵢ ± Σ_{i: xᵢⱼ ≠ rⱼ} errᵢ` (minus where `rⱼ`
+/// is set), one gather over each feature's column of a transpose of
+/// `X ⊕ r`. These sums round differently from the dense ones, so parity
+/// with the dense fit is close (≤1e-5 on logits) rather than bit-exact;
+/// the scaler statistics themselves are bit-identical.
+struct PackedGradient {
     /// The training rows' bitwise majority `r`.
     reference: BinaryHypervector,
+    /// Each row's bits that differ from `r`.
+    lists: RelativeRows,
     /// Feature-major transpose of `X ⊕ r`: row `j` marks the samples whose
     /// bit `j` differs from `rⱼ`.
     diff_cols: BitMatrix,
@@ -207,8 +209,8 @@ struct PackedGradient<'a> {
     err: Vec<f64>,
 }
 
-impl<'a> PackedGradient<'a> {
-    fn new(bits: &'a BitMatrix, scaler: &StandardScaler) -> Result<Self, MlError> {
+impl PackedGradient {
+    fn new(bits: &BitMatrix, scaler: &StandardScaler) -> Result<Self, MlError> {
         let reference = bits.majority_row().map_err(|_| MlError::EmptyTrainingSet)?;
         let mut diff = bits.raw_words().to_vec();
         for row in diff.chunks_mut(bits.words_per_row()) {
@@ -220,7 +222,7 @@ impl<'a> PackedGradient<'a> {
             .and_then(|diff| diff.transpose())
             .map_err(|_| MlError::EmptyTrainingSet)?;
         Ok(Self {
-            bits,
+            lists: RelativeRows::new(bits, &reference),
             reference,
             diff_cols,
             means: scaler.means().to_vec(),
@@ -241,11 +243,10 @@ impl<'a> PackedGradient<'a> {
             *vj = l * is;
             offset += *vj * m;
         }
-        let reference = self.reference.words();
-        let base = bias - offset + masked_weight_sum(reference, &self.v);
+        let base = bias - offset + masked_weight_sum(self.reference.words(), &self.v);
         let mut err_sum = 0.0f64;
         for ((e, &yi), i) in self.err.iter_mut().zip(y).zip(0..) {
-            let z = base + relative_weight_sum(self.bits.row_words(i), reference, &self.v);
+            let z = base + self.lists.weight_sum(i, &self.v);
             *e = sigmoid(z) - yi as f64;
             err_sum += *e;
         }

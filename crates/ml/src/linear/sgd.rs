@@ -13,9 +13,7 @@ use crate::linear::sigmoid;
 use crate::traits::{
     validate_fit_inputs, validate_partial_fit_inputs, Estimator, Features, ProbabilisticEstimator,
 };
-use hyperfex_hdc::bitmatrix::{
-    masked_weight_sum, popcount_dot, relative_scatter_add, relative_weight_sum, BitMatrix,
-};
+use hyperfex_hdc::bitmatrix::{masked_weight_sum, popcount_dot, BitMatrix, RelativeRows};
 use hyperfex_hdc::BinaryHypervector;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -68,10 +66,11 @@ impl Default for SgdParams {
 /// a lazy L2 scale ([`Relative`]): the per-step decay — O(p) multiplies per
 /// sample on dense rows, the dominant cost — becomes one multiply, and the
 /// logit and the update walk only the bits where a row differs from `r`,
-/// which for level-encoded records is a fraction of the bits they set. The
-/// factored products round differently from the dense elementwise ones,
-/// so packed/dense parity is close (≤1e-5 on decision values for matched
-/// trajectories) rather than bit-exact.
+/// which for level-encoded records is a fraction of the bits they set.
+/// Those bits are listed once per pass ([`RelativeRows`]), so the epochs
+/// read the lists, not the rows. The factored products round differently
+/// from the dense elementwise ones, so packed/dense parity is close (≤1e-5
+/// on decision values for matched trajectories) rather than bit-exact.
 trait SgdRows {
     /// The weights as the kernel keeps them while training.
     type Weights;
@@ -124,14 +123,16 @@ impl SgdRows for Matrix {
 ///
 /// With `S = u·r`, a row's dot product is
 /// `scale·(α·|x ∧ r| + S + Σ_{x∖r} u − Σ_{r∖x} u)`
-/// ([`relative_weight_sum`]), and the step `w += δ'·x` (with
+/// ([`RelativeRows::weight_sum`]), and the step `w += δ'·x` (with
 /// `δ = δ'/scale`) is `α += δ`, `u += δ` on `x∖r` and `u −= δ` on `r∖x`
-/// ([`relative_scatter_add`]), and `S −= δ·|r∖x|`. `S` is updated
+/// ([`RelativeRows::scatter_add`]), and `S −= δ·|r∖x|`. `S` is updated
 /// incrementally and recomputed from `u` after every epoch, which bounds
 /// its drift.
 struct Relative {
     /// The bitwise majority of the rows in training.
     reference: BinaryHypervector,
+    /// Each row's bits that differ from `reference`, listed once per pass.
+    lists: RelativeRows,
     /// `|r|`.
     reference_ones: f64,
     /// `|x_i ∧ r|` per row.
@@ -158,6 +159,7 @@ impl SgdRows for BitMatrix {
         let s = masked_weight_sum(reference.words(), &u);
         Relative {
             reference_ones: reference.count_ones() as f64,
+            lists: RelativeRows::new(self, &reference),
             reference,
             overlap,
             alpha: 0.0,
@@ -179,7 +181,7 @@ impl SgdRows for BitMatrix {
 
     #[inline]
     fn decision(&self, w: &Relative, i: usize, bias: f64) -> f64 {
-        let diff = relative_weight_sum(self.row_words(i), w.reference.words(), &w.u);
+        let diff = w.lists.weight_sum(i, &w.u);
         bias + w.scale * (w.alpha * w.overlap[i] + w.s + diff)
     }
 
@@ -189,7 +191,7 @@ impl SgdRows for BitMatrix {
         if dloss != 0.0 {
             let delta = -eta * dloss / w.scale;
             w.alpha += delta;
-            relative_scatter_add(self.row_words(i), w.reference.words(), delta, &mut w.u);
+            w.lists.scatter_add(i, delta, &mut w.u);
             w.s -= delta * (w.reference_ones - w.overlap[i]);
         }
         // Fold the scale back in before it underflows.
