@@ -38,11 +38,17 @@ impl HybridClassifier {
     /// The design matrix stays in packed form: estimators with a popcount
     /// fast path (KNN, linear models, SVC, decision tree) train on the
     /// bits directly; the rest densify once behind [`Estimator::fit_features`].
+    ///
+    /// The new encoder replaces the old one only once the model has fitted,
+    /// so a refit that fails (for example on single-class rows) leaves a
+    /// fitted model encoding records as it was trained.
     pub fn fit(&mut self, table: &Table, train_rows: &[usize]) -> Result<(), HyperfexError> {
-        self.extractor.fit(table, Some(train_rows))?;
-        let bits = self.packed_features(table, train_rows)?;
+        let mut extractor = self.extractor.clone();
+        extractor.fit(table, Some(train_rows))?;
+        let bits = pack(&extractor, table, train_rows)?;
         let y: Vec<usize> = train_rows.iter().map(|&i| table.labels()[i]).collect();
         self.model.fit_features(&Features::Packed(&bits), &y)?;
+        self.extractor = extractor;
         self.fitted = true;
         Ok(())
     }
@@ -102,8 +108,7 @@ impl HybridClassifier {
         table: &Table,
         rows: &[usize],
     ) -> Result<BitMatrix, HyperfexError> {
-        let hvs = self.extractor.transform(table, Some(rows))?;
-        HdcFeatureExtractor::to_bit_matrix(&hvs)
+        pack(&self.extractor, table, rows)
     }
 
     /// Clinician-facing permutation importance of the *original* clinical
@@ -167,6 +172,16 @@ impl HybridClassifier {
         }
         Ok(out)
     }
+}
+
+/// The selected rows encoded by `extractor`, packed.
+fn pack(
+    extractor: &HdcFeatureExtractor,
+    table: &Table,
+    rows: &[usize],
+) -> Result<BitMatrix, HyperfexError> {
+    let hvs = extractor.transform(table, Some(rows))?;
+    HdcFeatureExtractor::to_bit_matrix(&hvs)
 }
 
 impl std::fmt::Debug for HybridClassifier {
@@ -275,6 +290,31 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_failed_refit_keeps_the_encoder_the_model_was_trained_with() {
+        let table = cohort();
+        let (train, test) = split(&table);
+        let mut hybrid = HybridClassifier::new(
+            Dim::new(1_000),
+            3,
+            Box::new(SgdClassifier::new(SgdParams::default())),
+        );
+        hybrid.fit(&table, &train).unwrap();
+        let features = hybrid.features(&table, &test).unwrap();
+        let predictions = hybrid.predict(&table, &test).unwrap();
+        // The generator emits positives first, so these rows are one class,
+        // and their ranges differ from the training rows'.
+        let positives: Vec<usize> = (0..10).collect();
+        assert!(positives.iter().all(|&i| table.labels()[i] == 1));
+        let err = hybrid.fit(&table, &positives).unwrap_err();
+        assert!(
+            matches!(err, HyperfexError::Ml(MlError::SingleClass)),
+            "{err}"
+        );
+        assert_eq!(hybrid.features(&table, &test).unwrap(), features);
+        assert_eq!(hybrid.predict(&table, &test).unwrap(), predictions);
     }
 
     #[test]
