@@ -328,8 +328,8 @@ impl BitMatrix {
     /// Returns [`HdcError::EmptyInput`] for a matrix with no rows.
     pub fn majority_row(&self) -> Result<BinaryHypervector, HdcError> {
         let mut bundler = Bundler::new(self.dim);
-        for r in 0..self.n_rows {
-            bundler.push(&self.row_hypervector(r))?;
+        for row in self.words.chunks_exact(self.dim.words()) {
+            bundler.push_words(row, 1)?;
         }
         bundler.finish()
     }

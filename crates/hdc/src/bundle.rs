@@ -16,11 +16,15 @@
 //!   ([`crate::classify::ClassAccumulators`]).
 //!
 //! The accumulator stores its counters *bit-sliced*: plane `p` packs bit
-//! `p` of all `d` counters into `⌈d/64⌉` words, so adding one hypervector
-//! is a word-wide ripple-carry add over `O(log total)` planes rather than
-//! one scalar increment per set bit, and the majority threshold in
-//! [`Bundler::finish`] is a word-wide borrow-chain comparison deciding 64
-//! bits per step.
+//! `p` of all `d` counters into `⌈d/64⌉` words. No counter exceeds the
+//! vote total, so `bit_length(total)` planes hold every count, and adding
+//! one hypervector is a word-wide ripple-carry add through each of them
+//! with no branch on the data, rather than one scalar increment per set
+//! bit. The majority threshold in [`Bundler::finish`] is a word-wide
+//! borrow-chain comparison deciding 64 bits per step. This is the one
+//! per-bit vote counter: record encoding, [`crate::stream::BundlerSink`],
+//! [`crate::bitmatrix::BitMatrix::majority_row`] and the batched class
+//! counts of [`crate::classify::ClassAccumulators::add_batch`] all run it.
 
 use crate::binary::{debug_assert_tail_invariant, BinaryHypervector, Dim};
 use crate::error::HdcError;
@@ -43,8 +47,8 @@ pub fn try_majority(inputs: &[BinaryHypervector]) -> Result<BinaryHypervector, H
 /// Weighted majority bundling: each input contributes `weight` votes.
 ///
 /// Equivalent to repeating each input `weight` times in [`try_majority`].
-/// Used by retraining-based centroid classifiers to emphasise misclassified
-/// examples.
+/// Errors on an empty slice, mismatched dimensionalities or a weight total
+/// past `u32::MAX` ([`HdcError::VoteOverflow`]).
 pub fn try_weighted_majority(
     inputs: &[(BinaryHypervector, u32)],
 ) -> Result<BinaryHypervector, HdcError> {
@@ -59,15 +63,20 @@ pub fn try_weighted_majority(
 /// A streaming majority-vote accumulator with bit-sliced counters.
 ///
 /// Plane `p` holds bit `p` of every per-bit vote counter, 64 counters per
-/// word. Planes are allocated on demand as counts grow, so memory is
-/// `⌈log₂(total+1)⌉ · d/8` bytes (four planes ≈ 5 KB at the paper's 10k
-/// dimensionality for a typical 8-feature record, vs 40 KB for `u32`
-/// counters) and the accumulator is reusable via [`Bundler::clear`].
+/// word, and there are `bit_length(total)` planes: enough for the largest
+/// count, since no counter exceeds the vote total. Memory is that many
+/// planes plus one carry plane, `d/8` bytes each (five in all ≈ 6 KB at
+/// the paper's 10k dimensionality for an 8-feature record, vs 40 KB for
+/// `u32` counters), and the accumulator is reusable via [`Bundler::clear`].
 #[derive(Debug, Clone)]
 pub struct Bundler {
     dim: Dim,
-    /// `planes[p][w]` packs bit `p` of counters `64·w .. 64·w + 64`.
-    planes: Vec<Vec<u64>>,
+    /// The planes back to back: plane `p` is the `p`-th run of
+    /// `dim.words()` words, and its word `w` packs bit `p` of counters
+    /// `64·w .. 64·w + 64`.
+    planes: Vec<u64>,
+    /// The carries one push ripples from each plane into the next.
+    carry: Vec<u64>,
     total: u32,
 }
 
@@ -78,6 +87,7 @@ impl Bundler {
         Self {
             dim,
             planes: Vec::new(),
+            carry: Vec::new(),
             total: 0,
         }
     }
@@ -101,10 +111,15 @@ impl Bundler {
 
     /// Adds `weight` votes from `hv`.
     ///
-    /// The weight is decomposed into its binary digits: for each set bit
-    /// `b` of `weight`, the input's packed words are ripple-carry-added
-    /// into the counter planes starting at plane `b`, updating 64 counters
-    /// per word operation.
+    /// The planes first grow to `bit_length(total + weight)`, which holds
+    /// every count after the add. Then, for each set bit `b` of `weight`,
+    /// the input's packed words are ripple-carry-added into every plane
+    /// from `b` up, 64 counters per word operation. The ripple runs through
+    /// every plane whatever the carries: none leaves the top plane, as that
+    /// would take a count above the total.
+    ///
+    /// Returns [`HdcError::VoteOverflow`], with nothing changed, if the
+    /// total would pass `u32::MAX`.
     pub fn push_weighted(&mut self, hv: &BinaryHypervector, weight: u32) -> Result<(), HdcError> {
         if hv.dim() != self.dim {
             return Err(HdcError::DimensionMismatch {
@@ -112,75 +127,74 @@ impl Bundler {
                 right: hv.dim().get(),
             });
         }
-        if weight == 0 {
-            return Ok(());
-        }
+        self.push_words(hv.words(), weight)
+    }
+
+    /// [`Bundler::push_weighted`] over the packed words of a `dim`-bit
+    /// input, for callers that hold rows as words.
+    pub(crate) fn push_words(&mut self, words: &[u64], weight: u32) -> Result<(), HdcError> {
+        debug_assert_eq!(words.len(), self.dim.words(), "one input row");
+        let total = self
+            .total
+            .checked_add(weight)
+            .ok_or(HdcError::VoteOverflow {
+                votes: u64::from(self.total) + u64::from(weight),
+                limit: u64::from(u32::MAX),
+            })?;
         let n_words = self.dim.words();
-        let mut w = weight;
-        let mut base = 0usize;
-        while w != 0 {
-            if w & 1 == 1 {
-                self.add_plane(hv.words(), base, n_words);
+        // lint: cast-ok (32 - leading_zeros is a u32 in 0..=32 widening to usize)
+        let n_planes = (u32::BITS - total.leading_zeros()) as usize;
+        self.planes.resize(n_planes * n_words, 0);
+        let mut rest = weight;
+        while rest != 0 {
+            // lint: cast-ok (trailing_zeros of a non-zero u32 is below 32)
+            let base = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            self.carry.clear();
+            self.carry.extend_from_slice(words);
+            for plane in self.planes.chunks_exact_mut(n_words).skip(base) {
+                for (count, carry) in plane.iter_mut().zip(&mut self.carry) {
+                    let old = *count;
+                    *count = old ^ *carry;
+                    *carry &= old;
+                }
             }
-            w >>= 1;
-            base += 1;
         }
-        self.total += weight;
+        self.total = total;
         Ok(())
     }
 
-    /// Ripple-carry adds `src` (one vote per set bit) into the counter
-    /// planes, starting at plane `base`. New planes are allocated only when
-    /// a carry actually propagates past the current top plane.
-    // lint: index-ok (the while loop grows planes past p first; widx enumerates src, and every plane holds n_words words)
-    fn add_plane(&mut self, src: &[u64], base: usize, n_words: usize) {
-        for (widx, &word) in src.iter().enumerate() {
-            let mut carry = word;
-            let mut p = base;
-            while carry != 0 {
-                while self.planes.len() <= p {
-                    self.planes.push(vec![0u64; n_words]);
-                }
-                let old = self.planes[p][widx];
-                self.planes[p][widx] = old ^ carry;
-                carry &= old;
-                p += 1;
-            }
-        }
+    /// The counter planes from bit 0 up, `dim.words()` words each.
+    pub(crate) fn planes(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.planes.chunks_exact(self.dim.words())
     }
 
     /// Produces the majority vector. Ties (possible only for an even number
     /// of votes) resolve to 1, per the paper.
     ///
     /// The threshold test `2·count ≥ total` (⇔ `count ≥ ⌈total/2⌉`) runs as
-    /// a bit-sliced borrow chain of `count − ⌈total/2⌉` over the planes: a
-    /// surviving borrow means the count fell short, so the majority word is
-    /// the complement of the borrow word.
+    /// a bit-sliced borrow chain of `count − ⌈total/2⌉` over the planes,
+    /// which also cover every bit of `⌈total/2⌉ ≤ total`: a surviving
+    /// borrow means the count fell short, so the majority word is the
+    /// complement of the borrow word.
     ///
     /// Returns [`HdcError::EmptyInput`] if no votes were accumulated.
-    // lint: index-ok (widx ranges over dim.words(); every plane is allocated with that word count)
     pub fn finish(&self) -> Result<BinaryHypervector, HdcError> {
         if self.total == 0 {
             return Err(HdcError::EmptyInput);
         }
         crate::obs::counter_add("hdc/bundles_finished", 1);
-        let threshold = u64::from(self.total.div_ceil(2));
-        // lint: cast-ok (64 - leading_zeros is a u32 in 0..=64 widening to usize)
-        let t_bits = (64 - threshold.leading_zeros()) as usize;
-        let max_p = self.planes.len().max(t_bits);
+        let threshold = self.total.div_ceil(2);
+        // The output words carry the borrows from plane to plane.
         let mut out = BinaryHypervector::zeros(self.dim);
-        for widx in 0..self.dim.words() {
-            let mut borrow = 0u64;
-            for p in 0..max_p {
-                let a = self.planes.get(p).map_or(0, |plane| plane[widx]);
-                let t = if (threshold >> p) & 1 == 1 {
-                    u64::MAX
-                } else {
-                    0
-                };
-                borrow = (!a & (t | borrow)) | (t & borrow);
+        for (p, plane) in self.planes().enumerate() {
+            let t = 0u64.wrapping_sub(u64::from(threshold >> p & 1));
+            for (borrow, &a) in out.words_mut().iter_mut().zip(plane) {
+                *borrow = (!a & (t | *borrow)) | (t & *borrow);
             }
-            out.words_mut()[widx] = !borrow;
+        }
+        for word in out.words_mut() {
+            *word = !*word;
         }
         let mask = self.dim.tail_mask();
         if let Some(last) = out.words_mut().last_mut() {
@@ -192,9 +206,7 @@ impl Bundler {
 
     /// Resets the accumulator without releasing its allocations.
     pub fn clear(&mut self) {
-        for plane in &mut self.planes {
-            plane.fill(0);
-        }
+        self.planes.clear();
         self.total = 0;
     }
 }
@@ -328,6 +340,28 @@ mod tests {
         acc.clear();
         assert_eq!(acc.votes(), 0);
         assert_eq!(acc.finish(), Err(HdcError::EmptyInput));
+    }
+
+    #[test]
+    fn a_vote_total_past_u32_max_is_an_error_that_changes_nothing() {
+        let ones = BinaryHypervector::ones(dim());
+        let zeros = BinaryHypervector::zeros(dim());
+        let overflow = HdcError::VoteOverflow {
+            votes: 1 << 32,
+            limit: u64::from(u32::MAX),
+        };
+        assert_eq!(
+            try_weighted_majority(&[(ones.clone(), u32::MAX), (zeros.clone(), 1)]),
+            Err(overflow.clone())
+        );
+        let mut acc = Bundler::new(dim());
+        acc.push_weighted(&ones, u32::MAX).unwrap();
+        assert_eq!(acc.push(&zeros), Err(overflow));
+        assert_eq!(acc.votes(), u32::MAX);
+        assert_eq!(acc.finish().unwrap(), ones);
+        // A zero weight adds nothing, so it cannot overflow.
+        acc.push_weighted(&zeros, 0).unwrap();
+        assert_eq!(acc.finish().unwrap(), ones);
     }
 
     #[test]

@@ -14,14 +14,21 @@
 //! incoming hypervector's *set* bits — a branch-free masked add, eight
 //! counters per byte of packed words — plus a single scalar total.
 //!
+//! A batch of records with weight +1 ([`ClassAccumulators::add_batch`])
+//! is counted first, per class, in the bit-sliced planes of a
+//! [`Bundler`]: a word-wide ripple per record. Plane `p` then adds into
+//! the counters with weight `2^p`, so the masked add runs once per plane,
+//! `bit_length(records in the class)` times, instead of once per record.
+//!
 //! Requantising a class is the other cost: `quantize_into` packs 64
-//! threshold compares into each prototype word, and
-//! [`ClassAccumulators::add_batch`] requantises each touched class once
-//! per batch instead of once per record.
+//! threshold compares into each prototype word, and `add_batch`
+//! requantises each touched class once per batch instead of once per
+//! record.
 
 use std::borrow::Borrow;
 
 use crate::binary::{debug_assert_tail_invariant, BinaryHypervector, Dim, WORD_BITS};
+use crate::bundle::Bundler;
 use crate::error::HdcError;
 
 /// Quantises per-bit counts against a class total into `proto`, in place:
@@ -62,13 +69,13 @@ const fn build_bit_masks() -> [[i32; 8]; 256] {
     table
 }
 
-/// Adds `weight` to `ones[i]` for every set bit `i` of `hv`. Each byte of
-/// the packed words selects a row of eight lane masks, so the update is a
-/// branch-free masked add over the counters, eight at a time, whatever the
-/// hypervector's density.
-fn scatter(ones: &mut [i32], hv: &BinaryHypervector, weight: i32) {
+/// Adds `weight` to `ones[i]` for every set bit `i` of the packed `words`
+/// (a hypervector, or one counter plane). Each byte of the words selects a
+/// row of eight lane masks, so the update is a branch-free masked add over
+/// the counters, eight at a time, whatever the density.
+fn scatter(ones: &mut [i32], words: &[u64], weight: i32) {
     let mut lanes = ones.chunks_exact_mut(8);
-    let mut bytes = hv.words().iter().flat_map(|w| w.to_le_bytes());
+    let mut bytes = words.iter().flat_map(|w| w.to_le_bytes());
     for (lane, byte) in (&mut lanes).zip(&mut bytes) {
         add_masked(lane, byte, weight);
     }
@@ -171,7 +178,7 @@ impl ClassAccumulators {
         let Some(ones) = self.ones.get_mut(class) else {
             return;
         };
-        scatter(ones, hv, weight);
+        scatter(ones, hv.words(), weight);
         if let Some(total) = self.totals.get_mut(class) {
             *total += weight;
         }
@@ -181,11 +188,15 @@ impl ClassAccumulators {
     /// Adds every record to the class its label names, with weight +1,
     /// then requantises each touched class once. The result equals one
     /// [`ClassAccumulators::grow`] + [`ClassAccumulators::add`] per
-    /// record, without a whole-prototype requantise per record.
+    /// record, without a masked add or a whole-prototype requantise per
+    /// record: each class's records are counted in a [`Bundler`] first,
+    /// and its planes are added with weights `1, 2, 4, …`.
     ///
-    /// All-or-nothing: the label count and every record's dimensionality
-    /// are checked before the first count changes, so an error leaves the
-    /// accumulators untouched. Classes grow to cover the largest label.
+    /// All-or-nothing: the label count, every record's dimensionality and
+    /// each class's record count (at most `i32::MAX`, else
+    /// [`HdcError::VoteOverflow`]) are checked before the first count
+    /// changes, so an error leaves the accumulators untouched. Classes grow
+    /// to cover the largest label.
     pub fn add_batch<R: Borrow<BinaryHypervector>>(
         &mut self,
         records: &[R],
@@ -203,20 +214,36 @@ impl ClassAccumulators {
         let Some(&max_label) = labels.iter().max() else {
             return Ok(());
         };
-        self.grow(max_label);
-        let mut touched = vec![false; self.ones.len()];
+        let mut counts = vec![Bundler::new(self.dim); max_label + 1];
         for (hv, &label) in records.iter().zip(labels) {
-            if let (Some(ones), Some(total), Some(flag)) = (
-                self.ones.get_mut(label),
-                self.totals.get_mut(label),
-                touched.get_mut(label),
-            ) {
-                scatter(ones, hv.borrow(), 1);
-                *total += 1;
-                *flag = true;
+            if let Some(count) = counts.get_mut(label) {
+                count.push_words(hv.borrow().words(), 1)?;
             }
         }
-        for (class, _) in touched.iter().enumerate().filter(|(_, &hit)| hit) {
+        let votes = counts
+            .iter()
+            .map(|count| {
+                i32::try_from(count.votes()).map_err(|_| HdcError::VoteOverflow {
+                    votes: u64::from(count.votes()),
+                    limit: u64::from(i32::MAX.unsigned_abs()),
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        self.grow(max_label);
+        for (class, (count, &n)) in counts.iter().zip(&votes).enumerate() {
+            if n == 0 {
+                continue;
+            }
+            if let (Some(ones), Some(total)) =
+                (self.ones.get_mut(class), self.totals.get_mut(class))
+            {
+                // Plane p holds bit p of each count; a count below 2^31
+                // has planes 0..=30, so 2^p fits an i32.
+                for (p, plane) in count.planes().enumerate() {
+                    scatter(ones, plane, 1 << p);
+                }
+                *total += n;
+            }
             self.requantize_class(class);
         }
         Ok(())
@@ -419,7 +446,7 @@ mod tests {
             for weight in [1, -3, 1 << 20] {
                 let hv = BinaryHypervector::random(d, &mut rng);
                 let mut ones = start.clone();
-                scatter(&mut ones, &hv, weight);
+                scatter(&mut ones, hv.words(), weight);
                 let expected: Vec<i32> = start
                     .iter()
                     .enumerate()

@@ -53,6 +53,13 @@ pub enum HdcError {
         /// Number of labels.
         labels: usize,
     },
+    /// A vote count would pass the largest value its counter holds.
+    VoteOverflow {
+        /// The count the rejected votes would have reached.
+        votes: u64,
+        /// The largest count the counter holds.
+        limit: u64,
+    },
     /// A component was configured with an invalid parameter.
     InvalidConfig(String),
     /// A fault-injection failpoint forced this operation to fail. Only
@@ -91,6 +98,9 @@ impl fmt::Display for HdcError {
             Self::NotFitted => write!(f, "classifier has not been fitted"),
             Self::LabelLengthMismatch { samples, labels } => {
                 write!(f, "{samples} samples but {labels} labels")
+            }
+            Self::VoteOverflow { votes, limit } => {
+                write!(f, "{votes} votes pass the counter's limit of {limit}")
             }
             Self::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Self::Injected { point } => {

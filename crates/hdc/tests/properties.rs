@@ -381,6 +381,53 @@ proptest! {
         prop_assert_eq!(out, weights);
     }
 
+    /// `Bundler` equals the per-bit weighted majority oracle after every
+    /// push as its vote total crosses each power of two up to 2^8, where it
+    /// adds a counter plane: a weighted push to one below the power, then
+    /// one vote onto it. Weighted pushes (weights 0 to 299) follow, and
+    /// the same pushes again after `clear`, from a larger total to a
+    /// smaller one.
+    #[test]
+    fn bundler_matches_weighted_majority_across_plane_counts(
+        seed in any::<u64>(),
+        dim_index in 0usize..TAIL_DIMS.len(),
+        weights in prop::collection::vec(0u32..300, 0..6),
+    ) {
+        let d = Dim::new(TAIL_DIMS[dim_index]);
+        let mut rng = SplitMix64::new(seed);
+        let mut bundler = bundle::Bundler::new(d);
+        let mut inputs: Vec<(BinaryHypervector, u32)> = Vec::new();
+        let mut pushes: Vec<u32> = (0..=8u32)
+            .flat_map(|k| [(1u32 << k) - 1 - (1u32 << k >> 1), 1])
+            .collect();
+        pushes.extend(&weights);
+        for (i, &weight) in pushes.iter().enumerate() {
+            let hv = BinaryHypervector::random(d, &mut rng);
+            if weight == 1 {
+                bundler.push(&hv).unwrap();
+            } else {
+                bundler.push_weighted(&hv, weight).unwrap();
+            }
+            inputs.push((hv, weight));
+            prop_assert_eq!(
+                bundler.finish(),
+                reference::weighted_majority(&inputs),
+                "push {}, total {}", i, bundler.votes()
+            );
+        }
+        let larger = bundler.votes();
+        prop_assert!(larger >= 256);
+        bundler.clear();
+        let reused: Vec<_> = inputs.split_off(18);
+        inputs.clear();
+        for (hv, weight) in reused {
+            bundler.push_weighted(&hv, weight).unwrap();
+            inputs.push((hv, weight));
+            prop_assert_eq!(bundler.finish(), reference::weighted_majority(&inputs));
+        }
+        prop_assert!(bundler.votes() < larger);
+    }
+
     /// `BitMatrix::majority_row` is the bundle of the rows as
     /// hypervectors and their per-bit majority, ties to 1. Even row counts
     /// with complement pairs force ties.

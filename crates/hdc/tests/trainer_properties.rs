@@ -197,9 +197,9 @@ proptest! {
     fn add_batch_over_any_split_equals_per_record_add(
         seed in any::<u64>(),
         dim_index in 0usize..TAIL_DIMS.len(),
-        n in 0usize..40,
+        n in 0usize..300,
         classes in 1u64..5,
-        cuts in prop::collection::vec(0usize..40, 0..5),
+        cuts in prop::collection::vec(0usize..300, 0..5),
     ) {
         let dim = TAIL_DIMS[dim_index];
         let d = Dim::new(dim);
