@@ -20,9 +20,12 @@
 //!   stream replaces.
 //!
 //! Both must land bit-identical class accumulators (checked every run).
-//! `--gate` additionally enforces the PR's perf acceptance: streaming
-//! peak memory flat within ±10% across scales while batch grows, and
-//! streaming throughput at least 0.8× batch.
+//! Each scale times the two lanes alternately, [`ROUNDS`] times each, and
+//! reports each lane's median wall time and the median of the per-round
+//! batch/streaming time ratios, so one noisy run cannot decide a ratio.
+//! `--gate` additionally enforces the streaming pipeline's perf
+//! acceptance: streaming peak memory flat within ±10% across scales while
+//! batch grows, and a median streaming throughput at least 0.8× batch.
 //!
 //! Flags: `--quick` (20k/100k records at 1k bits instead of 100k/1M at
 //! 2k bits), `--seed N`, `--gate`, `--out PATH` (default: stdout).
@@ -53,8 +56,14 @@ struct Scale {
     records: usize,
     streaming: Lane,
     batch: Lane,
+    /// The median of `throughput_ratios`, which `--gate` checks.
     throughput_ratio: f64,
+    /// Batch over streaming wall time, one per round.
+    throughput_ratios: Vec<f64>,
 }
+
+/// Rounds per scale: each times the streaming lane, then the batch lane.
+const ROUNDS: usize = 5;
 
 #[derive(Debug, Serialize)]
 struct StreamBenchReport {
@@ -87,13 +96,21 @@ fn generate(rng: &mut SplitMix64, i: usize, values: &mut Vec<f64>) -> usize {
     i % 2
 }
 
-fn run_scale(
+/// The middle value of `values` (the upper one of an even count).
+fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted.get(sorted.len() / 2).copied().unwrap_or(0.0)
+}
+
+/// Streaming lane: records are generated, encoded, and absorbed one
+/// micro-batch at a time; nothing is retained but the accumulators.
+/// Returns the wall time, the peak resident bytes and the accumulators.
+fn stream_lane(
     encoder: &RecordEncoder,
     n: usize,
     seed: u64,
-) -> Result<(Scale, ClassAccumulators, ClassAccumulators), HdcError> {
-    // Streaming lane: records are generated, encoded, and absorbed one
-    // micro-batch at a time; nothing is retained but the accumulators.
+) -> Result<(f64, u64, ClassAccumulators), HdcError> {
     obs::reset();
     let mut rng = SplitMix64::new(seed);
     let mut produced = 0usize;
@@ -108,12 +125,18 @@ fn run_scale(
     let mut sink = ClassAccumulatorSink::new(encoder.dim());
     let start = Instant::now();
     StreamEncoder::new(encoder).encode_stream(&mut stream, &mut sink)?;
-    let stream_secs = start.elapsed().as_secs_f64();
-    let stream_peak = obs::gauge_value("hdc/stream_peak_bytes");
-    let streamed = sink.into_accumulators();
+    let secs = start.elapsed().as_secs_f64();
+    let peak = obs::gauge_value("hdc/stream_peak_bytes");
+    Ok((secs, peak, sink.into_accumulators()))
+}
 
-    // Batch lane: materialize everything, then encode, then accumulate —
-    // the replaced pipeline shape.
+/// Batch lane: materialize everything, then encode, then accumulate —
+/// the replaced pipeline shape. Returns what [`stream_lane`] does.
+fn batch_lane(
+    encoder: &RecordEncoder,
+    n: usize,
+    seed: u64,
+) -> Result<(f64, u64, ClassAccumulators), HdcError> {
     obs::reset();
     let mut rng = SplitMix64::new(seed);
     let start = Instant::now();
@@ -130,24 +153,59 @@ fn run_scale(
         batched.grow(label);
         batched.add(label, hv, 1);
     }
-    let batch_secs = start.elapsed().as_secs_f64();
-    let batch_peak = obs::gauge_value("hdc/batch_peak_bytes");
+    let secs = start.elapsed().as_secs_f64();
+    let peak = obs::gauge_value("hdc/batch_peak_bytes");
+    Ok((secs, peak, batched))
+}
 
+/// The streaming pipeline is a restructuring, not an approximation: its
+/// accumulators must be bit-identical to batch.
+fn assert_identical(streamed: &ClassAccumulators, batched: &ClassAccumulators, n: usize) {
+    assert_eq!(
+        streamed.n_classes(),
+        batched.n_classes(),
+        "class counts diverged at scale {n}"
+    );
+    for c in 0..streamed.n_classes() {
+        assert_eq!(
+            streamed.prototype(c),
+            batched.prototype(c),
+            "streaming and batch prototypes diverged for class {c} at scale {n}"
+        );
+    }
+}
+
+fn run_scale(encoder: &RecordEncoder, n: usize, seed: u64) -> Result<Scale, HdcError> {
+    let mut stream_secs = Vec::with_capacity(ROUNDS);
+    let mut batch_secs = Vec::with_capacity(ROUNDS);
+    let mut ratios = Vec::with_capacity(ROUNDS);
+    let (mut stream_peak, mut batch_peak) = (0u64, 0u64);
+    for _ in 0..ROUNDS {
+        let (s_secs, s_peak, streamed) = stream_lane(encoder, n, seed)?;
+        let (b_secs, b_peak, batched) = batch_lane(encoder, n, seed)?;
+        assert_identical(&streamed, &batched, n);
+        ratios.push(b_secs / s_secs.max(1e-12));
+        stream_secs.push(s_secs);
+        batch_secs.push(b_secs);
+        stream_peak = stream_peak.max(s_peak);
+        batch_peak = batch_peak.max(b_peak);
+    }
+    let lane = |secs: &[f64], peak_bytes: u64| {
+        let wall_secs = median(secs);
+        Lane {
+            records_per_sec: n as f64 / wall_secs.max(1e-12),
+            wall_secs,
+            peak_bytes,
+        }
+    };
     let scale = Scale {
         records: n,
-        streaming: Lane {
-            records_per_sec: n as f64 / stream_secs.max(1e-12),
-            wall_secs: stream_secs,
-            peak_bytes: stream_peak,
-        },
-        batch: Lane {
-            records_per_sec: n as f64 / batch_secs.max(1e-12),
-            wall_secs: batch_secs,
-            peak_bytes: batch_peak,
-        },
-        throughput_ratio: batch_secs / stream_secs.max(1e-12),
+        streaming: lane(&stream_secs, stream_peak),
+        batch: lane(&batch_secs, batch_peak),
+        throughput_ratio: median(&ratios),
+        throughput_ratios: ratios,
     };
-    Ok((scale, streamed, batched))
+    Ok(scale)
 }
 
 fn main() {
@@ -206,30 +264,19 @@ fn main() {
 
     let mut results = Vec::new();
     for &n in scales {
-        let (scale, streamed, batched) = run_scale(&encoder, n, seed).unwrap_or_else(|e| {
+        let scale = run_scale(&encoder, n, seed).unwrap_or_else(|e| {
             eprintln!("stream_bench: scale {n} failed: {e}");
             exit(1);
         });
-        // The streaming pipeline is a restructuring, not an
-        // approximation: its accumulators must be bit-identical to batch.
-        assert_eq!(
-            streamed.n_classes(),
-            batched.n_classes(),
-            "class counts diverged at scale {n}"
-        );
-        for c in 0..streamed.n_classes() {
-            assert_eq!(
-                streamed.prototype(c),
-                batched.prototype(c),
-                "streaming and batch prototypes diverged for class {c} at scale {n}"
-            );
-        }
         eprintln!(
-            "scale {n}: streaming {:.0} rec/s (peak {} B) vs batch {:.0} rec/s (peak {} B)",
+            "scale {n}: streaming {:.0} rec/s (peak {} B) vs batch {:.0} rec/s (peak {} B), \
+             median ratio {:.2} of {:.2?}",
             scale.streaming.records_per_sec,
             scale.streaming.peak_bytes,
             scale.batch.records_per_sec,
             scale.batch.peak_bytes,
+            scale.throughput_ratio,
+            scale.throughput_ratios,
         );
         results.push(scale);
     }
@@ -281,7 +328,7 @@ fn main() {
         for s in &report.scales {
             if s.throughput_ratio < 0.8 {
                 failures.push(format!(
-                    "streaming throughput at {} records is {:.2}× batch (< 0.8×)",
+                    "median streaming throughput at {} records is {:.2}× batch (< 0.8×)",
                     s.records, s.throughput_ratio
                 ));
             }
@@ -294,7 +341,7 @@ fn main() {
         }
         println!(
             "gate: streaming peak flat ({peak_spread:.3}× spread), batch grew {batch_growth:.1}×, \
-             throughput >= 0.8× batch at every scale"
+             median throughput >= 0.8× batch at every scale"
         );
     }
 }
