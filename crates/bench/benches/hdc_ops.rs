@@ -88,15 +88,24 @@ fn bench_bitmatrix(c: &mut Criterion) {
             ))
         });
     });
-    // The two list walks time row 0.
-    g.bench_function("relative_weight_sum", |bch| {
-        bch.iter(|| black_box(lists.weight_sum(black_box(0), black_box(&weights))));
+    // The two list walks visit all 64 rows per iteration, as a training
+    // epoch does, so the branch predictor cannot learn one row's bit pattern.
+    g.bench_function("relative_weight_sum_64", |bch| {
+        bch.iter(|| {
+            (0..lists.n_rows())
+                .map(|i| lists.weight_sum(black_box(i), black_box(&weights)))
+                .sum::<f64>()
+        });
     });
     // One weight vector across iterations, cache-resident as in a training
     // loop; a fresh 80 KB vector per call would time cache misses instead.
     let mut out = vec![0.0f64; dim.get()];
-    g.bench_function("relative_scatter_add", |bch| {
-        bch.iter(|| lists.scatter_add(black_box(0), 0.5, &mut out));
+    g.bench_function("relative_scatter_add_64", |bch| {
+        bch.iter(|| {
+            for i in 0..lists.n_rows() {
+                lists.scatter_add(black_box(i), 0.5, &mut out);
+            }
+        });
     });
     black_box(&out);
     g.bench_function("relative_rows_build_64", |bch| {
