@@ -144,7 +144,7 @@ pub fn pareto_sweep(
 
     let mut acc = ClassAccumulators::new(full_dim);
     for (hv, &class) in hvs.iter().zip(labels) {
-        acc.grow(class);
+        acc.grow(class)?;
         acc.add(class, hv, 1);
     }
     let scores = discrimination_scores(&acc)?;

@@ -212,8 +212,10 @@ impl HdcFeatureExtractor {
     }
 
     /// Encodes a [`RecordStream`] straight into a [`StreamSink`] without
-    /// ever materialising the cohort: peak memory is one micro-batch plus
-    /// the sink's own O(dim) state, independent of stream length.
+    /// ever materialising the cohort: peak memory is the two micro-batches
+    /// in flight (one draining into the sink while the next encodes) plus
+    /// the sink's own O(dim) state, independent of stream length. The
+    /// stream is pulled up to one micro-batch ahead of the sink.
     ///
     /// Strict: the first record that fails to encode aborts with its typed
     /// error (mirroring [`HdcFeatureExtractor::transform`]). Returns the

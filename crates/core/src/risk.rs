@@ -149,6 +149,28 @@ mod tests {
     }
 
     #[test]
+    fn an_observed_label_past_the_class_limit_is_an_error() {
+        use hyperfex_hdc::classify::MAX_CLASSES;
+        use hyperfex_hdc::HdcError;
+
+        let (mut scorer, _) = scorer();
+        let patient: Vec<f64> = vec![
+            45.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0,
+        ];
+        let before = scorer.score(&patient).unwrap();
+        for label in [MAX_CLASSES, usize::MAX] {
+            assert_eq!(
+                scorer.observe(&patient, label).unwrap_err(),
+                HyperfexError::Hdc(HdcError::ClassLimit {
+                    label,
+                    limit: MAX_CLASSES
+                })
+            );
+        }
+        assert_eq!(scorer.score(&patient).unwrap(), before);
+    }
+
+    #[test]
     fn arity_mismatch_is_an_error() {
         let (scorer, _) = scorer();
         assert!(scorer.score(&[1.0, 2.0]).is_err());

@@ -150,7 +150,7 @@ fn batch_lane(
     let encoded = encoder.encode_batch(&rows)?;
     let mut batched = ClassAccumulators::new(encoder.dim());
     for (hv, &label) in encoded.iter().zip(&labels) {
-        batched.grow(label);
+        batched.grow(label)?;
         batched.add(label, hv, 1);
     }
     let secs = start.elapsed().as_secs_f64();

@@ -22,4 +22,4 @@ mod loocv;
 pub mod trainer;
 
 pub use loocv::{LeaveOneOut, LoocvOutcome};
-pub use trainer::{fit_pocketed, ClassAccumulators, OnlineTrainer, UpdateRule};
+pub use trainer::{fit_pocketed, ClassAccumulators, OnlineTrainer, UpdateRule, MAX_CLASSES};

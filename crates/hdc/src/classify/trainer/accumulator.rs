@@ -94,6 +94,14 @@ fn add_masked(counts: &mut [i32], byte: u8, weight: i32) {
     }
 }
 
+/// Most classes a [`ClassAccumulators`] holds: labels run
+/// `0..MAX_CLASSES`. A class keeps one `i32` count per bit and a packed
+/// prototype, about 41 KB at 10,000 bits, so the limit caps the counters
+/// at about 169 MB there. A label past it is a malformed record, not a
+/// class to allocate: without the cap a label near `u32::MAX` asked for
+/// billions of counters, and `usize::MAX` wrapped the class count to 0.
+pub const MAX_CLASSES: usize = 4096;
+
 /// Integer class superpositions with per-class quantised prototypes.
 ///
 /// Invariant: `ones`, `totals` and `prototypes` always have the same
@@ -159,16 +167,33 @@ impl ClassAccumulators {
         }
     }
 
+    /// Returns [`HdcError::ClassLimit`] unless `label` is below
+    /// [`MAX_CLASSES`].
+    pub fn check_label(label: usize) -> Result<(), HdcError> {
+        if label < MAX_CLASSES {
+            Ok(())
+        } else {
+            Err(HdcError::ClassLimit {
+                label,
+                limit: MAX_CLASSES,
+            })
+        }
+    }
+
     /// Grows the class set so `label` is addressable. New classes start
     /// with a zero superposition, which quantises to all-ones under the
-    /// `2·ones ≥ total` tie rule (0 ≥ 0).
-    pub fn grow(&mut self, label: usize) {
+    /// `2·ones ≥ total` tie rule (0 ≥ 0). A label at or past
+    /// [`MAX_CLASSES`] returns [`HdcError::ClassLimit`] with nothing
+    /// changed.
+    pub fn grow(&mut self, label: usize) -> Result<(), HdcError> {
+        Self::check_label(label)?;
         if label >= self.ones.len() {
             self.ones.resize(label + 1, vec![0i32; self.dim.get()]);
             self.totals.resize(label + 1, 0);
             self.prototypes
                 .resize(label + 1, BinaryHypervector::ones(self.dim));
         }
+        Ok(())
     }
 
     /// Adds `hv` to class `class` with signed `weight` and requantises that
@@ -192,8 +217,9 @@ impl ClassAccumulators {
     /// record: each class's records are counted in a [`Bundler`] first,
     /// and its planes are added with weights `1, 2, 4, …`.
     ///
-    /// All-or-nothing: the label count, every record's dimensionality and
-    /// each class's record count (at most `i32::MAX`, else
+    /// All-or-nothing: the label count, every record's dimensionality, the
+    /// largest label (below [`MAX_CLASSES`], else [`HdcError::ClassLimit`])
+    /// and each class's record count (at most `i32::MAX`, else
     /// [`HdcError::VoteOverflow`]) are checked before the first count
     /// changes, so an error leaves the accumulators untouched. Classes grow
     /// to cover the largest label.
@@ -214,6 +240,7 @@ impl ClassAccumulators {
         let Some(&max_label) = labels.iter().max() else {
             return Ok(());
         };
+        Self::check_label(max_label)?;
         let mut counts = vec![Bundler::new(self.dim); max_label + 1];
         for (hv, &label) in records.iter().zip(labels) {
             if let Some(count) = counts.get_mut(label) {
@@ -229,7 +256,7 @@ impl ClassAccumulators {
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        self.grow(max_label);
+        self.grow(max_label)?;
         for (class, (count, &n)) in counts.iter().zip(&votes).enumerate() {
             if n == 0 {
                 continue;
@@ -263,7 +290,7 @@ impl ClassAccumulators {
         let Some(last) = other.n_classes().checked_sub(1) else {
             return Ok(());
         };
-        self.grow(last);
+        self.grow(last)?;
         for (sum, add) in self.ones.iter_mut().zip(&other.ones) {
             for (a, b) in sum.iter_mut().zip(add) {
                 *a += b;
@@ -333,9 +360,9 @@ impl ClassAccumulators {
     }
 
     /// Rebuilds an accumulator set from raw parts, revalidating every
-    /// invariant: `ones` and `totals` must have the same class count and
-    /// every per-class count vector must have exactly `dim` entries.
-    /// Prototypes are requantised from scratch.
+    /// invariant: `ones` and `totals` must have the same class count, at
+    /// most [`MAX_CLASSES`], and every per-class count vector must have
+    /// exactly `dim` entries. Prototypes are requantised from scratch.
     pub fn from_parts(dim: Dim, ones: Vec<Vec<i32>>, totals: Vec<i32>) -> Result<Self, HdcError> {
         if ones.len() != totals.len() {
             return Err(HdcError::InvalidConfig(format!(
@@ -343,6 +370,9 @@ impl ClassAccumulators {
                 ones.len(),
                 totals.len()
             )));
+        }
+        if let Some(last) = ones.len().checked_sub(1) {
+            Self::check_label(last)?;
         }
         if let Some((bad, class_ones)) = ones.iter().enumerate().find(|(_, o)| o.len() != dim.get())
         {
@@ -386,7 +416,7 @@ mod tests {
     fn zero_class_quantises_to_all_ones() {
         let dim = Dim::new(70);
         let mut acc = ClassAccumulators::new(dim);
-        acc.grow(0);
+        acc.grow(0).unwrap();
         assert_eq!(acc.prototype(0).unwrap(), &BinaryHypervector::ones(dim));
     }
 
@@ -396,7 +426,7 @@ mod tests {
         // (s=0, tie → 1), bit 7 never set (s=-2 → 0).
         let dim = Dim::new(64);
         let mut acc = ClassAccumulators::new(dim);
-        acc.grow(0);
+        acc.grow(0).unwrap();
         acc.add(0, &hv(dim, &[3, 5]), 1);
         acc.add(0, &hv(dim, &[3]), 1);
         let p = acc.prototype(0).unwrap();
@@ -412,7 +442,7 @@ mod tests {
     fn subtract_reverses_add() {
         let dim = Dim::new(130);
         let mut acc = ClassAccumulators::new(dim);
-        acc.grow(1);
+        acc.grow(1).unwrap();
         let x = hv(dim, &[0, 64, 129]);
         let before = acc.prototype(1).unwrap().clone();
         acc.add(1, &x, 3);
@@ -424,7 +454,7 @@ mod tests {
     fn predict_breaks_ties_to_lowest_class() {
         let dim = Dim::new(64);
         let mut acc = ClassAccumulators::new(dim);
-        acc.grow(1);
+        acc.grow(1).unwrap();
         // Both classes still hold the all-ones prototype: equidistant.
         assert_eq!(acc.predict(&hv(dim, &[1])).unwrap(), 0);
     }
@@ -532,5 +562,52 @@ mod tests {
         ));
         assert_eq!(acc, before);
         assert_eq!(acc.n_classes(), 1);
+    }
+
+    #[test]
+    fn labels_stop_at_the_class_limit_with_nothing_changed() {
+        let dim = Dim::new(64);
+        let x = hv(dim, &[1, 2]);
+        let pair = [x.clone(), x];
+        let one = &pair[..1];
+        let limit = HdcError::ClassLimit {
+            label: MAX_CLASSES,
+            limit: MAX_CLASSES,
+        };
+        let huge = HdcError::ClassLimit {
+            label: usize::MAX,
+            limit: MAX_CLASSES,
+        };
+
+        // The last label the limit allows grows the set to the limit.
+        let mut acc = ClassAccumulators::new(dim);
+        acc.add_batch(one, &[MAX_CLASSES - 1]).unwrap();
+        assert_eq!(acc.n_classes(), MAX_CLASSES);
+        assert_eq!(acc.parts().1[MAX_CLASSES - 1], 1);
+        let mut grown = ClassAccumulators::new(dim);
+        grown.grow(MAX_CLASSES - 1).unwrap();
+        assert_eq!(grown.n_classes(), MAX_CLASSES);
+
+        // One past it, and `usize::MAX` (whose `+ 1` wraps to 0), are
+        // rejected before any count or class changes.
+        let mut acc = ClassAccumulators::new(dim);
+        acc.add_batch(one, &[0]).unwrap();
+        let before = acc.clone();
+        assert_eq!(acc.add_batch(one, &[MAX_CLASSES]), Err(limit.clone()));
+        assert_eq!(acc.add_batch(&pair, &[0, usize::MAX]), Err(huge.clone()));
+        assert_eq!(acc.grow(MAX_CLASSES), Err(limit));
+        assert_eq!(acc.grow(usize::MAX), Err(huge));
+        assert_eq!(acc, before);
+        assert_eq!(acc.n_classes(), 1);
+
+        // A snapshot's parts obey the same limit.
+        let parts = |classes: usize| {
+            ClassAccumulators::from_parts(dim, vec![vec![0; 64]; classes], vec![0; classes])
+        };
+        assert_eq!(parts(MAX_CLASSES).unwrap().n_classes(), MAX_CLASSES);
+        assert!(matches!(
+            parts(MAX_CLASSES + 1),
+            Err(HdcError::ClassLimit { label, .. }) if label == MAX_CLASSES
+        ));
     }
 }

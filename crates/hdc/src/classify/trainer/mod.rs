@@ -32,7 +32,7 @@
 
 pub mod accumulator;
 
-pub use accumulator::ClassAccumulators;
+pub use accumulator::{ClassAccumulators, MAX_CLASSES};
 
 use crate::binary::{BinaryHypervector, Dim};
 use crate::error::HdcError;
@@ -139,7 +139,7 @@ impl OnlineTrainer {
     /// set if needed. No mistake check is applied.
     pub fn absorb(&mut self, hv: &BinaryHypervector, label: usize) -> Result<(), HdcError> {
         self.acc.check_dim(hv)?;
-        self.acc.grow(label);
+        self.acc.grow(label)?;
         self.acc.add(label, hv, 1);
         Ok(())
     }
@@ -154,7 +154,7 @@ impl OnlineTrainer {
         if label >= acc.n_classes() {
             // First sighting of this class: seed its superposition with the
             // example instead of leaving it at the uninformative zero state.
-            acc.grow(label);
+            acc.grow(label)?;
             acc.add(label, hv, 1);
             return Ok(true);
         }
@@ -372,6 +372,31 @@ mod tests {
             t.update(&hv, 4).unwrap();
             assert_eq!(t.n_classes(), 5, "{rule:?}");
             assert!(t.prototype(4).is_some());
+        }
+    }
+
+    #[test]
+    fn labels_past_the_class_limit_are_a_typed_error() {
+        let dim = Dim::new(64);
+        let hv = BinaryHypervector::random(dim, &mut SplitMix64::new(9));
+        for rule in UpdateRule::ALL {
+            let mut t = OnlineTrainer::new(rule, dim);
+            t.update(&hv, 0).unwrap();
+            for label in [MAX_CLASSES, usize::MAX] {
+                let limit = HdcError::ClassLimit {
+                    label,
+                    limit: MAX_CLASSES,
+                };
+                assert_eq!(t.update(&hv, label), Err(limit.clone()));
+                assert_eq!(t.absorb(&hv, label), Err(limit.clone()));
+                assert_eq!(
+                    t.partial_fit(std::slice::from_ref(&hv), &[label]),
+                    Err(limit)
+                );
+            }
+            assert_eq!(t.n_classes(), 1, "{rule:?}");
+            t.absorb(&hv, MAX_CLASSES - 1).unwrap();
+            assert_eq!(t.n_classes(), MAX_CLASSES, "{rule:?}");
         }
     }
 

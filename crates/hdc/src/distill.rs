@@ -384,7 +384,7 @@ mod tests {
         // set in both classes; bit 9 is never set.
         let d = Dim::new(64);
         let mut acc = ClassAccumulators::new(d);
-        acc.grow(1);
+        acc.grow(1).unwrap();
         for _ in 0..10 {
             acc.add(0, &hv(d, &[3, 7]), 1);
             acc.add(1, &hv(d, &[7]), 1);
@@ -401,7 +401,7 @@ mod tests {
     fn discrimination_scores_need_two_live_classes() {
         let d = Dim::new(32);
         let mut acc = ClassAccumulators::new(d);
-        acc.grow(0);
+        acc.grow(0).unwrap();
         acc.add(0, &hv(d, &[1]), 1);
         assert!(discrimination_scores(&acc).is_err());
         let empty = ClassAccumulators::new(d);

@@ -239,13 +239,14 @@ impl RecordEncoder {
     /// Encodes a batch of records in parallel.
     ///
     /// The rows run through the [`StreamEncoder`] driver as one
-    /// micro-batch: contiguous chunks split by `rayon::map_chunks_with` (at
-    /// most one per worker, at least 16 rows each, the last on the calling
-    /// thread), each chunk reusing its own [`RecordScratch`] (encoder
+    /// micro-batch: a worker and the calling thread claim 16-row chunks
+    /// from one cursor (a batch of fewer than 32 rows stays on the calling
+    /// thread), each thread reusing its own [`RecordScratch`] (encoder
     /// scratch vector + bundler), so the hot loop performs no per-record
     /// allocation beyond the output hypervectors, which are collected by
-    /// value. Results are identical to the sequential path regardless of
-    /// thread count; the first error (in row order) is returned.
+    /// value in row order. Results are identical to the sequential path
+    /// regardless of thread count; the first error (in row order) is
+    /// returned.
     pub fn encode_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<BinaryHypervector>, HdcError> {
         let mut sink = CollectSink::new();
         let outcome = StreamEncoder::new(self)

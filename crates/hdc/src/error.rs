@@ -60,6 +60,14 @@ pub enum HdcError {
         /// The largest count the counter holds.
         limit: u64,
     },
+    /// A class label at or past the most classes a class accumulator
+    /// holds, [`crate::classify::MAX_CLASSES`].
+    ClassLimit {
+        /// The label supplied.
+        label: usize,
+        /// The class count limit; labels run `0..limit`.
+        limit: usize,
+    },
     /// A component was configured with an invalid parameter.
     InvalidConfig(String),
     /// A fault-injection failpoint forced this operation to fail. Only
@@ -101,6 +109,12 @@ impl fmt::Display for HdcError {
             }
             Self::VoteOverflow { votes, limit } => {
                 write!(f, "{votes} votes pass the counter's limit of {limit}")
+            }
+            Self::ClassLimit { label, limit } => {
+                write!(
+                    f,
+                    "class label {label} is outside the {limit} classes 0..{limit}"
+                )
             }
             Self::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Self::Injected { point } => {

@@ -2,28 +2,32 @@
 //! cohorts.
 //!
 //! A [`RecordStream`] yields raw feature rows one at a time, a
-//! [`StreamEncoder`] encodes them in micro-batches split by
-//! `rayon::map_chunks_with` (reusing one [`RecordScratch`] per chunk slot
-//! across the whole stream), and each encoded hypervector is handed to a
-//! [`StreamSink`] in stream order, by value. Resident state is one
-//! micro-batch of rows and hypervectors plus the sink's accumulator —
-//! O(dim), independent of how many records flow through.
+//! [`StreamEncoder`] encodes them in micro-batches, and each encoded
+//! hypervector is handed to a [`StreamSink`] in stream order, by value.
+//! Two micro-batches are in flight: while one drains into the sink on the
+//! calling thread, the next, already pulled from the stream, is encoded
+//! (see [`StreamEncoder`]). Resident state is therefore one micro-batch of
+//! rows, two micro-batches of hypervectors and the sink's accumulator —
+//! O(dim), independent of how many records flow through — and the source
+//! is pulled up to one micro-batch ahead of the sink.
 //!
 //! This micro-batch driver is the only encode loop in the crate. A batch
 //! encode ([`StreamEncoder::encode_batch`], behind
 //! [`RecordEncoder::encode_batch`](crate::encoding::RecordEncoder::encode_batch))
-//! runs it as one micro-batch sized to the whole cohort and collects every
-//! hypervector before any consumer sees one, so its memory grows
-//! O(rows × dim).
+//! runs it as one micro-batch sized to the whole cohort, encoded on both
+//! threads and then drained, and collects every hypervector before any
+//! consumer sees one, so its memory grows O(rows × dim).
 //!
 //! ## Sink contract
 //!
 //! [`StreamSink::absorb_owned`] (by default [`StreamSink::absorb`])
 //! receives records in stream order, exactly once per surviving record,
-//! tagged with the record's stream sequence number.
+//! tagged with the record's stream sequence number, always on the thread
+//! that called the encoder, so a sink needs no `Send` bound.
 //! A sink error aborts the stream (sink failures are structural, not
-//! per-record data problems). Sinks whose state is a commutative
-//! accumulator — [`BundlerSink`] (counter planes) and
+//! per-record data problems); records pulled past the abort point, at most
+//! one micro-batch, never reach the sink. Sinks whose state is a
+//! commutative accumulator — [`BundlerSink`] (counter planes) and
 //! [`ClassAccumulatorSink`] (signed set-counts) — are **order
 //! independent**: any permutation of the same records produces
 //! bit-identical results.
@@ -45,17 +49,19 @@ use crate::classify::trainer::ClassAccumulators;
 use crate::encoding::{QuarantineEntry, QuarantineReport, RecordEncoder, RecordScratch};
 use crate::error::HdcError;
 use crate::{failpoint, obs};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Fewest records a parallel chunk of an encode micro-batch takes: a
+/// Records a thread claims at a time while encoding a micro-batch. A
 /// 10,000-bit record encodes in about 4.5 µs (Pima) to 6.5 µs (Sylhet) on
-/// one thread of a 2-vCPU Xeon VM, where spawning and joining a scoped
-/// thread costs about 27 µs, so sixteen of them outweigh the thread a
-/// chunk costs, and a single record never spawns.
+/// one thread of a 2-vCPU Xeon VM, so a claim is worth far more than its
+/// one atomic add. A micro-batch spawns the worker only when it holds two
+/// claims (32 records): spawning and joining a scoped thread costs about
+/// 27 µs, and a single record never spawns.
 const MIN_CHUNK_RECORDS: usize = 16;
 
 /// Default records per encode micro-batch: large enough to amortize the
-/// parallel fan-out, small enough that the resident buffer stays a rounding
-/// error next to any class accumulator.
+/// parallel fan-out, small enough that the resident buffers (two
+/// micro-batches) stay a rounding error next to any class accumulator.
 pub const DEFAULT_MICRO_BATCH: usize = 256;
 
 /// A source of records for streaming encode: yields one row of raw
@@ -263,7 +269,7 @@ impl StreamSink for ClassAccumulatorSink {
         hv: &BinaryHypervector,
     ) -> Result<(), HdcError> {
         self.accumulators.check_dim(hv)?;
-        self.accumulators.grow(label);
+        self.accumulators.grow(label)?;
         self.accumulators.add(label, hv, 1);
         Ok(())
     }
@@ -347,15 +353,25 @@ pub struct StreamOutcome {
 }
 
 /// Encodes a [`RecordStream`] through a [`RecordEncoder`] into a
-/// [`StreamSink`], one micro-batch at a time.
+/// [`StreamSink`], one micro-batch at a time, with two micro-batches in
+/// flight.
 ///
-/// Each micro-batch is encoded in parallel by `rayon::map_chunks_with`
-/// (contiguous chunks, the last on the calling thread, one persistent
-/// [`RecordScratch`] per chunk slot — bit-identical to the sequential
-/// path regardless of thread count), then drained into the sink in
-/// stream order on the calling thread. A per-record failpoint
-/// (`hdc/stream_encode` for streams) is evaluated during that sequential
-/// drain, so fault windows replay deterministically.
+/// Once micro-batch n+1 is pulled from the stream, `rayon::join` encodes
+/// it on a worker while micro-batch n drains into the sink in stream
+/// order on the calling thread; the calling thread joins the encode once
+/// its drain returns. Both threads claim 16-record chunks from one atomic
+/// cursor, each with a [`RecordScratch`] kept for the whole stream, and
+/// the chunks are put back in chunk order, so the output is bit-identical
+/// to the sequential path regardless of thread count. A sink that writes
+/// to disk hides the encode behind its I/O; a cheap one leaves both
+/// threads encoding. A micro-batch of fewer than two chunks spawns
+/// nothing, and with one worker everything runs on the calling thread.
+///
+/// A per-record failpoint (`hdc/stream_encode` for streams) is evaluated
+/// during the sequential drain, so fault windows replay deterministically.
+/// The source is pulled up to one micro-batch ahead of the sink: a strict
+/// abort or a sink error stops the drain at the same record as with one
+/// micro-batch in flight, and the records pulled after it are dropped.
 #[derive(Debug, Clone)]
 pub struct StreamEncoder<'a> {
     encoder: &'a RecordEncoder,
@@ -374,7 +390,8 @@ impl<'a> StreamEncoder<'a> {
 
     /// Sets the records-per-micro-batch (clamped to at least 1). Larger
     /// batches amortize fan-out overhead; smaller ones shrink the
-    /// resident buffer. Results are identical either way.
+    /// resident buffers (two micro-batches of hypervectors). Results are
+    /// identical either way.
     #[must_use]
     pub fn with_micro_batch(mut self, micro_batch: usize) -> Self {
         self.micro_batch = micro_batch.max(1);
@@ -479,10 +496,11 @@ impl<'a> StreamEncoder<'a> {
         Ok(outcome)
     }
 
-    /// The micro-batch driver behind every encode: fills a micro-batch from
-    /// the stream, encodes it in parallel, then drains it into the sink in
-    /// stream order. Strict passes stop at the first failed record, which
-    /// is then the outcome's only quarantine entry.
+    /// The micro-batch driver behind every encode. It keeps two
+    /// micro-batches in flight: micro-batch n+1 is pulled from the stream,
+    /// then encoded while micro-batch n drains into the sink in stream
+    /// order. Strict passes stop at the first failed record, which is then
+    /// the outcome's only quarantine entry.
     // lint: index-ok (every `filled`-bounded access is into buffers grown
     // to at least `filled` entries by the fill loop)
     fn drive<S, K>(
@@ -496,21 +514,20 @@ impl<'a> StreamEncoder<'a> {
         K: StreamSink + ?Sized,
     {
         let arity = self.encoder.schema().arity();
-        let words = self.encoder.dim().words();
+        let dim = self.encoder.dim();
 
         // Row buffers grow to the largest micro-batch filled and are reused
-        // across micro-batches; worker scratches persist for the whole
-        // stream. Resident footprint is O(micro_batch × dim).
+        // across micro-batches; the two scratches (the calling thread's and
+        // the worker's) persist for the whole stream. Resident footprint is
+        // O(micro_batch × dim).
         let mut rows: Vec<Vec<f64>> = Vec::new();
         let mut labels: Vec<usize> = Vec::new();
-        let mut scratches: Vec<RecordScratch> = Vec::new();
-
-        let mut seen = 0usize;
-        let mut absorbed = 0usize;
-        let mut entries: Vec<QuarantineEntry> = Vec::new();
+        let mut scratches = [RecordScratch::new(dim), RecordScratch::new(dim)];
+        let mut pending: Vec<Chunk> = Vec::new();
+        let mut tally = Tally::default();
 
         loop {
-            // Fill the next micro-batch.
+            // Pull the next micro-batch while the previous one waits.
             let mut filled = 0usize;
             while filled < self.micro_batch {
                 if filled == rows.len() {
@@ -531,57 +548,49 @@ impl<'a> StreamEncoder<'a> {
                 break;
             }
 
-            // Encode the micro-batch in contiguous chunks, each with a
-            // scratch slot that persists across micro-batches. Every
-            // record is encoded independently, so results are thread-count
-            // independent.
-            let dim = self.encoder.dim();
-            let encoder = self.encoder;
-            let chunks = rayon::map_chunks_with(
-                &rows[..filled],
-                MIN_CHUNK_RECORDS,
-                &mut scratches,
-                || RecordScratch::new(dim),
-                |scratch, _, chunk| {
-                    // Spawned chunks run on their own threads, so there
-                    // this span is a root, not a child of the batch span;
-                    // the chunk on the calling thread nests under it.
-                    let _span = (pass == Pass::Batch).then(|| obs::span("hdc/encode_chunk"));
-                    chunk
-                        .iter()
-                        .map(|row| encoder.encode_record_with(row, scratch))
-                        .collect::<Vec<Result<BinaryHypervector, HdcError>>>()
-                },
-            );
-
-            // Drain in stream order on this thread. The failpoint seam is
-            // sequential, so windowed fault rules replay byte-identically.
-            let mut aborted = false;
-            for (result, &label) in chunks.into_iter().flatten().zip(&labels[..filled]) {
-                let seq = seen;
-                seen += 1;
-                match pass.check_record().and(result) {
-                    Ok(hv) => {
-                        sink.absorb_owned(seq, label, hv)?;
-                        absorbed += 1;
-                    }
-                    Err(error) => {
-                        entries.push(QuarantineEntry { row: seq, error });
-                        if pass.strict() {
-                            aborted = true;
-                            break;
-                        }
-                    }
-                }
+            // Drain the previous micro-batch into the sink on this thread
+            // while a worker encodes this one; this thread joins the encode
+            // once its drain returns. Both claim chunks from one cursor, so
+            // a slow sink leaves the encode to the worker and a fast one
+            // shares it. A micro-batch too small for two chunks spawns
+            // nothing.
+            let batch = Batch {
+                rows: &rows[..filled],
+                labels: &labels[..filled],
+                cursor: AtomicUsize::new(0),
+            };
+            let ready = std::mem::take(&mut pending);
+            let [scratch, worker] = &mut scratches;
+            let here = || {
+                tally.drain(ready, sink, pass)?;
+                Ok(if tally.aborted {
+                    Vec::new()
+                } else {
+                    self.encode_claims(&batch, scratch, pass)
+                })
+            };
+            let (theirs, mine) = if filled >= 2 * MIN_CHUNK_RECORDS {
+                rayon::join(|| self.encode_claims(&batch, worker, pass), here)
+            } else {
+                (Vec::new(), here())
+            };
+            let mut chunks: Vec<Chunk> = mine?;
+            if tally.aborted {
+                break;
             }
+            chunks.extend(theirs);
+            chunks.sort_unstable_by_key(|chunk| chunk.start);
+            pending = chunks;
 
             if let Pass::Stream { .. } = pass {
-                // The watermark models the pipeline's resident buffers: the
-                // row/result micro-batch plus the sink accumulator. An
-                // allocator hook would need a dependency this workspace
-                // doesn't take; this accounting is exact for the buffers
-                // the stream owns.
-                let batch_bytes = self.micro_batch * (arity + words) * 8;
+                // The watermark models the pipeline's resident buffers: one
+                // micro-batch of rows, the hypervectors of the two
+                // micro-batches in flight, the scratches and the sink
+                // accumulator. An allocator hook would need a dependency
+                // this workspace doesn't take; this accounting is exact for
+                // the buffers the stream owns.
+                let words = dim.words();
+                let batch_bytes = self.micro_batch * (arity + 2 * words) * 8;
                 let scratch_bytes = scratches.len() * words * 8 * 2;
                 obs::gauge_max(
                     "hdc/stream_peak_bytes",
@@ -589,21 +598,114 @@ impl<'a> StreamEncoder<'a> {
                     (batch_bytes + scratch_bytes + sink.state_bytes()) as u64,
                 );
             }
-
-            if aborted {
-                break;
-            }
+        }
+        if !tally.aborted {
+            tally.drain(pending, sink, pass)?;
         }
 
         if let Pass::Stream { .. } = pass {
             // lint: cast-ok (usize counts widen losslessly to u64 on every supported target)
-            obs::counter_add("hdc/stream_records", absorbed as u64);
-            obs::counter_add("hdc/stream_quarantined", entries.len() as u64);
+            obs::counter_add("hdc/stream_records", tally.absorbed as u64);
+            obs::counter_add("hdc/stream_quarantined", tally.entries.len() as u64);
         }
         Ok(StreamOutcome {
-            absorbed,
-            report: QuarantineReport::new(seen, entries),
+            absorbed: tally.absorbed,
+            report: QuarantineReport::new(tally.seen, tally.entries),
         })
+    }
+
+    /// Encodes the chunks of `batch` this thread claims, one
+    /// [`MIN_CHUNK_RECORDS`] chunk at a time, until the cursor passes the
+    /// end. Every record is encoded on its own, so which thread claims a
+    /// chunk never changes its output.
+    // lint: index-ok (a claimed chunk starts below `rows.len()` and is
+    // clamped to it)
+    fn encode_claims(
+        &self,
+        batch: &Batch<'_>,
+        scratch: &mut RecordScratch,
+        pass: Pass,
+    ) -> Vec<Chunk> {
+        // A spawned worker's span is a root, not a child of the batch span;
+        // the calling thread's nests under it.
+        let _span = (pass == Pass::Batch).then(|| obs::span("hdc/encode_chunk"));
+        let len = batch.rows.len();
+        let mut chunks = Vec::new();
+        loop {
+            // lint: relaxed-ok (the cursor only hands out disjoint chunk
+            // starts, which the read-modify-write keeps unique in any
+            // ordering; the rows were written before the join spawned the
+            // worker, and the results return through the join)
+            let start = batch.cursor.fetch_add(MIN_CHUNK_RECORDS, Ordering::Relaxed);
+            if start >= len {
+                return chunks;
+            }
+            let end = len.min(start + MIN_CHUNK_RECORDS);
+            let records = batch.rows[start..end]
+                .iter()
+                .zip(&batch.labels[start..end])
+                .map(|(row, &label)| (label, self.encoder.encode_record_with(row, scratch)))
+                .collect();
+            chunks.push(Chunk { start, records });
+        }
+    }
+}
+
+/// One micro-batch being encoded: its rows and labels, and the cursor from
+/// which threads claim its chunks.
+struct Batch<'a> {
+    rows: &'a [Vec<f64>],
+    labels: &'a [usize],
+    cursor: AtomicUsize,
+}
+
+/// One encoded chunk of a micro-batch: the index of its first record and,
+/// per record, its label and encode result.
+struct Chunk {
+    start: usize,
+    records: Vec<(usize, Result<BinaryHypervector, HdcError>)>,
+}
+
+/// The drain's running accounting over the whole stream.
+#[derive(Default)]
+struct Tally {
+    seen: usize,
+    absorbed: usize,
+    entries: Vec<QuarantineEntry>,
+    /// A strict pass met a failed record; nothing more is drained.
+    aborted: bool,
+}
+
+impl Tally {
+    /// Drains one encoded micro-batch (its chunks in order) into `sink`, in
+    /// stream order, checking the pass's per-record failpoint on the way:
+    /// the seam is sequential, so windowed fault rules replay
+    /// byte-identically. A strict pass stops at the first failed record
+    /// and sets `aborted`; a sink error aborts the stream.
+    fn drain<K: StreamSink + ?Sized>(
+        &mut self,
+        chunks: Vec<Chunk>,
+        sink: &mut K,
+        pass: Pass,
+    ) -> Result<(), HdcError> {
+        for (label, result) in chunks.into_iter().flat_map(|chunk| chunk.records) {
+            let seq = self.seen;
+            self.seen += 1;
+            match pass.check_record().and(result) {
+                Ok(hv) => {
+                    sink.absorb_owned(seq, label, hv)?;
+                    self.absorbed += 1;
+                }
+                Err(error) => {
+                    self.entries.push(QuarantineEntry { row: seq, error });
+                    if pass.strict() {
+                        self.aborted = true;
+                        return Ok(());
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -629,6 +731,36 @@ impl Pass {
             Self::Stream { .. } => failpoint::check("hdc/stream_encode"),
             Self::LenientBatch => failpoint::check("hdc/encode_record"),
             Self::Batch => Ok(()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::classify::MAX_CLASSES;
+    use crate::encoding::{FeatureSpec, RecordSchema};
+
+    #[test]
+    fn class_accumulator_sink_passes_the_class_limit_on() {
+        let schema = RecordSchema::new(vec![FeatureSpec::continuous("x", 0.0, 1.0)]);
+        let encoder = RecordEncoder::new(Dim::new(64), schema, 5).unwrap();
+        let rows = vec![vec![0.2], vec![0.4], vec![0.6]];
+        for label in [MAX_CLASSES, usize::MAX] {
+            let labels = [1, label, 0];
+            let mut sink = ClassAccumulatorSink::new(Dim::new(64));
+            let result = StreamEncoder::new(&encoder)
+                .encode_stream(&mut RowStream::new(&rows, &labels).unwrap(), &mut sink);
+            assert_eq!(
+                result,
+                Err(HdcError::ClassLimit {
+                    label,
+                    limit: MAX_CLASSES
+                })
+            );
+            // The record before it was absorbed; nothing after it was.
+            assert_eq!(sink.accumulators().n_classes(), 2);
+            assert_eq!(sink.accumulators().parts().1, &[0, 1]);
         }
     }
 }

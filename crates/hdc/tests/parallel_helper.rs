@@ -1,6 +1,6 @@
 //! The workspace's one way into parallelism, the vendored rayon's ordered
-//! fan-out (`map_chunks` and its `_mut`, `_with` and `map_ranges` shapes),
-//! checked against a serial map. Worker counts are set through the
+//! fan-out (`map_chunks` and its `_mut` and `map_ranges` shapes), checked
+//! against a serial map (the vendored crate's own tests check `join`). Worker counts are set through the
 //! `with_num_threads` test seam, so every split from one to eight workers
 //! runs on any host.
 
@@ -99,44 +99,6 @@ fn map_ranges_and_map_chunks_mut_split_the_same_way() {
             }
         }
     }
-}
-
-#[test]
-fn map_chunks_with_reuses_one_scratch_slot_per_chunk() {
-    let items: Vec<u32> = (0..100).collect();
-    let mut scratch: Vec<Vec<u32>> = Vec::new();
-    let mut created = 0;
-    for round in 1..=3 {
-        let sums = rayon::with_num_threads(4, || {
-            rayon::map_chunks_with(
-                &items,
-                10,
-                &mut scratch,
-                || {
-                    created += 1;
-                    Vec::new()
-                },
-                |seen, offset, chunk| {
-                    seen.extend_from_slice(chunk);
-                    (offset, chunk.iter().sum::<u32>())
-                },
-            )
-        });
-        assert_eq!(sums.iter().map(|s| s.1).sum::<u32>(), 4950);
-        assert_eq!(sums.len(), 4);
-        // Slot i saw chunk i once per round: the slots persisted.
-        for (slot, &(offset, _)) in scratch.iter().zip(&sums) {
-            assert_eq!(slot.len(), 25 * round);
-            assert_eq!(slot[0], u32::try_from(offset).unwrap());
-        }
-    }
-    assert_eq!(created, 4, "slots are created once, then reused");
-    // A smaller region uses a prefix of the slots and creates none.
-    let sums = rayon::with_num_threads(2, || {
-        rayon::map_chunks_with(&items, 10, &mut scratch, Vec::new, |_, _, c| c.len())
-    });
-    assert_eq!(sums, vec![50, 50]);
-    assert_eq!(scratch.len(), 4);
 }
 
 #[test]

@@ -8,14 +8,16 @@
 //! commutative sinks (bundle, class accumulators) must be stream-order
 //! invariant, and lenient quarantine accounting must add up.
 
-use hyperfex_hdc::binary::Dim;
+use hyperfex_hdc::binary::{BinaryHypervector, Dim};
 use hyperfex_hdc::bundle::Bundler;
 use hyperfex_hdc::encoding::{FeatureSpec, RecordEncoder, RecordSchema};
 use hyperfex_hdc::rng::SplitMix64;
 use hyperfex_hdc::stream::{
-    BundlerSink, ClassAccumulatorSink, CollectSink, RowStream, StreamEncoder,
+    BundlerSink, ClassAccumulatorSink, CollectSink, RowStream, StreamEncoder, StreamSink,
 };
+use hyperfex_hdc::HdcError;
 use proptest::prelude::*;
+use std::time::Duration;
 
 /// Dimensionalities that exercise the tail-word masking paths: word
 /// aligned, one over, one under, and the paper-adjacent 10_050 from the
@@ -61,8 +63,101 @@ fn permutation(seed: u64, n: usize) -> Vec<usize> {
     order
 }
 
+/// One absorbed record as a sink sees it: `(seq, label, hypervector)`.
+type Absorbed = (usize, usize, BinaryHypervector);
+
+/// A sink that records what it absorbs. It can stall at the first record
+/// of each micro-batch, so the encode of the next micro-batch finishes
+/// before the drain goes on, and it can fail at its `fail_at`-th record.
+struct Probe {
+    micro_batch: usize,
+    stall: bool,
+    fail_at: Option<usize>,
+    absorbed: Vec<Absorbed>,
+}
+
+impl Probe {
+    fn new(micro_batch: usize, stall: bool, fail_at: Option<usize>) -> Self {
+        Self {
+            micro_batch,
+            stall,
+            fail_at,
+            absorbed: Vec::new(),
+        }
+    }
+}
+
+impl StreamSink for Probe {
+    fn absorb(&mut self, seq: usize, label: usize, hv: &BinaryHypervector) -> Result<(), HdcError> {
+        if self.fail_at == Some(self.absorbed.len()) {
+            return Err(HdcError::InvalidConfig(format!("sink failed at {seq}")));
+        }
+        if self.stall && seq % self.micro_batch == 0 {
+            std::thread::sleep(Duration::from_micros(300));
+        }
+        self.absorbed.push((seq, label, hv.clone()));
+        Ok(())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The driver encodes micro-batch n+1 while micro-batch n drains. For
+    /// micro-batches below and above the two-chunk spawn threshold (32
+    /// records), on one worker and on two, with a sink that stalls at each
+    /// micro-batch and one that returns at once, the sink absorbs exactly
+    /// `encode_batch`'s records in stream order; a strict abort at record
+    /// `i` leaves records `0..i` absorbed, and a sink failing at record
+    /// `j` returns its error with records `0..j` absorbed.
+    #[test]
+    fn pipelined_drain_matches_batch_for_every_split(
+        seed in any::<u64>(),
+        dim_ix in 0usize..DIMS.len(),
+        n in 1usize..120,
+        micro_batch in 1usize..=80,
+        poison in any::<usize>(),
+        fail_at in any::<usize>(),
+    ) {
+        let enc = encoder(DIMS[dim_ix], seed ^ 0xD);
+        let (cohort, labels) = rows(seed, n);
+        let expected: Vec<Absorbed> = enc
+            .encode_batch(&cohort)
+            .unwrap()
+            .into_iter()
+            .zip(&labels)
+            .enumerate()
+            .map(|(seq, (hv, &label))| (seq, label, hv))
+            .collect();
+        let driver = StreamEncoder::new(&enc).with_micro_batch(micro_batch);
+        let (i, j) = (poison % n, fail_at % n);
+        let mut poisoned = cohort.clone();
+        poisoned[i][0] = f64::NAN;
+
+        for (workers, stall) in [(1, false), (1, true), (2, false), (2, true)] {
+            let ctx = format!("{workers} workers, stall {stall}");
+            rayon::with_num_threads(workers, || {
+                let mut sink = Probe::new(micro_batch, stall, None);
+                let mut stream = RowStream::new(&cohort, &labels).unwrap();
+                let absorbed = driver.encode_stream(&mut stream, &mut sink);
+                prop_assert_eq!(absorbed, Ok(n), "{}", ctx);
+                prop_assert!(sink.absorbed == expected, "{}", ctx);
+
+                let mut sink = Probe::new(micro_batch, stall, None);
+                let mut stream = RowStream::new(&poisoned, &labels).unwrap();
+                let aborted = driver.encode_stream(&mut stream, &mut sink);
+                prop_assert_eq!(aborted, Err(HdcError::NonFiniteValue), "{}", ctx);
+                prop_assert!(sink.absorbed == expected[..i], "{}: NaN at {}", ctx, i);
+
+                let mut sink = Probe::new(micro_batch, stall, Some(j));
+                let mut stream = RowStream::new(&cohort, &labels).unwrap();
+                let failed = driver.encode_stream(&mut stream, &mut sink);
+                let error = HdcError::InvalidConfig(format!("sink failed at {j}"));
+                prop_assert_eq!(failed, Err(error), "{}", ctx);
+                prop_assert!(sink.absorbed == expected[..j], "{}: fails at {}", ctx, j);
+            });
+        }
+    }
 
     /// Streaming encode is bit-identical to batch encode for every
     /// dimensionality class and any micro-batch size — including batches

@@ -211,7 +211,7 @@ proptest! {
 
         let mut per_record = ClassAccumulators::new(d);
         for (hv, &label) in hvs.iter().zip(&labels) {
-            per_record.grow(label);
+            per_record.grow(label).unwrap();
             per_record.add(label, hv, 1);
         }
         let mut batched = ClassAccumulators::new(d);

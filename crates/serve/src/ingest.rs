@@ -107,19 +107,25 @@ impl<'a> StoreAppendSink<'a> {
 }
 
 impl StreamSink for StoreAppendSink<'_> {
-    /// Buffers the record; a full buffer appends into the store. Append or
-    /// snapshot failures abort the stream — [`ServeError::Hdc`] unwraps to
-    /// its typed cause, anything else is surfaced as
-    /// [`HdcError::InvalidConfig`] carrying the message (the stream layer
-    /// cannot name serve error types without inverting the crate
-    /// dependency).
-    fn absorb(
+    /// Buffers a copy of the record; see [`StreamSink::absorb_owned`].
+    fn absorb(&mut self, seq: usize, label: usize, hv: &BinaryHypervector) -> Result<(), HdcError> {
+        self.absorb_owned(seq, label, hv.clone())
+    }
+
+    /// Moves the record into the buffer (the encode driver hands records
+    /// over by value, so this copies nothing); a full buffer appends into
+    /// the store. Append or snapshot failures abort the stream —
+    /// [`ServeError::Hdc`] unwraps to its typed cause, anything else is
+    /// surfaced as [`HdcError::InvalidConfig`] carrying the message (the
+    /// stream layer cannot name serve error types without inverting the
+    /// crate dependency).
+    fn absorb_owned(
         &mut self,
         _seq: usize,
         label: usize,
-        hv: &BinaryHypervector,
+        hv: BinaryHypervector,
     ) -> Result<(), HdcError> {
-        self.batch.push(hv.clone());
+        self.batch.push(hv);
         self.labels.push(label);
         if self.batch.len() >= self.capacity {
             self.flush().map_err(|e| match e {

@@ -1695,7 +1695,7 @@ mod tests {
         let mut acc = ClassAccumulators::new(dim);
         for i in 0..20 {
             let hv = BinaryHypervector::random(dim, &mut rng);
-            acc.grow(i % 2);
+            acc.grow(i % 2).unwrap();
             acc.add(i % 2, &hv, 1);
         }
         let path = dir.join(ACCUMS_FILE_NAME);
@@ -1906,7 +1906,7 @@ mod tests {
         assert_eq!(fs::read(&path).unwrap()[8..12], VERSION.to_le_bytes());
         assert_eq!(read_shard(&path).unwrap(), shard);
         let mut acc = ClassAccumulators::new(Dim::new(32));
-        acc.grow(0);
+        acc.grow(0).unwrap();
         let acc_path = dir.join(ACCUMS_FILE_NAME);
         write_accums(&acc_path, &acc).unwrap();
         assert_eq!(fs::read(&acc_path).unwrap()[8..12], 1u32.to_le_bytes());

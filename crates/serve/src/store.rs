@@ -392,7 +392,9 @@ impl HvStore {
     /// records and gathers them through the selection, so a streaming
     /// encode pipeline can feed a pruned store directly.
     ///
-    /// Validation is all-or-nothing: every record and label, and the
+    /// Validation is all-or-nothing: every record and label (a label must
+    /// fit the u32 on-disk width and, in a store with class accumulators,
+    /// stay below `MAX_CLASSES`, else `HdcError::ClassLimit`), and the
     /// accumulators' dimensionality, are checked before the first row
     /// lands, so a failed append leaves the store untouched.
     ///
@@ -443,6 +445,9 @@ impl HvStore {
                     left: accums.dim().get(),
                     right: self.dim.get(),
                 }));
+            }
+            if let Some(&label) = labels.iter().max() {
+                ClassAccumulators::check_label(label)?;
             }
         }
         self.check_roll_room(rows.len())?;
@@ -1187,7 +1192,7 @@ fn reconcile(
     let mut rebuilt = ClassAccumulators::new(dim);
     if trust != AccumsTrust::Uncommitted {
         if let Some(last) = acc.n_classes().checked_sub(1) {
-            rebuilt.grow(last);
+            rebuilt.grow(last)?;
         }
     }
     for part in parts {
@@ -1627,6 +1632,44 @@ mod tests {
     }
 
     #[test]
+    fn append_rejects_labels_past_the_class_limit_before_any_row_lands() {
+        use hyperfex_hdc::classify::MAX_CLASSES;
+        use hyperfex_hdc::HdcError;
+
+        let cohort = small_cohort(4);
+        let mut store = HvStore::new_empty(Dim::new(256), 8).unwrap();
+        store
+            .append_batch(&cohort.records[..3], &cohort.labels[..3])
+            .unwrap();
+        let before = store.clone();
+        // 4,000,000,000 fits the u32 on-disk width, but as a class it
+        // would ask for billions of per-bit counters.
+        for label in [MAX_CLASSES, 4_000_000_000] {
+            let err = store
+                .append_batch(&cohort.records[3..5], &[0, label])
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ServeError::Hdc(HdcError::ClassLimit {
+                    label,
+                    limit: MAX_CLASSES
+                })
+            );
+        }
+        assert_eq!(store, before);
+        assert_eq!(store.dirty_shards(), vec![0]);
+
+        // The last label the limit allows is a class like any other.
+        store
+            .append_batch(&cohort.records[3..4], &[MAX_CLASSES - 1])
+            .unwrap();
+        assert_eq!(store.n_rows(), 4);
+        let accums = store.accumulators().unwrap();
+        assert_eq!(accums.n_classes(), MAX_CLASSES);
+        assert_eq!(accums.parts().1[MAX_CLASSES - 1], 1);
+    }
+
+    #[test]
     fn append_checks_the_accumulator_width_before_any_row_lands() {
         // Every shard lost but the accumulator file survived: the store
         // reopens empty at width 1 with 64-bit accumulators. A width-1
@@ -1634,7 +1677,7 @@ mod tests {
         // reject it before a shard is rolled or a row lands.
         let dir = scratch_dir("accum-width");
         let mut accums = ClassAccumulators::new(Dim::new(64));
-        accums.grow(1);
+        accums.grow(1).unwrap();
         snapshot::write_accums(&dir.join(snapshot::ACCUMS_FILE_NAME), &accums).unwrap();
         let (mut store, report) = HvStore::open(&dir).unwrap();
         assert!(report.accumulators_recovered);

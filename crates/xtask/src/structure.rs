@@ -552,7 +552,6 @@ fn is_parallel_callee(name: &str) -> bool {
             | "spawn_broadcast"
             | "map_chunks"
             | "map_chunks_mut"
-            | "map_chunks_with"
             | "map_ranges"
     ) || name.starts_with("par_")
         || name == "into_par_iter"
