@@ -415,38 +415,63 @@ pub fn hamming_within(a: &[u64], b: &[u64], bound: usize) -> Option<usize> {
 /// Most pivots [`PivotTable::choose_pivots`] keeps. On perfbench's
 /// `query` bank (20,000 level-encoded Pima-shaped records at 10,000 bits,
 /// 5-nearest, on a 2-vCPU Xeon VM), 8, 16 and 32 pivots served 1,502,
-/// 1,835 and 2,184 records/s (medians of three 10 s runs, seeds
-/// 9501–9503). 16 costs 32 bytes a row, 640 KB for that bank, and half the
-/// bound pass of 32.
-pub const MAX_PIVOTS: usize = 16;
+/// 1,835 and 2,184 records/s before scans seeded their ceilings (medians
+/// of three 10 s runs, seeds 9501–9503). With seeded scans (seed 5, two
+/// workers), 16 and 32 pivots read 4.9–5.2% and 3.0–3.1% of the bank's
+/// words, and three interleaved timings of 1-query and 32-query requests
+/// read 0.42–0.53 and 6.8–8.1 ms at 16 against 0.33–0.45 and 5.8–7.0 ms
+/// at 32. 32 pivots cost 64 bytes a row, 1.28 MB for that bank, and build
+/// in 60–80 ms at the first predict against 32–41 ms for 16.
+pub const MAX_PIVOTS: usize = 32;
 
 /// Most rows [`PivotTable::choose_pivots`] should be given: a bank passes
 /// an evenly spaced sample of at most this many of its rows. On the
 /// `query` bank, samples of 256, 1,024 and 4,096 rows served 2,016, 1,835
-/// and 1,912 records/s (the runs [`MAX_PIVOTS`] cites), within run-to-run
-/// noise. At 1,024 rows the choice costs about 50,000 distances, some
-/// 10 ms at 10,000 bits, once per store.
+/// and 1,912 records/s (16 pivots, unseeded scans), within run-to-run
+/// noise. At 1,024 rows the choice costs about 64,000 distances, some
+/// 20 ms at 10,000 bits, once per store.
 pub const PIVOT_SAMPLE_ROWS: usize = 1_024;
 
 /// Sample rows [`PivotTable::choose_pivots`] takes as queries when it
 /// estimates how many pairs its pivots would skip: 32 probes of a
 /// 1,024-row sample cost 32,768 distances, about what the table of a
-/// 2,048-row bank costs.
+/// 1,024-row bank costs.
 const PIVOT_PROBES: usize = 32;
 
 /// Fewest pairs, per 1,000, that the pivot bound must skip in
 /// [`PivotTable::choose_pivots`]'s estimate for the pivots to be kept. The
-/// estimate reads 84.5% on the `query` bank, whose scan then skips 81% of
-/// pairs unread, and 0% on `serve_bench`'s synthetic cohort (class
-/// prototypes with a quarter of their bits flipped), where every row sits
-/// at nearly one distance from every pivot. Scanned with 16 pivots anyway,
-/// that cohort's 1-query and 256-query predicts at 2,048 bits ran 13% and
-/// 18% slower than a scan without them.
+/// estimate read 84.5% on the `query` bank with 16 pivots, whose scan then
+/// skipped 81% of pairs unread, and reads 0% on `serve_bench`'s synthetic
+/// cohort (class prototypes with a quarter of their bits flipped), where
+/// every row sits at nearly one distance from every pivot. Scanned with 16
+/// pivots anyway, that cohort's 1-query and 256-query predicts at 2,048
+/// bits ran 13% and 18% slower than a scan without them.
 const MIN_SKIPPED_PER_MILLE: usize = 50;
+
+/// Fewest new rows a parallel chunk of [`PivotTable::extend`] tabulates:
+/// at 32 pivots and 10,000 bits, 64 rows are 2,048 distances, some 0.6 ms
+/// on a 2-vCPU Xeon VM, against about 27 µs per scoped spawn and join.
+const MIN_TABLE_CHUNK_ROWS: usize = 64;
 
 /// The Hamming distance `d` as a pivot table stores it: `min(d, u16::MAX)`.
 fn saturated(d: usize) -> u16 {
     u16::try_from(d).unwrap_or(u16::MAX)
+}
+
+/// The rows of `banks` numbered bank after bank: for each bank that the
+/// global rows `rows` touch, in order, its index, the bank and the range of
+/// its own rows they cover. Rows past the banks' last are left out.
+pub(crate) fn bank_segments<'a>(
+    banks: &'a [&'a BitMatrix],
+    rows: Range<usize>,
+) -> impl Iterator<Item = (usize, &'a BitMatrix, Range<usize>)> + 'a {
+    let mut start = 0;
+    banks.iter().enumerate().filter_map(move |(i, &bank)| {
+        let end = start + bank.n_rows();
+        let local = rows.start.clamp(start, end) - start..rows.end.clamp(start, end) - start;
+        start = end;
+        (!local.is_empty()).then_some((i, bank, local))
+    })
 }
 
 /// Each row of a bank's Hamming distance to a few pivot rows: the second
@@ -457,17 +482,21 @@ fn saturated(d: usize) -> u16 {
 /// differences over the pivots is a lower bound on a query's distance to a
 /// row that needs the query's own pivot distances and this table, never
 /// the row. [`crate::topk::TopK::scan`] skips a row without reading a word
-/// of it when that bound is strictly greater than the query's current k-th
-/// distance, so a row at exactly that distance is still read and offered.
-/// Distances are stored as `u16`, saturating at `u16::MAX`; clamping two
-/// distances never increases their difference, so the bound holds at any
-/// width. Each pivot's distances form one contiguous column, so a scan
-/// bounds a block of rows in one pass per pivot.
+/// of it when that bound is strictly greater than the query's k-th
+/// distance or its ceiling, so a row at exactly that distance is still
+/// read and offered, and it picks the rows it reads first by the same
+/// bound. Distances are stored as `u16`, saturating at `u16::MAX`;
+/// clamping two distances never increases their difference, so the bound
+/// holds at any width. Each pivot's distances form one contiguous column,
+/// so a scan bounds a run of rows in one pass per pivot.
+///
+/// The bank may be split into several matrices (a store's shards): the
+/// table numbers their rows bank after bank, one column over all of them.
 ///
 /// Any pivots give exact results; good ones (see
 /// [`PivotTable::choose_pivots`]) skip more rows. A table with no pivots
 /// bounds every distance by 0 and skips nothing. The table must describe
-/// the bank it is scanned with: build it over that bank with
+/// the banks it is scanned with: build it over them with
 /// [`PivotTable::new`] and follow appends with [`PivotTable::extend`].
 #[derive(Clone, PartialEq, Eq)]
 pub struct PivotTable {
@@ -490,52 +519,76 @@ impl PivotTable {
         }
     }
 
-    /// The distances of every row of `bank` to every row of `pivots`.
+    /// The distances of every row of `banks`, numbered bank after bank,
+    /// to every row of `pivots`.
     ///
-    /// Returns [`HdcError::DimensionMismatch`] when the pivots and the bank
+    /// Returns [`HdcError::DimensionMismatch`] when the pivots and a bank
     /// differ in width.
-    pub fn new(pivots: BitMatrix, bank: &BitMatrix) -> Result<Self, HdcError> {
+    pub fn new(pivots: BitMatrix, banks: &[&BitMatrix]) -> Result<Self, HdcError> {
         let mut table = Self {
             columns: vec![Vec::new(); pivots.n_rows()],
             pivots,
             n_rows: 0,
         };
-        table.extend(bank)?;
+        table.extend(banks)?;
         Ok(table)
     }
 
-    /// Adds the distances of `bank`'s rows past [`PivotTable::n_rows`]:
-    /// after rows are appended to the bank the table was built over, it
-    /// covers them too, at the cost of a distance per new row and pivot.
+    /// Adds the distances of the rows of `banks` (numbered bank after
+    /// bank) past [`PivotTable::n_rows`]: after rows are appended to the
+    /// banks the table was built over, at the end of the last bank or in
+    /// new banks after it, it covers them too, at the cost of a distance
+    /// per new row and pivot. Chunks of at least 64 new rows are
+    /// tabulated in parallel.
     ///
-    /// Returns [`HdcError::DimensionMismatch`] when the pivots and the bank
-    /// differ in width, and [`HdcError::InvalidConfig`] when the bank holds
+    /// Returns [`HdcError::DimensionMismatch`] when the pivots and a bank
+    /// differ in width, and [`HdcError::InvalidConfig`] when the banks hold
     /// fewer rows than the table covers.
-    pub fn extend(&mut self, bank: &BitMatrix) -> Result<(), HdcError> {
-        if bank.dim() != self.pivots.dim() {
-            return Err(HdcError::DimensionMismatch {
-                left: self.pivots.dim().get(),
-                right: bank.dim().get(),
-            });
+    pub fn extend(&mut self, banks: &[&BitMatrix]) -> Result<(), HdcError> {
+        for bank in banks {
+            if bank.dim() != self.pivots.dim() {
+                return Err(HdcError::DimensionMismatch {
+                    left: self.pivots.dim().get(),
+                    right: bank.dim().get(),
+                });
+            }
         }
-        if bank.n_rows() < self.n_rows {
+        let total: usize = banks.iter().map(|bank| bank.n_rows()).sum();
+        if total < self.n_rows {
             return Err(HdcError::InvalidConfig(format!(
-                "a pivot table over {} rows cannot extend to a bank of {}",
-                self.n_rows,
-                bank.n_rows()
+                "a pivot table over {} rows cannot extend to banks of {total}",
+                self.n_rows
             )));
         }
-        let new_rows = self.n_rows..bank.n_rows();
-        for (p, column) in self.columns.iter_mut().enumerate() {
-            let pivot = self.pivots.row_words(p);
+        let new_rows = self.n_rows..total;
+        let pivots = &self.pivots;
+        // Each chunk of new rows reads a row once for every pivot and
+        // returns its distances pivot after pivot.
+        let blocks = rayon::map_ranges(new_rows.len(), MIN_TABLE_CHUNK_ROWS, |chunk| {
+            let rows = new_rows.start + chunk.start..new_rows.start + chunk.end;
+            let mut block = vec![0u16; rows.len() * pivots.n_rows()];
+            let mut i = 0;
+            for (_, bank, local) in bank_segments(banks, rows.clone()) {
+                for row in local {
+                    let words = bank.row_words(row);
+                    for (p, cell) in block.iter_mut().skip(i).step_by(rows.len()).enumerate() {
+                        *cell = saturated(hamming_words(pivots.row_words(p), words));
+                    }
+                    i += 1;
+                }
+            }
+            block
+        });
+        for column in &mut self.columns {
             column.reserve_exact(new_rows.len());
-            column.extend(
-                new_rows
-                    .clone()
-                    .map(|row| saturated(hamming_words(pivot, bank.row_words(row)))),
-            );
         }
-        self.n_rows = bank.n_rows();
+        for block in blocks {
+            let len = block.len() / self.columns.len().max(1);
+            for (column, part) in self.columns.iter_mut().zip(block.chunks_exact(len.max(1))) {
+                column.extend_from_slice(part);
+            }
+        }
+        self.n_rows = total;
         Ok(())
     }
 
@@ -552,16 +605,18 @@ impl PivotTable {
     }
 
     /// `query`'s saturated distance to each pivot, in pivot order.
-    pub(crate) fn query_distances(&self, query: &[u64]) -> Vec<u16> {
+    pub(crate) fn query_distances<'a>(
+        &'a self,
+        query: &'a [u64],
+    ) -> impl Iterator<Item = u16> + 'a {
         (0..self.pivots.n_rows())
-            .map(|p| saturated(hamming_words(query, self.pivots.row_words(p))))
-            .collect()
+            .map(move |p| saturated(hamming_words(query, self.pivots.row_words(p))))
     }
 
     /// Writes into `lower` the bound of each row of `rows`, in order:
     /// `max_p |query[p] - column_p[row]|` for a query's
     /// [`PivotTable::query_distances`] `query`. One contiguous pass per
-    /// pivot over the block's slice of its column, which vectorises.
+    /// pivot over the rows' slice of its column, which vectorises.
     /// `lower` must be `rows.len()` long and `rows` inside the table.
     pub(crate) fn lower_bounds(&self, query: &[u16], rows: Range<usize>, lower: &mut [u16]) {
         lower.fill(0);
@@ -642,7 +697,7 @@ impl PivotTable {
             let Some(kth) = others().filter_map(|&row| distances.get(row)).min() else {
                 continue;
             };
-            let to_pivots = table.query_distances(sample.row_words(probe));
+            let to_pivots: Vec<u16> = table.query_distances(sample.row_words(probe)).collect();
             table.lower_bounds(&to_pivots, 0..n, &mut bounds);
             skipped += others()
                 .filter(|&&row| bounds.get(row).is_some_and(|&b| usize::from(b) > *kth))

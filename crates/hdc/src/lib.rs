@@ -17,9 +17,11 @@
 //!   features, the categorical encoder for binary features, and the record
 //!   encoder that bundles one hypervector per patient.
 //! * [`topk`] — the bounded k-nearest selection every Hamming k-NN path
-//!   shares. Its scans skip a row unread when a
-//!   [`bitmatrix::PivotTable`]'s triangle-inequality bound puts it past
-//!   the k nearest, read every other row through
+//!   shares. Its scans read first the rows a
+//!   [`bitmatrix::PivotTable`]'s triangle-inequality bound puts nearest,
+//!   to set a k-th distance ceiling the parallel scans of a request share,
+//!   skip a row unread when its bound is past that ceiling or the k-th
+//!   distance so far, read every other row through
 //!   [`bitmatrix::hamming_within`] and stop once it cannot enter, with
 //!   results identical to full-distance scans.
 //! * [`classify`] — the signed per-bit class accumulators behind every

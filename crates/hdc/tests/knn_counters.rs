@@ -2,8 +2,10 @@
 //! the pairs it compared (`hdc/knn_pairs`), the pairs a scan's pivot bound
 //! skipped unread (`hdc/knn_pairs_skipped`) and the pairs it stopped
 //! reading once they could not enter a top-k list
-//! (`hdc/knn_pairs_abandoned`); every other pair was read in full. Without
-//! the feature the counters compile to nothing and this file is empty.
+//! (`hdc/knn_pairs_abandoned`); every other pair was read in full. A scan
+//! also counts the seed rows it read first, per query, to set its ceilings
+//! (`hdc/knn_pairs_seeded`). Without the feature the counters compile to
+//! nothing and this file is empty.
 
 #![cfg(feature = "obs")]
 
@@ -13,7 +15,7 @@ use hyperfex_hdc::bitmatrix::{hamming_words, PivotTable};
 use hyperfex_hdc::classify::LeaveOneOut;
 use hyperfex_hdc::encoding::LinearEncoder;
 use hyperfex_hdc::rng::SplitMix64;
-use hyperfex_hdc::topk::TopK;
+use hyperfex_hdc::topk::{ScanRequest, TopK};
 use hyperfex_hdc::{BinaryHypervector, BitMatrix, Dim};
 
 /// The counters are process-global, so each test holds this lock and
@@ -43,6 +45,15 @@ fn counted_with_skips(run: impl FnOnce()) -> (u64, u64, u64) {
     let (compared, abandoned) = counted(run);
     let skipped = counter("hdc/knn_pairs_skipped") - skipped_before;
     (compared, skipped, abandoned)
+}
+
+/// The change in `(compared, skipped, abandoned, seeded)` that `run`
+/// makes.
+fn counted_with_seeds(run: impl FnOnce()) -> (u64, u64, u64, u64) {
+    let seeded_before = counter("hdc/knn_pairs_seeded");
+    let (compared, skipped, abandoned) = counted_with_skips(run);
+    let seeded = counter("hdc/knn_pairs_seeded") - seeded_before;
+    (compared, skipped, abandoned, seeded)
 }
 
 /// The change in `(compared, abandoned)` that `run` makes.
@@ -80,7 +91,8 @@ fn scans_count_rows_times_queries_and_abandon_only_when_a_list_is_full() {
 
     let (compared, abandoned) = counted(|| {
         let mut tops = TopK::new(3, 1);
-        tops.scan(&queries, &bank, &none, 0..40, |row| row).unwrap();
+        let request = ScanRequest::new(&queries, 1, &none).unwrap();
+        tops.scan(&request, &[&bank], 0..40, |_, row| row).unwrap();
     });
     assert_eq!(compared, 40 * 3);
     assert!(
@@ -90,20 +102,22 @@ fn scans_count_rows_times_queries_and_abandon_only_when_a_list_is_full() {
 
     let (compared, abandoned) = counted(|| {
         let mut tops = TopK::new(3, 40);
-        tops.scan(&queries, &bank, &none, 0..40, |row| row).unwrap();
+        let request = ScanRequest::new(&queries, 40, &none).unwrap();
+        tops.scan(&request, &[&bank], 0..40, |_, row| row).unwrap();
     });
     assert_eq!((compared, abandoned), (40 * 3, 0), "k = rows");
 
     let (compared, abandoned) = counted(|| {
         let mut tops = TopK::new(3, 64);
-        tops.scan(&queries, &bank, &none, 10..25, |row| row)
-            .unwrap();
+        let request = ScanRequest::new(&queries, 64, &none).unwrap();
+        tops.scan(&request, &[&bank], 10..25, |_, row| row).unwrap();
     });
     assert_eq!((compared, abandoned), (15 * 3, 0), "k > rows");
 
     let (_, skipped, _) = counted_with_skips(|| {
         let mut tops = TopK::new(3, 1);
-        tops.scan(&queries, &bank, &none, 0..40, |row| row).unwrap();
+        let request = ScanRequest::new(&queries, 1, &none).unwrap();
+        tops.scan(&request, &[&bank], 0..40, |_, row| row).unwrap();
     });
     assert_eq!(skipped, 0, "no pivots skip nothing");
 }
@@ -143,12 +157,14 @@ fn pairs_are_skipped_abandoned_or_read_in_full() {
     let rows = bank_with_a_near_neighbour();
     let bank = BitMatrix::from_hypervectors(&rows).unwrap();
     let queries = bank.select_rows(&[0, 7, 12]);
-    let pivots = PivotTable::new(queries.clone(), &bank).unwrap();
+    let pivots = PivotTable::new(queries.clone(), &[&bank]).unwrap();
 
     let (compared, skipped, abandoned) = counted_with_skips(|| {
         let mut tops = TopK::new(3, 1);
-        tops.scan(&queries, &bank, &pivots, 0..40, |row| row)
-            .unwrap();
+        let request = ScanRequest::new(&queries, 1, &pivots)
+            .unwrap()
+            .with_seed_rows(0);
+        tops.scan(&request, &[&bank], 0..40, |_, row| row).unwrap();
     });
     let read_in_full: u64 = (0..queries.n_rows())
         .map(|q| {
@@ -170,8 +186,10 @@ fn pairs_are_skipped_abandoned_or_read_in_full() {
 
     let (compared, skipped, abandoned) = counted_with_skips(|| {
         let mut tops = TopK::new(3, 40);
-        tops.scan(&queries, &bank, &pivots, 0..40, |row| row)
-            .unwrap();
+        let request = ScanRequest::new(&queries, 40, &pivots)
+            .unwrap()
+            .with_seed_rows(0);
+        tops.scan(&request, &[&bank], 0..40, |_, row| row).unwrap();
     });
     assert_eq!((compared, skipped, abandoned), (40 * 3, 0, 0), "k = rows");
 }
@@ -187,15 +205,17 @@ fn chosen_pivots_skip_pairs_of_a_level_encoded_bank() {
     let rows: Vec<BinaryHypervector> = (0..400).map(|_| encoder.encode(rng.next_f64())).collect();
     let first_half = BitMatrix::from_hypervectors(&rows[..200]).unwrap();
     let bank = BitMatrix::from_hypervectors(&rows).unwrap();
-    let mut pivots = PivotTable::new(PivotTable::choose_pivots(&first_half), &first_half).unwrap();
+    let mut pivots =
+        PivotTable::new(PivotTable::choose_pivots(&first_half), &[&first_half]).unwrap();
     assert!(pivots.pivots().n_rows() > 0);
-    pivots.extend(&bank).unwrap();
+    pivots.extend(&[&bank]).unwrap();
     let queries =
         BitMatrix::from_hypervectors(&[encoder.encode(0.3), encoder.encode(0.71)]).unwrap();
 
     let (compared, skipped, abandoned) = counted_with_skips(|| {
         let mut tops = TopK::new(2, 5);
-        tops.scan(&queries, &bank, &pivots, 200..400, |row| row)
+        let request = ScanRequest::new(&queries, 5, &pivots).unwrap();
+        tops.scan(&request, &[&bank], 200..400, |_, row| row)
             .unwrap();
     });
     assert_eq!(compared, 200 * 2);
@@ -204,4 +224,56 @@ fn chosen_pivots_skip_pairs_of_a_level_encoded_bank() {
         compared >= skipped + abandoned + 2 * 5,
         "each list read its 5 rows in full"
     );
+}
+
+/// Tripwire for the seeded ceiling: on a level-encoded bank, a scan that
+/// reads each query's lowest-bound rows first skips strictly more pairs
+/// than one at the same pivots that does not, keeps the same lists, counts
+/// its seed reads apart from its main pass, and still reads each list's
+/// `k` rows in full in the main pass.
+#[test]
+fn seeded_scans_skip_more_pairs_than_unseeded_ones() {
+    let _lock = registry_lock();
+    let encoder = LinearEncoder::new(Dim::new(10_000), 0.0, 1.0, 5).unwrap();
+    let mut rng = SplitMix64::new(9);
+    let rows: Vec<BinaryHypervector> = (0..2_000).map(|_| encoder.encode(rng.next_f64())).collect();
+    let bank = BitMatrix::from_hypervectors(&rows).unwrap();
+    let pivots = PivotTable::new(PivotTable::choose_pivots(&bank), &[&bank]).unwrap();
+    assert!(pivots.pivots().n_rows() > 0);
+    let queries = BitMatrix::from_hypervectors(&[
+        encoder.encode(0.13),
+        encoder.encode(0.52),
+        encoder.encode(0.97),
+    ])
+    .unwrap();
+
+    let scan = |seed_rows: Option<usize>| {
+        let mut request = ScanRequest::new(&queries, 5, &pivots).unwrap();
+        if let Some(rows) = seed_rows {
+            request = request.with_seed_rows(rows);
+        }
+        let mut tops = TopK::new(3, 5);
+        let counts = counted_with_seeds(|| {
+            tops.scan(&request, &[&bank], 0..2_000, |_, row| row)
+                .unwrap();
+        });
+        (counts, tops)
+    };
+    let ((compared, unseeded_skips, _, unseeded_reads), plain) = scan(Some(0));
+    assert_eq!(compared, 2_000 * 3);
+    assert_eq!(unseeded_reads, 0, "no seeds, no seed reads");
+    let ((compared, skipped, abandoned, seeded), tops) = scan(None);
+    assert_eq!(compared, 2_000 * 3, "seed reads are not main-pass pairs");
+    assert!(seeded > 0, "each query read seed rows");
+    assert!(
+        skipped > unseeded_skips,
+        "seeded {skipped} against unseeded {unseeded_skips} skips"
+    );
+    assert!(
+        compared >= skipped + abandoned + 3 * 5,
+        "each list read its 5 rows in full"
+    );
+    for q in 0..3 {
+        assert_eq!(tops.list(q), plain.list(q), "query {q}");
+    }
 }

@@ -8,7 +8,7 @@
 use hyperfex_hdc::bitmatrix::{hamming_words, PivotTable};
 use hyperfex_hdc::encoding::LinearEncoder;
 use hyperfex_hdc::rng::SplitMix64;
-use hyperfex_hdc::topk::TopK;
+use hyperfex_hdc::topk::{ScanRequest, TopK};
 use hyperfex_hdc::{BinaryHypervector, BitMatrix, Dim};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -57,7 +57,7 @@ fn pivot_table(
     } else {
         BitMatrix::from_hypervectors(&rows).unwrap()
     };
-    PivotTable::new(pivots, bank).unwrap()
+    PivotTable::new(pivots, &[bank]).unwrap()
 }
 
 /// Widths at which a scan's 16-word blocks can abandon a row before its
@@ -175,7 +175,8 @@ proptest! {
         let mut merged = TopK::new(queries.len(), k);
         for range in pieces(rows.len(), &cuts) {
             let mut tops = TopK::new(queries.len(), k);
-            tops.scan(&query_matrix, &bank, &pivots, range, |row| row).unwrap();
+            let request = ScanRequest::new(&query_matrix, k, &pivots).unwrap();
+            tops.scan(&request, &[&bank], range, |_, row| row).unwrap();
             merged.merge(&tops);
         }
         for (q, query) in queries.iter().enumerate() {
@@ -244,12 +245,13 @@ proptest! {
         let pivots = pivot_table(pivot_kind, &bank, &query_matrix, &mut rng);
 
         let mut whole = TopK::new(n_queries, k);
-        whole.scan(&query_matrix, &bank, &pivots, 0..n, key).unwrap();
+        let request = || ScanRequest::new(&query_matrix, k, &pivots).unwrap();
+        whole.scan(&request(), &[&bank], 0..n, |_, row| key(row)).unwrap();
         let mut merged = TopK::new(n_queries, k);
         let ranges = pieces(n, &cuts);
         for i in shuffled(ranges.len(), seed) {
             let mut tops = TopK::new(n_queries, k);
-            tops.scan(&query_matrix, &bank, &pivots, ranges[i].clone(), key).unwrap();
+            tops.scan(&request(), &[&bank], ranges[i].clone(), |_, row| key(row)).unwrap();
             merged.merge(&tops);
         }
         for (q, query) in queries.iter().enumerate() {
@@ -274,9 +276,9 @@ fn a_k_zero_scan_keeps_nothing() {
     let bank = BitMatrix::from_hypervectors(&rows).unwrap();
     let queries = bank.select_rows(&[0, 39]);
     let mut tops: TopK<usize> = TopK::new(2, 0);
-    let pivots = PivotTable::new(queries.clone(), &bank).unwrap();
-    tops.scan(&queries, &bank, &pivots, 0..40, |row| row)
-        .unwrap();
+    let pivots = PivotTable::new(queries.clone(), &[&bank]).unwrap();
+    let request = ScanRequest::new(&queries, 0, &pivots).unwrap();
+    tops.scan(&request, &[&bank], 0..40, |_, row| row).unwrap();
     assert!(tops.list(0).is_empty());
     assert!(tops.list(1).is_empty());
 }
@@ -286,10 +288,9 @@ fn scan_rejects_a_bank_of_another_width() {
     let queries = BitMatrix::zeros(1, Dim::new(64));
     let bank = BitMatrix::zeros(2, Dim::new(65));
     let mut tops: TopK<usize> = TopK::new(1, 1);
-    let pivots = PivotTable::none(Dim::new(65));
-    assert!(tops
-        .scan(&queries, &bank, &pivots, 0..2, |row| row)
-        .is_err());
+    let pivots = PivotTable::none(Dim::new(64));
+    let request = ScanRequest::new(&queries, 1, &pivots).unwrap();
+    assert!(tops.scan(&request, &[&bank], 0..2, |_, row| row).is_err());
     assert!(tops.list(0).is_empty());
 }
 
@@ -352,7 +353,7 @@ proptest! {
         let queries: Vec<BinaryHypervector> = (0..n_queries).map(|_| level()).collect();
         let bank = BitMatrix::from_hypervectors(&rows).unwrap();
         let query_matrix = BitMatrix::from_hypervectors(&queries).unwrap();
-        let pivots = PivotTable::new(PivotTable::choose_pivots(&bank), &bank).unwrap();
+        let pivots = PivotTable::new(PivotTable::choose_pivots(&bank), &[&bank]).unwrap();
         prop_assert!(pivots.pivots().n_rows() > 0);
         let key = |row: usize| row;
         let want = brute_force(&query_matrix, &bank, k, key);
@@ -365,11 +366,12 @@ proptest! {
         prop_assert!(skippable, "the bound passes some k-th distance");
 
         let mut whole = TopK::new(n_queries, k);
-        whole.scan(&query_matrix, &bank, &pivots, 0..n, key).unwrap();
+        let request = || ScanRequest::new(&query_matrix, k, &pivots).unwrap();
+        whole.scan(&request(), &[&bank], 0..n, |_, row| key(row)).unwrap();
         let mut merged = TopK::new(n_queries, k);
         for range in pieces(n, &cuts) {
             let mut tops = TopK::new(n_queries, k);
-            tops.scan(&query_matrix, &bank, &pivots, range, key).unwrap();
+            tops.scan(&request(), &[&bank], range, |_, row| key(row)).unwrap();
             merged.merge(&tops);
         }
         for (q, list) in want.iter().enumerate() {
@@ -415,13 +417,194 @@ proptest! {
         let want = brute_force(&query_matrix, &bank, k, key);
         let mut tables = vec![pivot_table(pivot_kind, &bank, &query_matrix, &mut rng)];
         let zeros_and_ones = BitMatrix::from_hypervectors(&[zeros, ones.clone()]).unwrap();
-        tables.push(PivotTable::new(zeros_and_ones, &bank).unwrap());
+        tables.push(PivotTable::new(zeros_and_ones, &[&bank]).unwrap());
         for pivots in &tables {
             let mut tops = TopK::new(n_queries, k);
-            tops.scan(&query_matrix, &bank, pivots, 0..n, key).unwrap();
+            let request = ScanRequest::new(&query_matrix, k, pivots).unwrap();
+            tops.scan(&request, &[&bank], 0..n, |_, row| key(row)).unwrap();
             for (q, list) in want.iter().enumerate() {
                 prop_assert_eq!(tops.list(q), list.as_slice(), "query {}", q);
             }
         }
     }
+}
+
+/// Seed counts a seeded scan is checked at, by index: none, one, fewer
+/// than `k`, every row of the bank, and more than the bank holds.
+fn seed_count(index: usize, k: usize, rows: usize) -> usize {
+    [0, 1, k.saturating_sub(1), rows, rows + 1][index % 5]
+}
+
+/// Scans `rows` of `bank` in the given pieces, all sharing one request (so
+/// one set of ceilings) seeded with at most `seeds` rows per query, and
+/// merges the pieces' lists.
+fn shared_scan(
+    queries: &BitMatrix,
+    bank: &BitMatrix,
+    pivots: &PivotTable,
+    k: usize,
+    seeds: usize,
+    pieces: &[std::ops::Range<usize>],
+    key: impl Fn(usize) -> usize,
+) -> TopK<usize> {
+    let request = ScanRequest::new(queries, k, pivots)
+        .unwrap()
+        .with_seed_rows(seeds);
+    let mut merged = TopK::new(queries.n_rows(), k);
+    for range in pieces {
+        let mut tops = TopK::new(queries.n_rows(), k);
+        tops.scan(&request, &[bank], range.clone(), |_, row| key(row))
+            .unwrap();
+        merged.merge(&tops);
+    }
+    merged
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Seeded scans keep the brute-force lists for any seed count and any
+    /// kind of pivot set. Each query has more than `k` rows planted at one
+    /// distance with none nearer, so that distance is its k-th: half of
+    /// them lead the bank, where a table with no pivots takes its seeds
+    /// (every bound is 0, so the seeds are the first rows), and half close
+    /// it, after random rows, under a key that falls as the row rises, so
+    /// the late ties must enter on their keys past a ceiling the early ones
+    /// set. The last query is a copy of a bank row. Whole and split scans
+    /// share one request's ceilings.
+    #[test]
+    fn seeded_scans_match_brute_force(
+        dim_index in 0usize..PRUNED_DIMS.len(),
+        n_queries in 1usize..4,
+        k in 1usize..6,
+        extra in 1usize..6,
+        far in 30usize..60,
+        seeds in 0usize..5,
+        cuts in vec(0usize..80, 0..3),
+        seed in any::<u64>(),
+        pivot_kind in 0usize..PIVOT_KINDS,
+    ) {
+        let dim = Dim::new(PRUNED_DIMS[dim_index]);
+        let mut rng = SplitMix64::new(seed);
+        let mut queries: Vec<BinaryHypervector> = (0..n_queries)
+            .map(|_| BinaryHypervector::random(dim, &mut rng))
+            .collect();
+        let mut front = Vec::new();
+        let mut back = Vec::new();
+        for query in &queries {
+            let planted = usize::try_from(rng.next_bounded(300)).unwrap();
+            for i in 0..k + extra {
+                let side = if i % 2 == 0 { &mut front } else { &mut back };
+                side.push(at_distance(query, planted, &mut rng));
+            }
+        }
+        let mut rows = front;
+        rows.extend((0..far).map(|_| BinaryHypervector::random(dim, &mut rng)));
+        rows.extend(back);
+        let n = rows.len();
+        queries.push(rows[usize::try_from(rng.next_bounded(n as u64)).unwrap()].clone());
+        let bank = BitMatrix::from_hypervectors(&rows).unwrap();
+        let query_matrix = BitMatrix::from_hypervectors(&queries).unwrap();
+        let key = |row: usize| n - row;
+        let pivots = pivot_table(pivot_kind, &bank, &query_matrix, &mut rng);
+        let seeds = seed_count(seeds, k, n);
+        let want = brute_force(&query_matrix, &bank, k, key);
+
+        let whole = shared_scan(&query_matrix, &bank, &pivots, k, seeds, &pieces(n, &[]), key);
+        let split = shared_scan(&query_matrix, &bank, &pivots, k, seeds, &pieces(n, &cuts), key);
+        for (q, list) in want.iter().enumerate() {
+            prop_assert_eq!(whole.list(q), list.as_slice(), "whole scan, query {}", q);
+            prop_assert_eq!(split.list(q), list.as_slice(), "split scan, query {}", q);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Seeded scans at 70,001 bits, where pivot distances saturate at
+    /// `u16::MAX` (see `saturated_pivot_distances_keep_scans_exact`), keep
+    /// the brute-force lists for every seed count, under every kind of
+    /// pivot set and the all-zero and all-ones pivots.
+    #[test]
+    fn seeded_scans_with_saturated_pivot_distances_stay_exact(
+        n in 40usize..64,
+        n_queries in 1usize..4,
+        k in 1usize..6,
+        pivot_kind in 0usize..PIVOT_KINDS,
+        cuts in vec(0usize..64, 0..3),
+        seed in any::<u64>(),
+    ) {
+        let dim = Dim::new(70_001);
+        let ones = BinaryHypervector::ones(dim);
+        let mut rng = SplitMix64::new(seed);
+        let dense = |rng: &mut SplitMix64| {
+            let cleared = usize::try_from(rng.next_bounded(12_000)).unwrap();
+            at_distance(&ones, cleared, rng)
+        };
+        let rows: Vec<BinaryHypervector> = (0..n).map(|_| dense(&mut rng)).collect();
+        let queries: Vec<BinaryHypervector> = (0..n_queries).map(|_| dense(&mut rng)).collect();
+        let bank = BitMatrix::from_hypervectors(&rows).unwrap();
+        let query_matrix = BitMatrix::from_hypervectors(&queries).unwrap();
+        let key = |row: usize| n - row;
+        let want = brute_force(&query_matrix, &bank, k, key);
+        let zeros_and_ones =
+            BitMatrix::from_hypervectors(&[BinaryHypervector::zeros(dim), ones.clone()]).unwrap();
+        let tables = [
+            pivot_table(pivot_kind, &bank, &query_matrix, &mut rng),
+            PivotTable::new(zeros_and_ones, &[&bank]).unwrap(),
+        ];
+        for pivots in &tables {
+            for seeds in 0..5 {
+                let seeds = seed_count(seeds, k, n);
+                let tops = shared_scan(&query_matrix, &bank, pivots, k, seeds, &pieces(n, &cuts), key);
+                for (q, list) in want.iter().enumerate() {
+                    prop_assert_eq!(tops.list(q), list.as_slice(), "query {}, {} seeds", q, seeds);
+                }
+            }
+        }
+    }
+}
+
+/// A bank split into several matrices scans like the one matrix it was cut
+/// from: rows are numbered bank after bank, each pivot column spans every
+/// bank, and a table extended bank by bank equals one built whole.
+#[test]
+fn split_banks_scan_like_one() {
+    let encoder = LinearEncoder::new(Dim::new(10_000), 0.0, 1.0, 3).unwrap();
+    let mut rng = SplitMix64::new(4);
+    let rows: Vec<BinaryHypervector> = (0..300)
+        .map(|_| encoder.encode(rng.next_bounded(64) as f64 / 63.0))
+        .collect();
+    let whole = BitMatrix::from_hypervectors(&rows).unwrap();
+    let parts: Vec<BitMatrix> = [0..70, 70..71, 71..200, 200..300]
+        .into_iter()
+        .map(|r| BitMatrix::from_hypervectors(&rows[r]).unwrap())
+        .collect();
+    let banks: Vec<&BitMatrix> = parts.iter().collect();
+    let chosen = PivotTable::choose_pivots(&whole);
+    let table = PivotTable::new(chosen.clone(), &[&whole]).unwrap();
+    let mut grown = PivotTable::new(chosen, &banks[..1]).unwrap();
+    for end in 2..=banks.len() {
+        grown.extend(&banks[..end]).unwrap();
+    }
+    assert_eq!(grown, table);
+
+    let queries =
+        BitMatrix::from_hypervectors(&[encoder.encode(0.2), encoder.encode(0.9)]).unwrap();
+    let starts = [0, 70, 71, 200];
+    let want = brute_force(&queries, &whole, 5, |row| row);
+    let request = ScanRequest::new(&queries, 5, &table).unwrap();
+    let mut tops = TopK::new(2, 5);
+    tops.scan(&request, &banks, 30..300, |b, row| starts[b] + row)
+        .unwrap();
+    let mut first = TopK::new(2, 5);
+    first
+        .scan(&request, &banks, 0..30, |b, row| starts[b] + row)
+        .unwrap();
+    tops.merge(&first);
+    for (q, list) in want.iter().enumerate() {
+        assert_eq!(tops.list(q), list.as_slice(), "query {q}");
+    }
+    assert!(tops.scan(&request, &banks, 0..301, |_, row| row).is_err());
 }

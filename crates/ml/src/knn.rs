@@ -5,7 +5,7 @@ use crate::error::MlError;
 use crate::linalg::Matrix;
 use crate::traits::{validate_fit_inputs, Estimator, Features, ProbabilisticEstimator};
 use hyperfex_hdc::bitmatrix::{BitMatrix, PivotTable};
-use hyperfex_hdc::topk::TopK;
+use hyperfex_hdc::topk::{ScanRequest, TopK};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -221,8 +221,10 @@ impl Estimator for KnnClassifier {
                 let no_pivots = PivotTable::none(train.dim());
                 Self::map_chunks(q.n_rows(), |rows| {
                     let chunk = q.select_rows(&rows.collect::<Vec<_>>());
+                    let request =
+                        ScanRequest::new(&chunk, k, &no_pivots).map_err(|_| shape_mismatch())?;
                     let mut tops = TopK::new(chunk.n_rows(), k);
-                    tops.scan(&chunk, train, &no_pivots, 0..n, |j| j)
+                    tops.scan(&request, &[train], 0..n, |_, j| j)
                         .map_err(|_| shape_mismatch())?;
                     Ok((0..chunk.n_rows())
                         .map(|qi| {

@@ -17,7 +17,6 @@
 use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
@@ -25,7 +24,7 @@ use hyperfex_hdc::binary::Dim;
 use hyperfex_hdc::bitmatrix::{BitMatrix, PivotTable, PIVOT_SAMPLE_ROWS};
 use hyperfex_hdc::classify::ClassAccumulators;
 use hyperfex_hdc::distill::BitSelection;
-use hyperfex_hdc::topk::TopK;
+use hyperfex_hdc::topk::{ScanRequest, TopK};
 use hyperfex_hdc::{failpoint, BinaryHypervector};
 
 use crate::error::ServeError;
@@ -149,69 +148,38 @@ pub struct HvStore {
     /// The manifest this store last committed to a directory, or opened
     /// from it: the committed lengths [`HvStore::save_dirty`] appends past.
     committed: Option<(PathBuf, Manifest)>,
-    /// The k-NN scan's pivots and their tables: derived from the rows at
-    /// the first [`HvStore::predict_batch`], extended by
-    /// [`HvStore::append_batch`] once built (so ingest alone never pays
-    /// for them), and never persisted.
-    pivots: OnceLock<ShardPivots>,
+    /// The k-NN scan's pivot table over the rows, numbered shard after
+    /// shard: derived from them at the first [`HvStore::predict_batch`],
+    /// extended by [`HvStore::append_batch`] once built (so ingest alone
+    /// never pays for it), and never persisted.
+    pivots: OnceLock<PivotTable>,
 }
 
-/// One [`PivotTable`] per serving shard, in shard order, all over the same
-/// pivots.
-#[derive(Debug, Clone)]
-struct ShardPivots {
-    pivots: BitMatrix,
-    tables: Vec<PivotTable>,
+/// Chooses the k-NN scan's pivots from every `⌈n / 1,024⌉`-th row of the
+/// shards, rows numbered shard after shard (see
+/// [`PivotTable::choose_pivots`]; it may choose none), then tabulates every
+/// row.
+fn build_pivot_table(dim: Dim, shards: &[ShardRecord]) -> Result<PivotTable, ServeError> {
+    let n_rows: usize = shards.iter().map(|s| s.bank.n_rows()).sum();
+    let mut words = Vec::new();
+    let mut sampled = 0;
+    let rows = shards
+        .iter()
+        .flat_map(|s| (0..s.bank.n_rows()).map(|row| s.bank.row_words(row)));
+    for row in rows.step_by(n_rows.div_ceil(PIVOT_SAMPLE_ROWS).max(1)) {
+        words.extend_from_slice(row);
+        sampled += 1;
+    }
+    let sample = BitMatrix::from_words(sampled, dim, words)?;
+    Ok(PivotTable::new(
+        PivotTable::choose_pivots(&sample),
+        &banks(shards),
+    )?)
 }
 
-impl ShardPivots {
-    /// Chooses the pivots from every `⌈n / 1,024⌉`-th row of the shards,
-    /// rows numbered shard after shard (see
-    /// [`PivotTable::choose_pivots`]; it may choose none), then tabulates
-    /// every shard, shards in parallel.
-    fn build(dim: Dim, shards: &[ShardRecord]) -> Result<Self, ServeError> {
-        let n_rows: usize = shards.iter().map(|s| s.bank.n_rows()).sum();
-        let mut words = Vec::new();
-        let mut sampled = 0;
-        let rows = shards
-            .iter()
-            .flat_map(|s| (0..s.bank.n_rows()).map(|row| s.bank.row_words(row)));
-        for row in rows.step_by(n_rows.div_ceil(PIVOT_SAMPLE_ROWS).max(1)) {
-            words.extend_from_slice(row);
-            sampled += 1;
-        }
-        let sample = BitMatrix::from_words(sampled, dim, words)?;
-        let pivots = PivotTable::choose_pivots(&sample);
-        let tables = rayon::map_chunks(shards, 1, |_, chunk| {
-            chunk
-                .iter()
-                .map(|shard| PivotTable::new(pivots.clone(), &shard.bank))
-                .collect::<Result<Vec<_>, _>>()
-        });
-        let mut built = Self {
-            pivots,
-            tables: Vec::with_capacity(shards.len()),
-        };
-        for chunk in tables {
-            built.tables.extend(chunk?);
-        }
-        Ok(built)
-    }
-
-    /// Covers the rows appended since the tables were last built or
-    /// extended: each shard's table takes its new rows, and each new shard
-    /// gets a table.
-    fn extend(&mut self, shards: &[ShardRecord]) -> Result<(), ServeError> {
-        for (i, shard) in shards.iter().enumerate() {
-            match self.tables.get_mut(i) {
-                Some(table) => table.extend(&shard.bank)?,
-                None => self
-                    .tables
-                    .push(PivotTable::new(self.pivots.clone(), &shard.bank)?),
-            }
-        }
-        Ok(())
-    }
+/// The shards' banks, in shard order.
+fn banks(shards: &[ShardRecord]) -> Vec<&BitMatrix> {
+    shards.iter().map(|shard| &shard.bank).collect()
 }
 
 /// Pins of the accumulator and selection files.
@@ -481,10 +449,11 @@ impl HvStore {
         if let Some(accums) = &mut self.accums {
             accums.add_batch(&rows, labels)?;
         }
-        // Pivot tables, once a predict has built them, follow the rows. A
-        // table that cannot is dropped, and the next predict rebuilds it.
+        // The pivot table, once a predict has built it, follows the rows,
+        // which only ever grow at the end. A table that cannot is dropped,
+        // and the next predict rebuilds it.
         if let Some(pivots) = self.pivots.get_mut() {
-            if pivots.extend(&self.shards).is_err() {
+            if pivots.extend(&banks(&self.shards)).is_err() {
                 self.pivots = OnceLock::new();
             }
         }
@@ -1238,18 +1207,29 @@ impl HvStore {
 
         // The store's rows, shard after shard, form one global row range.
         // `rayon::map_ranges` gives each chunk a contiguous part of it
-        // (which may span shards), and each chunk returns its own per-query
-        // top-k. Merging them keeps the k globally smallest candidates per
-        // query — identical to folding shards one by one, because both are
-        // "the k smallest elements" of the same candidate multiset and the
-        // (distance, shard, row, label) order makes every candidate
-        // distinct. How the rows are split therefore cannot change the
-        // result. A query has at most `n_rows` candidates, so a larger k
-        // is moot.
+        // (which may span shards), and each chunk scans it into its own
+        // per-query top-k, all chunks sharing one request: the queries'
+        // pivot distances and their k-th distance ceilings. Merging the
+        // chunks' lists keeps the k globally smallest candidates per query
+        // — identical to folding shards one by one, because both are "the
+        // k smallest elements" of the same candidate multiset, no chunk
+        // leaves out a row that could be among them, and the (distance,
+        // shard, row, label) order makes every candidate distinct. How the
+        // rows are split therefore cannot change the result. A query has
+        // at most `n_rows` candidates, so a larger k is moot.
         let k = k.min(self.n_rows());
-        let tables = self.pivot_tables()?;
+        let table = self.pivot_table()?;
+        let banks = banks(&self.shards);
+        let request = ScanRequest::new(&query_matrix, k, table)?;
         let chunk_tops = rayon::map_ranges(self.n_rows(), MIN_CHUNK_ROWS, |rows| {
-            self.range_candidates(&query_matrix, tables, rows, k)
+            let mut tops = TopK::new(queries.len(), k);
+            tops.scan(&request, &banks, rows, |shard, row| {
+                let shard = &self.shards[shard];
+                let row_u32 = u32::try_from(row).unwrap_or(u32::MAX);
+                let label = shard.labels.get(row).copied().unwrap_or(0);
+                (shard.shard_index, row_u32, label)
+            })
+            .map(|()| tops)
         });
         let mut best = TopK::new(queries.len(), k);
         for tops in chunk_tops {
@@ -1269,43 +1249,13 @@ impl HvStore {
             .collect())
     }
 
-    /// The pivot table of each serving shard, built at the first call.
-    fn pivot_tables(&self) -> Result<&[PivotTable], ServeError> {
-        if let Some(pivots) = self.pivots.get() {
-            return Ok(&pivots.tables);
+    /// The pivot table over the serving rows, built at the first call.
+    fn pivot_table(&self) -> Result<&PivotTable, ServeError> {
+        if let Some(table) = self.pivots.get() {
+            return Ok(table);
         }
-        let built = ShardPivots::build(self.dim, &self.shards)?;
-        Ok(&self.pivots.get_or_init(|| built).tables)
-    }
-
-    /// The per-query top-k among the global rows `rows` (rows numbered
-    /// shard after shard), keyed `(shard, row, label)` — the unit of work
-    /// one chunk of [`HvStore::predict_batch`] computes. `tables` holds
-    /// each shard's pivot table.
-    fn range_candidates(
-        &self,
-        queries: &BitMatrix,
-        tables: &[PivotTable],
-        rows: Range<usize>,
-        k: usize,
-    ) -> Result<TopK<(u32, u32, u32)>, ServeError> {
-        let mut tops = TopK::new(queries.n_rows(), k);
-        let mut shard_start = 0;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let table = tables.get(i).ok_or_else(|| ServeError::ShardConflict {
-                detail: format!("no pivot table for serving shard {}", shard.shard_index),
-            })?;
-            let shard_end = shard_start + shard.bank.n_rows();
-            let lo = rows.start.clamp(shard_start, shard_end) - shard_start;
-            let hi = rows.end.clamp(shard_start, shard_end) - shard_start;
-            shard_start = shard_end;
-            tops.scan(queries, &shard.bank, table, lo..hi, |row| {
-                let row_u32 = u32::try_from(row).unwrap_or(u32::MAX);
-                let label = shard.labels.get(row).copied().unwrap_or(0);
-                (shard.shard_index, row_u32, label)
-            })?;
-        }
-        Ok(tops)
+        let built = build_pivot_table(self.dim, &self.shards)?;
+        Ok(self.pivots.get_or_init(|| built))
     }
 
     /// Majority vote over one query's sorted candidate list; ties go to

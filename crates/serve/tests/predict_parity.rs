@@ -3,8 +3,11 @@
 //! serial fold over the shards on the ingest workload's layout, four full
 //! 4,096-row shards plus one of 3,616, with equal distances planted across
 //! shard boundaries, for 1-query and 32-query batches and one to eight
-//! workers.
+//! workers. A third check runs level-encoded records, for which the store
+//! chooses pivots and seeds its scans' ceilings, in shards smaller than
+//! the scan's seed pool.
 
+use hyperfex_hdc::encoding::{FeatureSpec, RecordEncoder, RecordSchema};
 use hyperfex_hdc::rng::SplitMix64;
 use hyperfex_hdc::{BinaryHypervector, Dim};
 use hyperfex_serve::HvStore;
@@ -22,13 +25,24 @@ fn serial_fold(
     query: &BinaryHypervector,
     k: usize,
 ) -> usize {
+    serial_fold_in(CAPACITY, bank, labels, query, k)
+}
+
+/// [`serial_fold`] over shards of `capacity` rows.
+fn serial_fold_in(
+    capacity: usize,
+    bank: &[BinaryHypervector],
+    labels: &[usize],
+    query: &BinaryHypervector,
+    k: usize,
+) -> usize {
     let mut candidates: Vec<(usize, usize, usize, usize)> = bank
         .iter()
         .zip(labels)
         .enumerate()
         .map(|(g, (hv, &label))| {
             let distance = query.try_hamming(hv).unwrap();
-            (distance, g / CAPACITY, g % CAPACITY, label)
+            (distance, g / capacity, g % capacity, label)
         })
         .collect();
     candidates.sort_unstable();
@@ -167,6 +181,54 @@ fn predict_batch_at_paper_width_matches_a_serial_fold() {
             .map(|q| serial_fold(&bank, &labels, q, k))
             .collect();
         for workers in 1..=8 {
+            let (one, all) = rayon::with_num_threads(workers, || {
+                (
+                    store.predict_batch(&queries[..1], k).unwrap(),
+                    store.predict_batch(&queries, k).unwrap(),
+                )
+            });
+            assert_eq!(one, want[..1], "1 query, k {k}, {workers} workers");
+            assert_eq!(all, want, "32 queries, k {k}, {workers} workers");
+        }
+    }
+}
+
+/// Rows per shard of the seeded check: fewer than the 128 seed rows a scan
+/// may read per query, so every chunk's seeds and its ceiling span shards.
+const SMALL_CAPACITY: usize = 40;
+
+/// 3,000 level-encoded records at 10,000 bits in 75 shards of
+/// [`SMALL_CAPACITY`], three features on a grid of 12 levels each (so equal
+/// records, and distances tied at the k-th across shard boundaries, are
+/// common), and 32 held-out queries, the first a copy of a bank row.
+#[test]
+fn seeded_predicts_over_shards_smaller_than_the_seed_pool_match_a_serial_fold() {
+    let dim = Dim::new(PAPER_DIM);
+    let schema = RecordSchema::new(
+        (0..3)
+            .map(|f| FeatureSpec::continuous(format!("f{f}"), 0.0, 11.0))
+            .collect(),
+    );
+    let encoder = RecordEncoder::new(dim, schema, 79).unwrap();
+    let mut rng = SplitMix64::new(79);
+    let mut record = || {
+        let values: Vec<f64> = (0..3).map(|_| rng.next_bounded(12) as f64).collect();
+        encoder.encode_record(&values).unwrap()
+    };
+    let bank: Vec<BinaryHypervector> = (0..3_000).map(|_| record()).collect();
+    let mut queries: Vec<BinaryHypervector> = (0..32).map(|_| record()).collect();
+    queries[0] = bank[1_234].clone();
+    let labels: Vec<usize> = (0..bank.len()).map(|g| (g * 7 / 5) % 3).collect();
+    let mut store = HvStore::new_empty(dim, SMALL_CAPACITY).unwrap();
+    store.append_batch(&bank, &labels).unwrap();
+    assert_eq!(store.n_shards(), 75);
+
+    for k in [1, 4, 5] {
+        let want: Vec<usize> = queries
+            .iter()
+            .map(|q| serial_fold_in(SMALL_CAPACITY, &bank, &labels, q, k))
+            .collect();
+        for workers in [1, 2] {
             let (one, all) = rayon::with_num_threads(workers, || {
                 (
                     store.predict_batch(&queries[..1], k).unwrap(),
